@@ -41,16 +41,17 @@ def _build_parser():
                              description="open book invariants and embedding certificates")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def reader(name, help_text):
+    def batch(name, help_text, evaluate, path_help):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("path", nargs="?", help="open-book file")
+        p.add_argument("path", nargs="?", help=path_help)
         p.add_argument("--json", action="store_true", dest="as_json")
         p.add_argument("--manifest", help="file listing one input path per line")
-        return p
+        p.set_defaults(func=_run_batch, evaluate=evaluate)
 
-    reader("h1", "first homology of the closed manifold")
-    reader("mt-h1", "first homology of the mapping torus")
-    reader("identify", "catalog name of the manifold, if known")
+    batch("h1", "first homology of the closed manifold", _eval_h1, "open-book file")
+    batch("mt-h1", "first homology of the mapping torus", _eval_mt_h1, "open-book file")
+    batch("identify", "catalog name of the manifold, if known", _eval_identify,
+          "open-book file")
 
     p = sub.add_parser("stabilize", help="positively stabilize an open book")
     p.add_argument("path")
@@ -60,61 +61,62 @@ def _build_parser():
     group.add_argument("--join", type=int, nargs=2, metavar=("J", "K"),
                        help="join distinct boundary components J and K")
     p.add_argument("--out", help="output open-book file (stdout if omitted)")
+    p.set_defaults(func=_run_stabilize)
 
     p = sub.add_parser("reduce", help="stabilize down to one boundary component")
     p.add_argument("path")
     p.add_argument("--out", help="output open-book file (stdout if omitted)")
+    p.set_defaults(func=_run_reduce)
 
     p = sub.add_parser("embed", help="build an open-book embedding witness")
     p.add_argument("path")
     p.add_argument("--framing", type=int, required=True, metavar="M")
     p.add_argument("--out", required=True, help="certificate JSON file")
+    p.set_defaults(func=_run_embed)
 
     p = sub.add_parser("embed-s5", help="build an embedding plan into S5")
     p.add_argument("path")
     p.add_argument("--out", required=True, help="plan JSON file")
+    p.set_defaults(func=_run_embed_s5)
 
-    p = sub.add_parser("validate", help="re-check a certificate file")
-    p.add_argument("path", nargs="?")
-    p.add_argument("--json", action="store_true", dest="as_json")
-    p.add_argument("--manifest", help="file listing one certificate path per line")
+    batch("validate", "re-check a certificate file", _eval_validate, "certificate file")
 
     p = sub.add_parser("relations", help="run the mapping-class relation checks")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--boundary", type=int, required=True)
     p.add_argument("--json", action="store_true", dest="as_json")
+    p.set_defaults(func=_run_relations)
 
     return parser
 
 
-def _h1_result(ob):
-    return closed_h1(ob)
+# Each batch command evaluates one input path to (record fields, human
+# text, exit code).  A manifest record is {"input": path, **fields};
+# a single input prints the text, or with --json the "result" field
+# (or, for validate, the fields themselves).
+
+def _group_fields(group):
+    return {"result": group.as_dict()}, f"H1 = {group.describe()}", EXIT_OK
 
 
-def _mt_h1_result(ob):
-    return mapping_torus_h1(ob)
+def _eval_h1(path):
+    return _group_fields(closed_h1(read_openbook(path)))
 
 
-def _print_group(group, as_json, out):
-    if as_json:
-        print(json.dumps(group.as_dict(), sort_keys=True), file=out)
-    else:
-        print(f"H1 = {group.describe()}", file=out)
+def _eval_mt_h1(path):
+    return _group_fields(mapping_torus_h1(read_openbook(path)))
 
 
-def _run_single_read(command, path, as_json, out):
-    ob = read_openbook(path)
-    if command == "h1":
-        _print_group(_h1_result(ob), as_json, out)
-    elif command == "mt-h1":
-        _print_group(_mt_h1_result(ob), as_json, out)
-    elif command == "identify":
-        name = identify_known(ob)
-        if as_json:
-            print(json.dumps({"name": name}, sort_keys=True), file=out)
-        else:
-            print(name if name is not None else "unknown", file=out)
-    return EXIT_OK
+def _eval_identify(path):
+    name = identify_known(read_openbook(path))
+    return {"result": {"name": name}}, name if name is not None else "unknown", EXIT_OK
+
+
+def _eval_validate(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        violations = embedder.validate_certificate(fh.read())
+    text = "\n".join(f"VIOLATION: {v}" for v in violations) or "certificate valid"
+    return {"violations": violations}, text, EXIT_INVALID if violations else EXIT_OK
 
 
 def _read_manifest(manifest_path):
@@ -122,60 +124,34 @@ def _read_manifest(manifest_path):
         return [line.strip() for line in fh if line.strip()]
 
 
-def _run_read(command, args, out, err):
-    if args.manifest:
-        worst = EXIT_OK
-        for path in _read_manifest(args.manifest):
-            record = {"input": path}
-            try:
-                ob = read_openbook(path)
-                if command == "h1":
-                    record["result"] = _h1_result(ob).as_dict()
-                elif command == "mt-h1":
-                    record["result"] = _mt_h1_result(ob).as_dict()
-                else:
-                    record["result"] = {"name": identify_known(ob)}
-            except (OSError, OpenBookParseError) as exc:
-                record["error"] = str(exc)
-                worst = max(worst, EXIT_USAGE)
-            print(json.dumps(record, sort_keys=True), file=out)
-        return worst
-    if not args.path:
-        raise _UsageError(f"{command} requires an input file or --manifest")
-    return _run_single_read(command, args.path, args.as_json, out)
+def _run_batch(args, out, err):
+    if not args.manifest:
+        if not args.path:
+            raise _UsageError(f"{args.command} requires an input file or --manifest")
+        fields, text, code = args.evaluate(args.path)
+        if args.as_json:
+            text = json.dumps(fields.get("result", fields), sort_keys=True)
+        print(text, file=out)
+        return code
+    worst = EXIT_OK
+    for path in _read_manifest(args.manifest):
+        try:
+            fields, _, code = args.evaluate(path)
+        except Exception as exc:  # one bad record never aborts the batch
+            known = isinstance(exc, (OSError, ValueError))
+            fields, code = {"error": str(exc) if known else repr(exc)}, EXIT_USAGE
+        worst = max(worst, code)
+        print(json.dumps({"input": path, **fields}, sort_keys=True), file=out)
+    return worst
 
 
-def _run_validate(args, out, err):
-    def validate_one(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return embedder.validate_certificate(fh.read())
-
-    if args.manifest:
-        worst = EXIT_OK
-        for path in _read_manifest(args.manifest):
-            record = {"input": path}
-            try:
-                violations = validate_one(path)
-                record["violations"] = violations
-                if violations:
-                    worst = max(worst, EXIT_INVALID)
-            except (OSError, ValueError, json.JSONDecodeError) as exc:
-                record["error"] = str(exc)
-                worst = max(worst, EXIT_USAGE)
-            print(json.dumps(record, sort_keys=True), file=out)
-        return worst
-    if not args.path:
-        raise _UsageError("validate requires a certificate file or --manifest")
-    violations = validate_one(args.path)
-    if args.as_json:
-        print(json.dumps({"violations": violations}, sort_keys=True), file=out)
+def _emit(text, path, out):
+    """Write text to the file at path, or to out when path is None."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
-        if violations:
-            for v in violations:
-                print(f"VIOLATION: {v}", file=out)
-        else:
-            print("certificate valid", file=out)
-    return EXIT_INVALID if violations else EXIT_OK
+        out.write(text)
 
 
 def _run_stabilize(args, out, err):
@@ -184,46 +160,26 @@ def _run_stabilize(args, out, err):
         attachment = SameBoundary(args.same)
     else:
         attachment = JoinBoundaries(args.join[0], args.join[1])
-    try:
-        result = stabilize_positive(ob, attachment)
-    except ValueError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_INVALID
-    text = serialize_openbook(result)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    _emit(serialize_openbook(stabilize_positive(ob, attachment)), args.out, out)
     return EXIT_OK
 
 
 def _run_reduce(args, out, err):
-    ob = read_openbook(args.path)
-    result = reduce_to_one_boundary(ob)
-    text = serialize_openbook(result)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    _emit(serialize_openbook(reduce_to_one_boundary(read_openbook(args.path))),
+          args.out, out)
     return EXIT_OK
 
 
 def _run_embed(args, out, err):
-    ob = read_openbook(args.path)
-    cert = embedder.build_openbook_embedding(ob, args.framing)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(embedder.certificate_to_json(cert))
+    cert = embedder.build_openbook_embedding(read_openbook(args.path), args.framing)
+    _emit(embedder.certificate_to_json(cert), args.out, out)
     print(f"witness written to {args.out} (target {cert['scene']['target']})", file=out)
     return EXIT_OK
 
 
 def _run_embed_s5(args, out, err):
-    ob = read_openbook(args.path)
-    plan = embedder.build_s5_plan(ob)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(embedder.certificate_to_json(plan))
+    plan = embedder.build_s5_plan(read_openbook(args.path))
+    _emit(embedder.certificate_to_json(plan), args.out, out)
     h1 = AbelianGroup.from_dict(plan["checks"]["h1_after"])
     print(f"plan written to {args.out} (H1 = {h1.describe()})", file=out)
     return EXIT_OK
@@ -256,22 +212,7 @@ def run(argv, out=None, err=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        command = args.command
-        if command in ("h1", "mt-h1", "identify"):
-            return _run_read(command, args, out, err)
-        if command == "validate":
-            return _run_validate(args, out, err)
-        if command == "stabilize":
-            return _run_stabilize(args, out, err)
-        if command == "reduce":
-            return _run_reduce(args, out, err)
-        if command == "embed":
-            return _run_embed(args, out, err)
-        if command == "embed-s5":
-            return _run_embed_s5(args, out, err)
-        if command == "relations":
-            return _run_relations(args, out, err)
-        raise _UsageError(f"unknown command {command!r}")
+        return args.func(args, out, err)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return EXIT_USAGE

@@ -6,6 +6,14 @@ checklist entry with a reason code.  The validator re-derives every
 invariant from the serialized certificate alone and trusts nothing
 the builder did.
 
+The fixed parts of each certificate (scene constants, generator
+schedule, Euler and parity checks) come from one spec function per
+kind, a pure function of the input.  The builder emits the spec; the
+validator recomputes it from the certificate's own ``input`` and diffs
+it key by key.  Checked independently of the spec: H1 (recomputed),
+collar levels in (0, 1/2), the realization of the word in action
+order, and the completeness of the avoidance checklist.
+
 Certificate wire format (JSON): top-level keys are exactly
 {kind, version, input, scene, schedule, checks}, version 1.
 """
@@ -14,7 +22,8 @@ from __future__ import annotations
 
 import json
 
-from .openbook import AbstractOpenBook, closed_h1, reduce_to_one_boundary
+from .openbook import (AbstractOpenBook, closed_h1, core_twist_total,
+                       reduce_to_one_boundary)
 from .surface import Surface, lickorish_system
 
 VERSION = 1
@@ -62,7 +71,7 @@ def disk_bundle_model(framing):
     """
     return {
         "framing": framing,
-        "total_space": TARGET_EVEN if framing % 2 == 0 else TARGET_ODD,
+        "total_space": _total_space(framing),
         "pieces": ["B4_interior", "collar", "attaching_region", "handle",
                    "core_disk", "cocore"],
         "collar_levels": {"binding": _ratio(1, 1), "page": _ratio(1, 2),
@@ -73,6 +82,14 @@ def disk_bundle_model(framing):
 
 def _ratio(num, den):
     return {"num": num, "den": den}
+
+
+def _parity(framing):
+    return "even" if framing % 2 == 0 else "odd"
+
+
+def _total_space(framing):
+    return TARGET_EVEN if framing % 2 == 0 else TARGET_ODD
 
 
 def _schedule_for(curve_names):
@@ -89,42 +106,38 @@ def _schedule_for(curve_names):
     return entries
 
 
-def build_flexible_embedding(page, framing, cfg=None):
-    """Certificate for the flexible proper embedding of a page in DE(m).
+def _realization(word):
+    """The word's letters in action order, each against its schedule entry."""
+    return [{"position": pos, "curve": name, "exponent": exp, "schedule_ref": name}
+            for pos, (name, exp) in enumerate(reversed(word.letters), start=1)]
 
-    The scene removes one disk per boundary component from the closed
-    surface, attaches a full-twist band on the first disk to create a
-    Hopf boundary pair, caps one Hopf boundary with the handle-side
-    disk, and runs every generator twist at its own collar level in
-    (0, 1/2).
-    """
-    g, n = page.genus, page.boundary_count
-    if n < 1:
-        raise ValueError("page must have boundary")
-    if cfg is None:
-        cfg, _ = lickorish_system(page)
-    names = list(cfg.names())
-    scene = {
-        "removed_disks": [f"D{i}" for i in range(1, n + 1)],
-        "twisted_band": {"on_disk": "D1", "full_twists": 1},
-        "hopf_boundary_pair": ["H1", "H2"],
-        "capping_disk": {"caps": "H1", "side": "handle", "center_curve_shrinks": True},
-        "boundary_cylinders": [
-            {"disk": f"D{i}", "from": _ratio(1, 2), "to": _ratio(1, 1)}
-            for i in range(1, n + 1)
-        ],
-        "intermediate_boundary_components": n + 1,
-    }
-    return {
-        "kind": KIND_FLEXIBLE,
-        "version": VERSION,
-        "input": {
-            "page": {"genus": g, "boundary": n},
+
+# ---------------------------------------------------------------------------
+# specs: the fixed parts of each kind, emitted by the builder and
+# recomputed by the validator
+
+
+def _flexible_input(page, framing, cfg):
+    return {"page": {"genus": page.genus, "boundary": page.boundary_count},
             "framing": framing,
-            "curves": names,
-            "config_kind": "default" if cfg.standard else "attached",
+            "curves": list(cfg.names()),
+            "config_kind": "default" if cfg.standard else "attached"}
+
+
+def _flexible_spec(g, n, names):
+    return {
+        "scene": {
+            "removed_disks": [f"D{i}" for i in range(1, n + 1)],
+            "twisted_band": {"on_disk": "D1", "full_twists": 1},
+            "hopf_boundary_pair": ["H1", "H2"],
+            "capping_disk": {"caps": "H1", "side": "handle",
+                             "center_curve_shrinks": True},
+            "boundary_cylinders": [
+                {"disk": f"D{i}", "from": _ratio(1, 2), "to": _ratio(1, 1)}
+                for i in range(1, n + 1)
+            ],
+            "intermediate_boundary_components": n + 1,
         },
-        "scene": scene,
         "schedule": _schedule_for(names),
         "checks": {
             "euler_intermediate": 1 - 2 * g - n,
@@ -133,60 +146,19 @@ def build_flexible_embedding(page, framing, cfg=None):
     }
 
 
-def build_openbook_embedding(ob, framing):
-    """Witness that the open book embeds in the identity open book of DE(m).
-
-    The page certificate provides one ambient twist per generator;
-    the realization lists the word's letters in action order against
-    their schedule entries.  The target's total space is S3xS2 for
-    even framing and its twisted partner for odd framing.
-    """
-    cert = build_flexible_embedding(ob.page, framing, ob.config)
-    realization = []
-    for pos, (name, exp) in enumerate(reversed(ob.word.letters), start=1):
-        realization.append({
-            "position": pos,
-            "curve": name,
-            "exponent": exp,
-            "schedule_ref": name,
-        })
+def _witness_spec(framing, word_length):
     return {
-        "kind": KIND_WITNESS,
-        "version": VERSION,
-        "input": {"openbook": ob.to_dict(), "framing": framing},
         "scene": {
-            "target": TARGET_EVEN if framing % 2 == 0 else TARGET_ODD,
+            "target": _total_space(framing),
             "target_openbook": {"page": f"DE({framing})", "monodromy": "identity"},
             "bundle": disk_bundle_model(framing),
-            "page_certificate": cert,
         },
-        "schedule": realization,
-        "checks": {
-            "word_length": len(ob.word),
-            "framing_parity": "even" if framing % 2 == 0 else "odd",
-        },
+        "checks": {"word_length": word_length, "framing_parity": _parity(framing)},
     }
 
 
-def build_annulus_s5(ob):
-    """Certificate embedding an annulus-page open book in the trivial
-    open book of S5.
-
-    Requires the page to be the annulus with a word of core twists;
-    the realized power is the total signed exponent.
-    """
-    if (ob.page.genus, ob.page.boundary_count) != (0, 2):
-        raise ValueError("page must be the annulus")
-    power = 0
-    for name, exp in ob.word:
-        cls = ob.config.curve(name).homology_class
-        if cls not in ((1,), (-1,)):
-            raise ValueError(f"letter {name!r} is not a core (boundary-parallel) twist")
-        power += exp
+def _annulus_spec(power):
     return {
-        "kind": KIND_ANNULUS,
-        "version": VERSION,
-        "input": {"openbook": ob.to_dict()},
         "scene": {
             "hopf_band": {"ambient": "S3", "boundary": ["H1", "H2"]},
             "collar_pushing": {"target": "D4", "proper": True,
@@ -197,6 +169,78 @@ def build_annulus_s5(ob):
         "schedule": [{"core_twist_power": power}],
         "checks": {"realized_power": power},
     }
+
+
+def _s5_spec(reduced, before, after):
+    """Fixed parts of an S5 plan, given the normalized book and both H1s."""
+    return {
+        "input": {"h1": before.as_dict()},
+        "scene": {
+            "de1": {"framing": 1, "attaching_circle": "K",
+                    "pushed_core_boundary": "K_prime", "linking_unknot": "U"},
+            "hopf_annulus": {"level": _ratio(1, 2), "boundary": ["U", "K_prime"]},
+            "handlebody": {"genus": reduced.page.genus,
+                           "placement": "complement_solid_torus"},
+            "connected_sum": {"pieces": ["page_body", "hopf_annulus"],
+                              "band": "ambient"},
+            "zero_section": list(ZERO_SECTION_PIECES),
+            "assembly": {"complement": "S3 x (0,1]", "capping": "S3 x D2",
+                         "target": "S3xR2"},
+        },
+        "schedule": {"generators": _schedule_for(list(reduced.config.names()))},
+        "checks": {"h1_before": before.as_dict(), "h1_after": after.as_dict(),
+                   "boundary_after": reduced.page.boundary_count},
+    }
+
+
+# ---------------------------------------------------------------------------
+# builders
+
+
+def build_flexible_embedding(page, framing, cfg=None):
+    """Certificate for the flexible proper embedding of a page in DE(m).
+
+    The scene removes one disk per boundary component from the closed
+    surface, attaches a full-twist band on the first disk to create a
+    Hopf boundary pair, caps one Hopf boundary with the handle-side
+    disk, and runs every generator twist at its own collar level in
+    (0, 1/2).
+    """
+    if page.boundary_count < 1:
+        raise ValueError("page must have boundary")
+    if cfg is None:
+        cfg, _ = lickorish_system(page)
+    return {"kind": KIND_FLEXIBLE, "version": VERSION,
+            "input": _flexible_input(page, framing, cfg),
+            **_flexible_spec(page.genus, page.boundary_count, list(cfg.names()))}
+
+
+def build_openbook_embedding(ob, framing):
+    """Witness that the open book embeds in the identity open book of DE(m).
+
+    The page certificate provides one ambient twist per generator;
+    the realization lists the word's letters in action order against
+    their schedule entries.  The target's total space is S3xS2 for
+    even framing and its twisted partner for odd framing.
+    """
+    spec = _witness_spec(framing, len(ob.word))
+    spec["scene"]["page_certificate"] = build_flexible_embedding(ob.page, framing,
+                                                                 ob.config)
+    return {"kind": KIND_WITNESS, "version": VERSION,
+            "input": {"openbook": ob.to_dict(), "framing": framing},
+            "schedule": _realization(ob.word), **spec}
+
+
+def build_annulus_s5(ob):
+    """Certificate embedding an annulus-page open book in the trivial
+    open book of S5.
+
+    Requires the page to be the annulus with a word of core twists;
+    the realized power is the total signed exponent.
+    """
+    return {"kind": KIND_ANNULUS, "version": VERSION,
+            "input": {"openbook": ob.to_dict()},
+            **_annulus_spec(core_twist_total(ob))}
 
 
 def build_s5_plan(ob):
@@ -214,281 +258,209 @@ def build_s5_plan(ob):
     after = closed_h1(reduced)
     if before != after:
         raise AssertionError("boundary reduction changed H1; stabilization bug")
-    avoidance = [
+    spec = _s5_spec(reduced, before, after)
+    spec["input"]["openbook"] = ob.to_dict()
+    spec["scene"]["normalized_openbook"] = reduced.to_dict()
+    spec["scene"]["avoidance"] = [
         {"surface_piece": sp, "zero_section_piece": zp, "disjoint": True,
          "reason": _AVOIDANCE_TABLE[(sp, zp)]}
         for sp in SURFACE_PIECES for zp in ZERO_SECTION_PIECES
     ]
-    realization = []
-    for pos, (name, exp) in enumerate(reversed(reduced.word.letters), start=1):
-        realization.append({"position": pos, "curve": name, "exponent": exp,
-                            "schedule_ref": name})
-    return {
-        "kind": KIND_S5PLAN,
-        "version": VERSION,
-        "input": {"openbook": ob.to_dict(), "h1": before.as_dict()},
-        "scene": {
-            "normalized_openbook": reduced.to_dict(),
-            "de1": {"framing": 1, "attaching_circle": "K",
-                    "pushed_core_boundary": "K_prime", "linking_unknot": "U"},
-            "hopf_annulus": {"level": _ratio(1, 2), "boundary": ["U", "K_prime"]},
-            "handlebody": {"genus": reduced.page.genus,
-                           "placement": "complement_solid_torus"},
-            "connected_sum": {"pieces": ["page_body", "hopf_annulus"],
-                              "band": "ambient"},
-            "zero_section": list(ZERO_SECTION_PIECES),
-            "avoidance": avoidance,
-            "assembly": {"complement": "S3 x (0,1]", "capping": "S3 x D2",
-                         "target": "S3xR2"},
-        },
-        "schedule": {
-            "generators": _schedule_for(list(reduced.config.names())),
-            "monodromy": realization,
-        },
-        "checks": {"h1_before": before.as_dict(), "h1_after": after.as_dict(),
-                   "boundary_after": reduced.page.boundary_count},
-    }
+    spec["schedule"]["monodromy"] = _realization(reduced.word)
+    return {"kind": KIND_S5PLAN, "version": VERSION, **spec}
 
 
 # ---------------------------------------------------------------------------
 # validation
 
-
-def _as_cert(cert):
-    if isinstance(cert, str):
-        return json.loads(cert)
-    return cert
+_MISSING = object()
 
 
-def _ratio_value(rec):
+def _get(obj, key, default=None):
+    return obj.get(key, default) if isinstance(obj, dict) else default
+
+
+def _is_int(x):
+    return type(x) is int
+
+
+def _brief(x):
+    text = "nothing" if x is _MISSING else repr(x)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _diff(path, want, got, out, source, free=()):
+    """Record where ``got`` departs from the recomputed ``want``.
+
+    Paths listed in ``free`` are checked elsewhere and skipped.  Leaves
+    compare as Python values, so 1, 1.0 and true are equal.
+    """
+    if path in free or got == want:
+        return
+    if isinstance(want, dict) and isinstance(got, dict):
+        for key, value in want.items():
+            _diff(f"{path}.{key}", value, got.get(key, _MISSING), out, source, free)
+        for key in got:
+            if key not in want and f"{path}.{key}" not in free:
+                out.append(f"{path}.{key}: unexpected field")
+    elif isinstance(want, list) and isinstance(got, list) and len(want) == len(got):
+        for i, (w, g) in enumerate(zip(want, got)):
+            _diff(f"{path}[{i}]", w, g, out, source, free)
+    elif isinstance(want, list) and isinstance(got, list):
+        out.append(f"{path}: expected {len(want)} entries, got {len(got)} "
+                   f"(recomputed for {source})")
+    else:
+        shown = "an object" if isinstance(want, dict) else _brief(want)
+        out.append(f"{path}: expected {shown}, got {_brief(got)} "
+                   f"(recomputed for {source})")
+
+
+def _diff_spec(spec, obj, out, source, free=(), prefix=""):
+    """Diff each top-level section of a spec against the same key of obj."""
+    for key, want in spec.items():
+        _diff(prefix + key, want, _get(obj, key, _MISSING), out, source, free)
+
+
+def _openbook(data, path, out):
     try:
-        return rec["num"], rec["den"]
-    except (TypeError, KeyError):
+        return AbstractOpenBook.from_dict(data)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        out.append(f"{path}: {exc}")
         return None
 
 
-def _check_level(rec, out, where):
-    val = _ratio_value(rec)
-    if val is None or val[1] == 0:
-        out.append(f"{where}: malformed level")
+def _check_levels(path, entries, out):
+    """Every schedule entry's collar level lies strictly inside (0, 1/2)."""
+    for i, entry in enumerate(entries if isinstance(entries, list) else []):
+        level = _get(entry, "level")
+        num, den = _get(level, "num"), _get(level, "den")
+        if not (_is_int(num) and _is_int(den)) or den == 0:
+            out.append(f"{path}[{i}].level: malformed level")
+        elif not 0 < 2 * num * den < den * den:
+            out.append(f"{path}[{i}].level: level {num}/{den} outside (0, 1/2)")
+
+
+def _check_realization(path, entries, word, out):
+    """The realization must list the word's letters in action order."""
+    want = _realization(word)
+    if isinstance(entries, list) and len(entries) != len(want):
+        out.append(f"{path}: uncovered letter(s): word has {len(want)} letters, "
+                   f"realization has {len(entries)}")
+    else:
+        _diff(path, want, entries, out, "the word in action order")
+
+
+def _check_avoidance(records, out):
+    """Every (surface piece, zero-section piece) pair once, disjoint, with a reason."""
+    if not isinstance(records, list):
+        out.append("scene.avoidance: expected the disjointness checklist")
         return
-    num, den = val
-    if den < 0:
-        num, den = -num, -den
-    if not 0 < 2 * num < den:
-        out.append(f"{where}: level {val[0]}/{val[1]} outside (0, 1/2)")
-
-
-def _validate_flexible(cert, out):
-    inp = cert.get("input", {})
-    scene = cert.get("scene", {})
-    schedule = cert.get("schedule", [])
-    page = inp.get("page", {})
-    try:
-        g, n = int(page["genus"]), int(page["boundary"])
-    except (KeyError, TypeError, ValueError):
-        out.append("input.page: missing or malformed genus/boundary")
-        return
-    if n < 1:
-        out.append("page has no boundary")
-        return
-
-    names = list(inp.get("curves", []))
-    if inp.get("config_kind") == "default":
-        expected, _ = lickorish_system(Surface(g, n))
-        if tuple(names) != expected.names():
-            out.append("curve census does not match the default configuration")
-
-    if scene.get("removed_disks") != [f"D{i}" for i in range(1, n + 1)]:
-        out.append("scene: expected one removed disk per boundary component")
-    band = scene.get("twisted_band", {})
-    if band.get("on_disk") != "D1" or band.get("full_twists") != 1:
-        out.append("scene: twisted band must carry one full twist on D1")
-    if scene.get("hopf_boundary_pair") != ["H1", "H2"]:
-        out.append("scene: missing Hopf boundary pair")
-    cap = scene.get("capping_disk", {})
-    if cap.get("side") != "handle" or not cap.get("center_curve_shrinks"):
-        out.append("scene: capping disk must lie on the handle side")
-    cyls = scene.get("boundary_cylinders", [])
-    if len(cyls) != n or any(_ratio_value(c.get("from")) != (1, 2) or
-                             _ratio_value(c.get("to")) != (1, 1) for c in cyls):
-        out.append("scene: boundary cylinders must run each disk from 1/2 to 1")
-    if scene.get("intermediate_boundary_components") != n + 1:
-        out.append("scene: intermediate surface must have n+1 boundary components")
-
-    seen = [e.get("curve") for e in schedule]
-    if sorted(seen) != sorted(names):
-        missing = set(names) - set(seen)
-        extra = set(seen) - set(names)
-        if missing:
-            out.append(f"schedule: generators without a twist entry: {sorted(missing)}")
-        if extra or len(seen) != len(set(seen)):
-            out.append("schedule: duplicate or unknown generator entries")
-    orders = [e.get("order") for e in schedule]
-    if orders != list(range(1, len(schedule) + 1)):
-        out.append("schedule: entries are not sequentially ordered")
-    for e in schedule:
-        _check_level(e.get("level"), out, f"schedule[{e.get('curve')}]")
-        if e.get("isotopy") != ["push", "twist", "return"]:
-            out.append(f"schedule[{e.get('curve')}]: isotopy must be push-twist-return")
-
-    checks = cert.get("checks", {})
-    if checks.get("euler_intermediate") != 1 - 2 * g - n:
-        out.append(f"checks: euler_intermediate must be {1 - 2 * g - n}")
-    if checks.get("euler_capped") != 2 - 2 * g - n:
-        out.append(f"checks: euler_capped must be {2 - 2 * g - n}")
-
-
-def _validate_witness(cert, out):
-    inp = cert.get("input", {})
-    scene = cert.get("scene", {})
-    try:
-        ob = AbstractOpenBook.from_dict(inp["openbook"])
-    except (KeyError, TypeError, ValueError) as exc:
-        out.append(f"input.openbook: {exc}")
-        return
-    framing = inp.get("framing")
-    if not isinstance(framing, int):
-        out.append("input.framing: missing integer framing")
-        return
-    want = TARGET_EVEN if framing % 2 == 0 else TARGET_ODD
-    if scene.get("target") != want:
-        out.append(f"scene.target {scene.get('target')!r} does not match framing "
-                   f"parity (expected {want!r})")
-    tob = scene.get("target_openbook", {})
-    if tob.get("monodromy") != "identity" or tob.get("page") != f"DE({framing})":
-        out.append("scene.target_openbook must be the identity open book of DE(framing)")
-    bundle = scene.get("bundle", {})
-    if bundle.get("framing") != framing or bundle.get("total_space") != want:
-        out.append("scene.bundle does not match the framing and its parity")
-    if list(bundle.get("zero_section", [])) != list(ZERO_SECTION_PIECES):
-        out.append("scene.bundle: zero section must be the three-piece decomposition")
-
-    page_cert = scene.get("page_certificate")
-    if not isinstance(page_cert, dict):
-        out.append("scene.page_certificate missing")
-        return
-    nested = validate_certificate(page_cert)
-    out.extend(f"page_certificate: {v}" for v in nested)
-
-    schedule_names = {e.get("curve") for e in page_cert.get("schedule", [])}
-    realization = cert.get("schedule", [])
-    action_order = list(reversed(ob.word.letters))
-    if len(realization) != len(action_order):
-        out.append(f"realization: uncovered letter(s): word has {len(action_order)} "
-                   f"letters, realization has {len(realization)}")
-    for pos, (name, exp) in enumerate(action_order, start=1):
-        if pos > len(realization):
-            break
-        entry = realization[pos - 1]
-        if entry.get("curve") != name or entry.get("exponent") != exp:
-            out.append(f"realization[{pos}]: expected letter ({name}, {exp}), "
-                       f"got ({entry.get('curve')}, {entry.get('exponent')})")
-        elif entry.get("schedule_ref") not in schedule_names:
-            out.append(f"realization[{pos}]: schedule_ref {entry.get('schedule_ref')!r} "
-                       "has no schedule entry")
-
-
-def _validate_annulus(cert, out):
-    inp = cert.get("input", {})
-    try:
-        ob = AbstractOpenBook.from_dict(inp["openbook"])
-    except (KeyError, TypeError, ValueError) as exc:
-        out.append(f"input.openbook: {exc}")
-        return
-    if (ob.page.genus, ob.page.boundary_count) != (0, 2):
-        out.append("page is not the annulus")
-        return
-    power = 0
-    for name, exp in ob.word:
-        cls = ob.config.curve(name).homology_class
-        if cls not in ((1,), (-1,)):
-            out.append(f"letter {name!r} is not a core twist")
-            return
-        power += exp
-    if cert.get("checks", {}).get("realized_power") != power:
-        out.append(f"checks.realized_power must equal the word's total exponent {power}")
-    sched = cert.get("schedule", [])
-    if len(sched) != 1 or sched[0].get("core_twist_power") != power:
-        out.append("schedule must carry exactly the realized core twist power")
-
-
-def _validate_s5_plan(cert, out):
-    inp = cert.get("input", {})
-    scene = cert.get("scene", {})
-    checks = cert.get("checks", {})
-    try:
-        original = AbstractOpenBook.from_dict(inp["openbook"])
-        reduced = AbstractOpenBook.from_dict(scene["normalized_openbook"])
-    except (KeyError, TypeError, ValueError) as exc:
-        out.append(f"openbook records: {exc}")
-        return
-    if reduced.page.boundary_count != 1:
-        out.append("normalized page must have exactly one boundary component")
-    if checks.get("boundary_after") != reduced.page.boundary_count:
-        out.append("checks.boundary_after does not match the normalized page")
-
-    h1_before = closed_h1(original).as_dict()
-    h1_after = closed_h1(reduced).as_dict()
-    if checks.get("h1_before") != h1_before:
-        out.append("checks.h1_before does not match a recomputation")
-    if checks.get("h1_after") != h1_after:
-        out.append("checks.h1_after does not match a recomputation")
-    if h1_before != h1_after:
-        out.append("normalization changed H1")
-    if inp.get("h1") != h1_before:
-        out.append("input.h1 does not match a recomputation")
-
-    de1 = scene.get("de1", {})
-    if de1.get("framing") != 1:
-        out.append("scene.de1: the disk bundle must have framing +1")
-    for key in ("attaching_circle", "pushed_core_boundary", "linking_unknot"):
-        if not de1.get(key):
-            out.append(f"scene.de1: missing {key}")
-    annulus = scene.get("hopf_annulus", {})
-    if _ratio_value(annulus.get("level")) != (1, 2):
-        out.append("scene.hopf_annulus: must sit at level 1/2")
-    if scene.get("handlebody", {}).get("placement") != "complement_solid_torus":
-        out.append("scene.handlebody: must sit inside the complement solid torus")
-    if list(scene.get("zero_section", [])) != list(ZERO_SECTION_PIECES):
-        out.append("scene.zero_section: expected the three-piece decomposition")
-
     pairs = {}
-    for rec in scene.get("avoidance", []):
-        key = (rec.get("surface_piece"), rec.get("zero_section_piece"))
-        pairs[key] = rec
+    stray = 0
+    for rec in records:
+        key = (_get(rec, "surface_piece"), _get(rec, "zero_section_piece"))
+        if all(isinstance(k, str) for k in key) and key not in pairs:
+            pairs[key] = rec
+        else:
+            stray += 1
     for sp in SURFACE_PIECES:
         for zp in ZERO_SECTION_PIECES:
             rec = pairs.get((sp, zp))
             if rec is None:
                 out.append(f"avoidance: missing pair ({sp}, {zp})")
-            elif not rec.get("disjoint") or rec.get("reason") not in AVOIDANCE_REASONS:
+            elif rec.get("disjoint") is not True or rec.get("reason") not in AVOIDANCE_REASONS:
                 out.append(f"avoidance ({sp}, {zp}): not marked disjoint with a "
                            "valid reason code")
-    if len(pairs) != len(SURFACE_PIECES) * len(ZERO_SECTION_PIECES):
+    if stray or len(pairs) != len(SURFACE_PIECES) * len(ZERO_SECTION_PIECES):
         out.append("avoidance: duplicate or stray checklist entries")
 
-    if scene.get("assembly", {}).get("target") != "S3xR2":
-        out.append("assembly target must be S3xR2")
-    if "complement" not in scene.get("assembly", {}):
-        out.append("assembly must identify the zero-section complement")
 
-    sched = cert.get("schedule", {})
-    gens = sched.get("generators", [])
-    want_names = list(reduced.config.names())
-    if [e.get("curve") for e in gens] != want_names:
-        out.append("schedule.generators must cover the normalized page's curves in order")
-    for e in gens:
-        _check_level(e.get("level"), out, f"schedule.generators[{e.get('curve')}]")
-    realization = sched.get("monodromy", [])
-    action_order = list(reversed(reduced.word.letters))
-    if len(realization) != len(action_order):
-        out.append("schedule.monodromy: uncovered letter(s) in the normalized word")
+def _validate_flexible(cert, out):
+    inp = cert["input"]
+    page = _get(inp, "page")
+    g, n = _get(page, "genus"), _get(page, "boundary")
+    if not (_is_int(g) and _is_int(n)) or g < 0:
+        out.append("input.page: missing or malformed genus/boundary")
+        return
+    if n < 1:
+        out.append("page has no boundary")
+        return
+    if not _is_int(_get(inp, "framing")):
+        out.append("input.framing: missing integer framing")
+    names = _get(inp, "curves")
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        out.append("input.curves: expected a list of curve names")
+        return
+    config_kind = _get(inp, "config_kind")
+    if config_kind == "default":
+        expected, _ = lickorish_system(Surface(g, n))
+        if tuple(names) != expected.names():
+            out.append("curve census does not match the default configuration")
+    elif config_kind != "attached":
+        out.append(f"input.config_kind: expected 'default' or 'attached', "
+                   f"got {_brief(config_kind)}")
+    _diff_spec(_flexible_spec(g, n, names), cert, out, f"Sigma_{{{g},{n}}}")
+    _check_levels("schedule", cert["schedule"], out)
+
+
+def _validate_witness(cert, out):
+    inp = cert["input"]
+    ob = _openbook(_get(inp, "openbook"), "input.openbook", out)
+    if ob is None:
+        return
+    framing = _get(inp, "framing")
+    if not _is_int(framing):
+        out.append("input.framing: missing integer framing")
+        return
+    _diff_spec(_witness_spec(framing, len(ob.word)), cert, out,
+               f"framing {framing}, {_parity(framing)} parity",
+               free=("scene.page_certificate",))
+    page_cert = _get(cert["scene"], "page_certificate")
+    if not isinstance(page_cert, dict):
+        out.append("scene.page_certificate missing")
     else:
-        for pos, (name, exp) in enumerate(action_order, start=1):
-            entry = realization[pos - 1]
-            if entry.get("curve") != name or entry.get("exponent") != exp:
-                out.append(f"schedule.monodromy[{pos}]: letter mismatch")
+        _diff_spec({"kind": KIND_FLEXIBLE,
+                    "input": _flexible_input(ob.page, framing, ob.config)},
+                   page_cert, out, "the input open book", prefix="scene.page_certificate.")
+        if page_cert.get("kind") == KIND_FLEXIBLE:
+            out.extend(f"page_certificate: {v}" for v in validate_certificate(page_cert))
+    _check_realization("schedule", cert["schedule"], ob.word, out)
+
+
+def _validate_annulus(cert, out):
+    ob = _openbook(_get(cert["input"], "openbook"), "input.openbook", out)
+    if ob is None:
+        return
+    try:
+        power = core_twist_total(ob)
+    except ValueError as exc:
+        out.append(f"input.openbook: {exc}")
+        return
+    _diff_spec(_annulus_spec(power), cert, out, f"the word's total exponent {power}")
+
+
+def _validate_s5_plan(cert, out):
+    original = _openbook(_get(cert["input"], "openbook"), "input.openbook", out)
+    reduced = _openbook(_get(cert["scene"], "normalized_openbook"),
+                        "scene.normalized_openbook", out)
+    if original is None or reduced is None:
+        return
+    if reduced.page.boundary_count != 1:
+        out.append("normalized page must have exactly one boundary component")
+    before, after = closed_h1(original), closed_h1(reduced)
+    if before != after:
+        out.append("normalization changed H1")
+    # the open books, the avoidance checklist and the realization are
+    # checked on their own
+    _diff_spec(_s5_spec(reduced, before, after), cert, out,
+               "the input and normalized open books",
+               free=("input.openbook", "scene.normalized_openbook", "scene.avoidance",
+                     "schedule.monodromy"))
+    schedule = cert["schedule"]
+    _check_levels("schedule.generators", _get(schedule, "generators"), out)
+    _check_realization("schedule.monodromy", _get(schedule, "monodromy", _MISSING),
+                       reduced.word, out)
+    _check_avoidance(_get(cert["scene"], "avoidance"), out)
 
 
 _VALIDATORS = {
@@ -503,17 +475,20 @@ def validate_certificate(cert):
     """Re-check a certificate from its serialized form alone.
 
     Accepts a dict or a JSON string; returns a list of violations
-    (empty means valid).  Unknown kinds raise ValueError.
+    (empty means valid).  A non-object certificate or an unknown kind
+    raises ValueError.
     """
-    cert = _as_cert(cert)
+    if isinstance(cert, str):
+        cert = json.loads(cert)
     out = []
     if not isinstance(cert, dict):
         raise ValueError("certificate must be a JSON object")
     kind = cert.get("kind")
-    if kind not in _VALIDATORS:
+    if not isinstance(kind, str) or kind not in _VALIDATORS:
         raise ValueError(f"unknown certificate kind {kind!r}")
-    if cert.get("version") != VERSION:
-        out.append(f"unsupported version {cert.get('version')!r}")
+    version = cert.get("version")
+    if not _is_int(version) or version != VERSION:
+        out.append(f"unsupported version {version!r}")
         return out
     extra = set(cert) - _TOP_KEYS
     missing = _TOP_KEYS - set(cert)

@@ -13,6 +13,11 @@ pushing an arc r through a twist changes its closure defect by
 e * (<r, c> + <v, [c]>) * [c], where v is the defect accumulated so
 far.  The defect of a word along arc i is the class of (word(r_i) -
 r_i), the quantity the boundary filling of an open book kills.
+
+Both are computed by one rule: the word action pushes the unit classes
+through the word letter by letter, the arc defect pushes the zero
+class with the arc's crossing numbers as shifts.  ``twist_matrix``
+keeps the closed form of a single letter for the relation checks.
 """
 
 from __future__ import annotations
@@ -107,34 +112,62 @@ def twist_matrix(curve, sign, basis):
     return IntMatrix(rank, rank, rows)
 
 
+def _transvect(vectors, word, cfg, basis, crossing=None):
+    """Push vectors (lists, updated in place) through a word in action order.
+
+    On letter (c, e) each vector x picks up e * (f(c) + <x, [c]>) * [c],
+    where f is ``crossing`` (an arc's crossing number) or 0 for classes.
+    The support of [c] and of J[c] is computed once per distinct curve.
+    """
+    letters = list(word)
+    rank = basis.rank
+    prepared = {}
+    for name in dict.fromkeys(name for name, _ in letters):
+        curve = cfg.curve(name)
+        c = curve.homology_class
+        if len(c) != rank:
+            raise ValueError(f"curve {name}: class dimension {len(c)} != {rank}")
+        jc = basis.pairing.apply(c)
+        prepared[name] = ([(i, a) for i, a in enumerate(c) if a],
+                          [(i, a) for i, a in enumerate(jc) if a],
+                          crossing(curve) if crossing else 0)
+    for name, exp in reversed(letters):
+        support, pairing, shift = prepared[name]
+        for x in vectors:
+            t = shift + sum(x[i] * a for i, a in pairing)
+            if t:
+                t *= exp
+                for i, a in support:
+                    x[i] += t * a
+
+
 def word_action(word, cfg, basis=None):
-    """Homology action of a word; rightmost letter acts first."""
+    """Homology action of a word; rightmost letter acts first.
+
+    Column j is the image of the j-th basis class.
+    """
     basis = basis or cfg.basis()
-    result = IntMatrix.identity(basis.rank)
-    for name, exp in word:
-        result = result * twist_matrix(cfg.curve(name), exp, basis)
-    return result
+    rank = basis.rank
+    columns = [[int(i == j) for i in range(rank)] for j in range(rank)]
+    _transvect(columns, word, cfg, basis)
+    return IntMatrix(rank, rank, zip(*columns))
 
 
 def arc_defect(word, arc_index, cfg, arcs, basis=None):
     """Defect class of a word along arc ``arc_index`` (1-based).
 
-    Letters are processed in action order (right to left); on letter
-    (c, e) the running defect v picks up e*(<r,c> + <v,[c]>)*[c].
+    The running defect v starts at zero and follows the transvection
+    rule shifted by the arc's crossing number: on letter (c, e) it picks
+    up e*(<r,c> + <v,[c]>)*[c].
     """
     basis = basis or cfg.basis()
     if arcs.count == 0:
         raise IndexError("surface has a single boundary component, no arcs exist")
     if not 1 <= arc_index <= arcs.count:
         raise IndexError(f"arc index {arc_index} out of range 1..{arcs.count}")
-    v = basis.zero()
-    for name, exp in reversed(word.letters):
-        curve = cfg.curve(name)
-        cls = curve.homology_class
-        t = arcs.intersection(arc_index, curve) + basis.pair(v, cls)
-        coeff = exp * t
-        v = tuple(a + coeff * b for a, b in zip(v, cls))
-    return v
+    v = [0] * basis.rank
+    _transvect([v], word, cfg, basis, lambda curve: arcs.intersection(arc_index, curve))
+    return tuple(v)
 
 
 @dataclass(frozen=True)

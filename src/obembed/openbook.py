@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .intlinalg import AbelianGroup, IntMatrix, cokernel
 from .mcg import TwistWord, WordSyntaxError, format_word, parse_word, word_action, arc_defect
 from .surface import (ArcSystem, ConfiguredCurve, CurveConfig, H1Basis, Surface,
-                      config_from_dict, config_to_dict, lickorish_system)
+                      config_from_dict, config_to_dict, lickorish_system, validate_config)
 
 FORMAT_HEADER = "openbook v1"
 
@@ -86,13 +86,28 @@ class AbstractOpenBook:
 
     @classmethod
     def from_dict(cls, data):
-        page = Surface(int(data["genus"]), int(data["boundary"]))
-        word = parse_word(data.get("word", ""))
+        genus, boundary, word_text = data["genus"], data["boundary"], data.get("word", "")
+        if type(genus) is not int or type(boundary) is not int:
+            raise ValueError(f"genus and boundary must be integers, got {genus!r}, "
+                             f"{boundary!r}")
+        if not isinstance(word_text, str):
+            raise ValueError(f"word must be a string, got {word_text!r}")
+        page = Surface(genus, boundary)
+        word = parse_word(word_text)
         if data.get("config"):
-            cfg = config_from_dict(data["config"], page, standard=False)
+            cfg = _attached_config(data["config"], page)
         else:
             cfg, _ = lickorish_system(page)
         return cls(page, word, cfg, data.get("label"))
+
+
+def _attached_config(data, page):
+    """An attached configuration from its JSON form, checked like an override."""
+    cfg = config_from_dict(data, page, standard=False)
+    violations = validate_config(cfg)
+    if violations:
+        raise ValueError("; ".join(violations))
+    return cfg
 
 
 def parse_openbook(text):
@@ -143,8 +158,7 @@ def parse_openbook(text):
             if cfg is not None:
                 raise OpenBookParseError(lineno, "duplicate config line")
             try:
-                cfg = config_from_dict(json.loads(line[len("config "):]), page,
-                                       standard=False)
+                cfg = _attached_config(json.loads(line[len("config "):]), page)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise OpenBookParseError(lineno, f"bad config payload: {exc}")
         else:
@@ -203,27 +217,24 @@ def mapping_torus_model(ob):
     return MappingTorusModel(ob.page, phi, defects)
 
 
+def _relation_matrix(phi, defects=()):
+    """Phi - I, followed by one column per defect class."""
+    rank = phi.rows
+    rows = [[phi.entry(i, j) - (i == j) for j in range(rank)] + [d[i] for d in defects]
+            for i in range(rank)]
+    return IntMatrix(rank, rank + len(defects), rows)
+
+
 def mapping_torus_h1(ob):
     """H1 of the page's mapping torus: Z (+) coker(Phi - I)."""
-    model = mapping_torus_model(ob)
-    phi, rank = model.action, model.action.rows
-    rows = [[phi.entry(i, j) - (1 if i == j else 0) for j in range(rank)]
-            for i in range(rank)]
-    c = cokernel(IntMatrix(rank, rank, rows))
+    c = cokernel(_relation_matrix(mapping_torus_model(ob).action))
     return AbelianGroup(c.free_rank + 1, c.torsion)
 
 
 def closed_h1(ob):
     """H1 of the closed manifold presented by the open book."""
     model = mapping_torus_model(ob)
-    phi, rank = model.action, model.action.rows
-    cols = rank + len(model.defects)
-    rows = []
-    for i in range(rank):
-        row = [phi.entry(i, j) - (1 if i == j else 0) for j in range(rank)]
-        row.extend(d[i] for d in model.defects)
-        rows.append(row)
-    return cokernel(IntMatrix(rank, cols, rows))
+    return cokernel(_relation_matrix(model.action, model.defects))
 
 
 @dataclass(frozen=True)
@@ -429,22 +440,21 @@ def reduce_to_one_boundary(ob):
     return ob
 
 
-def _core_twist_total(ob):
-    """Total core-twist power of an annulus-page word, or None.
+def core_twist_total(ob):
+    """Total core-twist power of an annulus-page word.
 
     On the annulus every essential curve is the core; a letter whose
-    class is +-D1 twists along it either way.  Null classes bound
-    disks and twist trivially, so they are ignored.
+    class is +-D1 twists along it either way.  Raises ValueError when
+    the page is not the annulus or a letter's class is not +-D1 (a
+    null class bounds a disk and is rejected too).
     """
     if (ob.page.genus, ob.page.boundary_count) != (0, 2):
-        return None
+        raise ValueError("page must be the annulus")
     total = 0
     for name, exp in ob.word:
-        cls = ob.config.curve(name).homology_class
-        if cls in ((1,), (-1,)):
-            total += exp
-        elif cls != (0,):
-            return None
+        if ob.config.curve(name).homology_class not in ((1,), (-1,)):
+            raise ValueError(f"letter {name!r} is not a core (boundary-parallel) twist")
+        total += exp
     return total
 
 
@@ -458,8 +468,9 @@ def identify_known(ob):
     if g == 0 and n == 1 and ob.word.is_empty():
         return "S3"
     if g == 0 and n == 2:
-        k = _core_twist_total(ob)
-        if k is None:
+        try:
+            k = core_twist_total(ob)
+        except ValueError:
             return None
         if k == 0:
             return "S1xS2"

@@ -98,9 +98,6 @@ class H1Basis:
         jy = self.pairing.apply(y)
         return sum(x[i] * jy[i] for i in range(n))
 
-    def zero(self):
-        return (0,) * self.rank
-
     def unit(self, index):
         return tuple(1 if k == index else 0 for k in range(self.rank))
 
@@ -208,10 +205,12 @@ class ArcSystem:
         return self.derived_intersection(arc_index, curve)
 
 
+@lru_cache(maxsize=256)
 def lickorish_system(surface):
     """The default twist-generating curve system and arc system.
 
-    Raises ValueError on closed surfaces: pages must have boundary.
+    Both are immutable, so one copy per surface is shared.  Raises
+    ValueError on closed surfaces: pages must have boundary.
     """
     g, n = surface.genus, surface.boundary_count
     if n < 1:

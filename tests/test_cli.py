@@ -180,6 +180,19 @@ def test_manifest_reports_bad_entries(tmp_path):
     assert "result" in lines[0]
     assert "error" in lines[1]
 
+    # a config class of the wrong dimension fails only its own record
+    bad = tmp_path / "bad.ob"
+    bad.write_text(LENS5 + 'config {"curves":[{"name":"d1","kind":"boundary_parallel",'
+                   '"class":[1,0]}]}\n')
+    manifest.write_text(f"{a}\n{bad}\n{a}\n")
+    for command in ("h1", "mt-h1", "identify"):
+        code, out, _ = go(command, "--manifest", str(manifest))
+        assert code == 2
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert [rec["input"] for rec in lines] == [str(a), str(bad), str(a)]
+        assert "result" in lines[0] and "result" in lines[2]
+        assert "line 5" in lines[1]["error"]
+
 
 def test_identical_invocations_identical_bytes(lens_file, tmp_path):
     runs = []

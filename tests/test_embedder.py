@@ -247,3 +247,64 @@ def test_certificates_over_attached_configs():
         tested += 1
         assert validate_certificate(build_openbook_embedding(st, 1)) == []
         assert validate_certificate(build_s5_plan(st)) == []
+
+
+def test_validator_diffs_the_recomputed_scene_spec():
+    cert = build_annulus_s5(book(0, 2, "t(d1)^2"))
+    cert["scene"]["hopf_band"]["ambient"] = "S4"
+    assert any(v.startswith("scene.hopf_band.ambient: expected 'S3'")
+               for v in validate_certificate(cert))
+    plan = build_s5_plan(book(1, 1, "t(a1)"))
+    plan["scene"]["handlebody"]["genus"] = 2
+    assert any("scene.handlebody.genus" in v for v in validate_certificate(plan))
+
+
+def test_witness_page_certificate_must_belong_to_the_input():
+    w = build_openbook_embedding(book(1, 1, "t(a1)"), 2)
+    w["scene"]["page_certificate"] = build_flexible_embedding(Surface(2, 1), 2)
+    violations = validate_certificate(w)
+    assert any(v.startswith("scene.page_certificate.input") for v in violations)
+
+
+def _paths(obj, prefix=()):
+    if prefix:
+        yield prefix
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _paths(value, prefix + (i,))
+
+
+def test_validator_is_total_on_single_field_mutations():
+    # Every field of one certificate per kind set to each JSON shape; the
+    # validator must answer with violations, never raise -- except that an
+    # unknown kind raises ValueError, as documented.
+    certs = [build_flexible_embedding(Surface(1, 2), 1),
+             build_openbook_embedding(book(1, 1, "t(a1) t(b1)^-2"), 3),
+             build_annulus_s5(book(0, 2, "t(d1)^3 t(d2)")),
+             build_s5_plan(book(0, 2, "t(d1)^2"))]
+    values = [None, [], {}, "x", 0, -1, True, 1.5]
+    raised = []
+    cases = 0
+    for cert in certs:
+        for path in list(_paths(cert)):
+            parent = cert
+            for key in path[:-1]:
+                parent = parent[key]
+            original = parent[path[-1]]
+            for value in values:
+                parent[path[-1]] = value
+                cases += 1
+                try:
+                    validate_certificate(cert)
+                except ValueError:
+                    if path != ("kind",):
+                        raised.append((cert["kind"], path, value))
+                except Exception as exc:  # noqa: BLE001 - the property under test
+                    raised.append((cert["kind"], path, value, repr(exc)))
+            parent[path[-1]] = original
+        assert validate_certificate(cert) == []
+    assert cases > 2000
+    assert raised == []

@@ -93,6 +93,26 @@ def test_word_action_frozen_example():
     assert phi.apply((0, 1)) == (-1, 1)
 
 
+def test_word_action_matches_product_of_twist_matrices():
+    rng = random.Random(29)
+    for g, n in [(1, 1), (2, 3), (0, 4), (3, 2)]:
+        cfg, _, basis = setup_surface(g, n)
+        for _ in range(25):
+            w = random_word(rng, cfg, 12)
+            product = IntMatrix.identity(basis.rank)
+            for name, exp in w:
+                product = product * twist_matrix(cfg.curve(name), exp, basis)
+            assert word_action(w, cfg, basis) == product
+
+
+def test_wrong_class_dimension_rejected():
+    from obembed import ConfiguredCurve, CurveConfig
+    page = Surface(1, 1)
+    cfg = CurveConfig(page, [ConfiguredCurve("x", "handle_a", (1, 0, 0))], standard=False)
+    with pytest.raises(ValueError, match="dimension"):
+        word_action(parse_word("t(x)"), cfg)
+
+
 def test_empty_word_is_identity():
     cfg, _, basis = setup_surface(2, 2)
     assert word_action(TwistWord(), cfg, basis).is_identity()

@@ -167,6 +167,18 @@ def test_identify_stays_conservative():
     assert identify_known(book(0, 3, "t(d1)")) is None
 
 
+def test_identify_rejects_null_class_annulus_letters():
+    # the core-twist rule rejects a letter along a null class, as the
+    # annulus certificate builder does
+    from obembed import ConfiguredCurve, CurveConfig
+    page = Surface(0, 2)
+    cfg = CurveConfig(page, [ConfiguredCurve("d1", "boundary_parallel", (1,)),
+                             ConfiguredCurve("z", "boundary_parallel", (0,))],
+                      standard=False)
+    assert identify_known(AbstractOpenBook(page, parse_word("t(d1)^3"), cfg)) == "L(3,1)"
+    assert identify_known(AbstractOpenBook(page, parse_word("t(d1)^3 t(z)"), cfg)) is None
+
+
 # stabilization
 
 def test_stabilize_disk_gives_hopf_band_book():
@@ -323,3 +335,33 @@ def test_labels_survive_dict_round_trip():
     back = AbstractOpenBook.from_dict(ob.to_dict())
     assert back.label == "lens"
     assert back.word == ob.word
+
+
+def attached(curves_json, word):
+    return ("openbook v1\ngenus 0\nboundary 2\nword " + word + "\n"
+            "config {\"curves\":[" + curves_json + "]}\n")
+
+
+def test_attached_config_rejects_duplicate_names():
+    text = attached('{"name":"x","kind":"boundary_parallel","class":[1]},'
+                    '{"name":"x","kind":"boundary_parallel","class":[0]}', "t(x)^3")
+    with pytest.raises(OpenBookParseError, match="duplicate curve name") as exc:
+        parse_openbook(text)
+    assert exc.value.line == 5
+
+
+def test_attached_config_rejects_wrong_dimension():
+    text = attached('{"name":"x","kind":"boundary_parallel","class":[1,0]}', "t(x)^3")
+    with pytest.raises(OpenBookParseError, match="dimension") as exc:
+        parse_openbook(text)
+    assert exc.value.line == 5
+    good = parse_openbook(attached('{"name":"x","kind":"boundary_parallel","class":[1]}',
+                                   "t(x)^3"))
+    assert closed_h1(good) == AbelianGroup(0, (3,))
+
+
+def test_from_dict_requires_integer_fields():
+    for bad in ({"genus": 1.5, "boundary": 1}, {"genus": True, "boundary": 1},
+                {"genus": 0, "boundary": "2"}, {"genus": 0, "boundary": 2, "word": None}):
+        with pytest.raises(ValueError):
+            AbstractOpenBook.from_dict(bad)
