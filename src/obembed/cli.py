@@ -219,7 +219,7 @@ def run(argv, out=None, err=None):
     except OpenBookParseError as exc:
         print(f"parse error: {exc}", file=err)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, unreadable or a directory
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
     except json.JSONDecodeError as exc:

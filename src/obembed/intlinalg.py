@@ -3,11 +3,37 @@
 Everything here runs on Python ints, so intermediate entries may grow
 arbitrarily large without overflow.  Matrices are immutable values;
 the reduction routines work on private copies.
+
+``smith_normal_form`` is the reference: it tracks the unimodular
+transforms, whose entries can grow to tens of thousands of bits at rank
+twenty.  ``cokernel`` needs only the invariant factors and works modulo
+a determinant instead (Domich, Kannan and Trotter 1987; Cohen, *A
+Course in Computational Algebraic Number Theory*, section 2.4):
+
+1. Fraction-free elimination (Bareiss 1968) gives the rank rho of the
+   r x c relation matrix M and its last pivot Delta, a nonzero rho x rho
+   minor.  If rho = 0 or |Delta| = 1 the cokernel is free.
+2. Otherwise let D = |Delta| and L' = (column span of M) + D*Z^r.  Row
+   and column operations and adding multiples of D to an entry all keep
+   L' (the last adds a vector of D*Z^r to a column), so M is diagonalised
+   with every entry kept in [0, D) and no transforms.  With diagonal
+   a_1..a_min(r,c), Z^r / L' is the sum of Z/gcd(a_i, D) and
+   (Z/D)^(r - min(r, c)).
+3. Let d_1 | ... | d_rho be the nonzero invariant factors of M.  Their
+   product is the gcd of the rho x rho minors, so it divides Delta, and
+   gcd(d_i, D) = d_i.  Hence Z^r / L' = Z/d_1 + ... + Z/d_rho + (Z/D)^(r - rho):
+   its invariant-factor chain of length r ends in r - rho copies of D,
+   and its first rho factors are d_1..d_rho.  The cokernel is
+   Z^(r - rho) plus those factors.
+
+Every entry of step 2 stays below D, so the work is bounded by the bit
+length of D rather than by the growth of the transforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 
 class IntMatrix:
@@ -253,10 +279,105 @@ def smith_normal_form(m):
             IntMatrix(cols, cols, v))
 
 
+def _bareiss(a):
+    """Rank and last pivot of fraction-free elimination on the rows of a.
+
+    The pivot is, up to sign, a nonzero rank x rank minor; it is 1 for
+    rank 0.  Consumes a.
+    """
+    rows = len(a)
+    cols = len(a[0]) if a else 0
+    rank, prev, col = 0, 1, 0
+    while rank < rows and col < cols:
+        p = next((i for i in range(rank, rows) if a[i][col] != 0), None)
+        if p is None:
+            col += 1
+            continue
+        a[rank], a[p] = a[p], a[rank]
+        prow = a[rank][col:]
+        piv = prow[0]
+        for i in range(rank + 1, rows):
+            ai = a[i]
+            x = ai[col]
+            # Entries left of col are zero in both rows; the division is exact.
+            ai[col:] = [(y * piv - x * z) // prev for y, z in zip(ai[col:], prow)]
+        prev = piv
+        rank += 1
+        col += 1
+    return rank, prev
+
+
+def _diagonal_mod(a, rows, cols, d):
+    """Diagonal of a after unimodular operations with entries reduced mod d.
+
+    a holds entries in [0, d) and is consumed.  Minimal pivots and
+    Euclidean clearing as in smith_normal_form, but without transforms
+    and without forcing a divisibility chain.
+    """
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        piv = _min_abs_nonzero(a, t, rows, cols)
+        if piv is None:
+            break
+        a[t], a[piv[0]] = a[piv[0]], a[t]
+        for row in a:
+            row[t], row[piv[1]] = row[piv[1]], row[t]
+        while True:
+            # Remainders are exact: 0 <= x - q*p < p < d.
+            for i in range(t + 1, rows):
+                while a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    a[i][t:] = [(x - q * y) % d for x, y in zip(a[i][t:], a[t][t:])]
+                    if a[i][t] != 0:
+                        a[i], a[t] = a[t], a[i]
+            for j in range(t + 1, cols):
+                while a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    for row in a[t:]:
+                        row[j] = (row[j] - q * row[t]) % d
+                    if a[t][j] != 0:
+                        for row in a[t:]:
+                            row[t], row[j] = row[j], row[t]
+            if all(a[i][t] == 0 for i in range(t + 1, rows)):
+                break
+        t += 1
+    return [a[i][i] for i in range(limit)]
+
+
+def _invariant_factors(orders):
+    """Invariant factors (all >= 2) of the sum of cyclic groups of the given orders.
+
+    Z/x + Z/y = Z/gcd(x, y) + Z/lcm(x, y); one pass over the pairs leaves
+    each order dividing every later one.
+    """
+    c = [x for x in orders if x != 1]
+    for i in range(len(c)):
+        for j in range(i + 1, len(c)):
+            g = gcd(c[i], c[j])
+            c[i], c[j] = g, c[i] // g * c[j]
+    return [x for x in c if x != 1]
+
+
 def cokernel(m):
-    """Structure of Z^rows / (column span of m) as an AbelianGroup."""
-    d, _, _ = smith_normal_form(m)
-    diag = d.diagonal()
-    nonzero = sum(1 for x in diag if x != 0)
-    torsion = tuple(x for x in diag if x >= 2)
-    return AbelianGroup(m.rows - nonzero, torsion)
+    """Structure of Z^rows / (column span of m) as an AbelianGroup.
+
+    Determinant-modular, as laid out in the module docstring: Bareiss
+    gives the rank rho and a nonzero rho x rho minor Delta; the matrix is
+    then diagonalised with entries reduced mod D = |Delta|.  The group
+    read off, Z/gcd(a_i, D) per diagonal entry and Z/D per row without
+    one, equals Z/d_1 + ... + Z/d_rho + (Z/D)^(rows - rho), because the
+    invariant factors d_i of m multiply to a divisor of Delta and so
+    gcd(d_i, D) = d_i.  The torsion is the chain with its top rows - rho
+    factors (each D) dropped.
+    """
+    rows = m.rows
+    rank, delta = _bareiss(m.row_lists())
+    d = abs(delta)
+    if rank == 0 or d == 1:
+        return AbelianGroup(rows - rank)
+    a = [[x % d for x in row] for row in m.row_lists()]
+    diag = _diagonal_mod(a, rows, m.cols, d)
+    orders = [gcd(x, d) for x in diag] + [d] * (rows - len(diag))
+    chain = _invariant_factors(orders)
+    return AbelianGroup(rows - rank, tuple(chain[:len(chain) - (rows - rank)]))

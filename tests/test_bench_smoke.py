@@ -1,0 +1,35 @@
+"""Smoke run of the benchmark harness: one smallest pass per workload.
+
+Runs ``bench/run.py --smoke`` in a subprocess and checks only the shape
+of its last-line JSON and that every output was correct; there are no
+timing asserts.  The full ``bench/selftest.py`` stays out of this suite.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+END_TO_END = {"setup_s", "throughput_per_s", "latency_p50_ms", "latency_tail_ms",
+              "peak_rss_mb"}
+
+
+@pytest.mark.parametrize("workload", ["h1-batch", "h1-highrank", "cert-roundtrip"])
+def test_bench_smoke(workload):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
+         "--seed", "7", "--seconds", "1", "--trace", "0", "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert {"correct", "attempted", "failed", "metrics"} <= set(report)
+    assert set(report["metrics"]) == END_TO_END
+    for metric in report["metrics"].values():
+        assert isinstance(metric["value"], (int, float)) and metric["unit"]
+    assert report["correct"] is True
+    assert report["attempted"] > 0
+    if workload == "h1-highrank":
+        assert report["failed"] == 0

@@ -66,6 +66,14 @@ def test_missing_file_exits_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["h1", "validate"])
+def test_directory_input_exits_2(command, tmp_path):
+    code, out, err = go(command, str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_usage_error_exits_2():
     code, _, err = go("h1")
     assert code == 2

@@ -3,17 +3,24 @@
 Every certificate spec of ``bench/corpus/cert-roundtrip.json`` must
 rebuild to its SHA-256 pin, and the closed and mapping-torus H1 of the
 tiny and medium books of ``bench/corpus/h1-batch.json`` (up to the
-(6,2,400) rung) must match their recorded values.  A last check keeps
-the benchmark tracer's wrapped names resolvable in the package.
+(6,2,400) rung) and of every ``bench/corpus/h1-highrank.json`` book
+(rank 16-24, including the ``slow:`` books whose torsion runs to
+hundreds of bits) must match their recorded values.  At the same ranks,
+``closed_h1`` must be invariant under positive stabilization and
+conjugation of the word.  A last check keeps the benchmark tracer's
+wrapped names resolvable in the package.
 """
 
 import hashlib
 import importlib
 import importlib.util
 import json
+import random
 from pathlib import Path
 
-from obembed import Surface, closed_h1, mapping_torus_h1, parse_openbook
+from obembed import (AbstractOpenBook, JoinBoundaries, SameBoundary, Surface, closed_h1,
+                     TwistWord, lickorish_system, mapping_torus_h1, parse_openbook,
+                     stabilize_positive)
 from obembed.embedder import (build_annulus_s5, build_flexible_embedding,
                               build_openbook_embedding, build_s5_plan,
                               certificate_to_json)
@@ -56,15 +63,50 @@ def in_range(book):
     return rung <= LARGEST_RUNG
 
 
-def test_h1_batch_values():
-    books = [b for b in load("h1-batch.json")["books"] if in_range(b)]
-    assert any(b["class"] == "medium:6,2,400" for b in books)
+def wrong_h1(books):
     wrong = []
     for b in books:
         ob = parse_openbook(b["text"])
         if (closed_h1(ob).as_dict(), mapping_torus_h1(ob).as_dict()) != (b["h1"], b["mt_h1"]):
             wrong.append(b["text"])
-    assert wrong == []
+    return wrong
+
+
+def test_h1_batch_values():
+    books = [b for b in load("h1-batch.json")["books"] if in_range(b)]
+    assert any(b["class"] == "medium:6,2,400" for b in books)
+    assert wrong_h1(books) == []
+
+
+def test_h1_highrank_values():
+    books = load("h1-highrank.json")["books"]
+    assert sum(b["class"].startswith("slow:") for b in books) == 8
+    assert wrong_h1(books) == []
+
+
+def fixed_length_word(rng, names, length):
+    return TwistWord(tuple((rng.choice(names), rng.choice((-3, -2, -1, 1, 2, 3)))
+                           for _ in range(length)))
+
+
+def test_highrank_stabilization_and_conjugation_invariance():
+    rng = random.Random(2026)
+    torsion_seen = 0
+    for genus, boundary in ((10, 1), (10, 3), (11, 1), (11, 2), (12, 1), (12, 2)):
+        page = Surface(genus, boundary)
+        cfg, _ = lickorish_system(page)
+        names = cfg.names()
+        word = fixed_length_word(rng, names, 100)
+        ob = AbstractOpenBook(page, word, cfg)
+        h = closed_h1(ob)
+        torsion_seen += bool(h.torsion)
+        assert closed_h1(stabilize_positive(ob, SameBoundary(boundary))) == h
+        if boundary >= 2:
+            assert closed_h1(stabilize_positive(ob, JoinBoundaries(1, boundary))) == h
+        psi = fixed_length_word(rng, names, 6)
+        conj = psi.concat(word).concat(psi.inverse())
+        assert closed_h1(AbstractOpenBook(page, conj, cfg)) == h
+    assert torsion_seen
 
 
 def test_tracer_wrapped_names_resolve():

@@ -9,8 +9,11 @@ invariant factors are 2 and 8/2 = 4.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obembed import AbelianGroup, IntMatrix, cokernel, smith_normal_form
+from obembed.intlinalg import _bareiss
 
 from helpers import det_bareiss, mat_rows, random_int_matrix, random_unimodular
 
@@ -125,6 +128,94 @@ def test_transpose_padding_keeps_torsion():
         padded = IntMatrix(mt.rows, mt.cols + 2,
                            [list(mt.row(i)) + [0, 0] for i in range(mt.rows)])
         assert cokernel(padded).torsion == cokernel(m).torsion
+
+
+def group_from_diagonal(rows, diag):
+    """Z^rows / span of a diagonal, the way the SNF reference reads it."""
+    nonzero = [abs(x) for x in diag if x != 0]
+    return AbelianGroup(rows - len(nonzero), tuple(sorted(x for x in nonzero if x >= 2)))
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ([[6]], AbelianGroup(0, (6,))),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 12]], AbelianGroup(0, (12,))),
+])
+def test_cokernel_top_factor_is_the_minor(rows, expected):
+    # d_rho = |Delta|: nothing below the determinant is left to split off.
+    m = IntMatrix.from_rows(rows)
+    rank, delta = _bareiss(m.row_lists())
+    assert rank == m.rows and abs(delta) == expected.torsion[-1]
+    assert cokernel(m) == expected
+
+
+def test_cokernel_more_rows_than_rank():
+    # rank 1 in Z^4: the top rows - rank factors of the mod-D group are D
+    m = IntMatrix.from_rows([[6, 12], [4, 8], [0, 0], [10, 20]])
+    assert _bareiss(m.row_lists())[0] == 1
+    assert cokernel(m) == AbelianGroup(3, (2,))
+    assert cokernel(IntMatrix.from_rows([[6], [0], [0]])) == AbelianGroup(2, (6,))
+
+
+@st.composite
+def relation_matrices(draw):
+    """Rectangular matrices up to 8 x 10: dense, low-rank or a scrambled diagonal.
+
+    Entries are small or at least 60 bits; some rows and columns are zeroed.
+    """
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 10))
+    small = st.integers(-9, 9)
+    big = st.integers(2 ** 60, 2 ** 64).flatmap(lambda x: st.sampled_from([x, -x]))
+    entry = st.one_of(small, big) if draw(st.booleans()) else small
+
+    def grid(r, c, values=small):
+        return [[draw(values) for _ in range(c)] for _ in range(r)]
+
+    kind = draw(st.sampled_from(["dense", "low-rank", "diagonal"]))
+    if kind == "dense":
+        a = grid(rows, cols, entry)
+    elif kind == "low-rank":
+        inner = draw(st.integers(0, max(0, min(rows, cols) - 1)))
+        a = (IntMatrix(rows, inner, grid(rows, inner, entry))
+             * IntMatrix(inner, cols, grid(inner, cols))).row_lists()
+    else:
+        a = [[0] * cols for _ in range(rows)]
+        for i in range(min(rows, cols)):
+            a[i][i] = draw(st.sampled_from([0, 1, 2, 3, 4, 6, 12, 36, 2 ** 61 * 3]))
+        for _ in range(draw(st.integers(0, 12))):
+            # unimodular scrambling: add a multiple of one row (or column) to another
+            c = draw(small)
+            if rows >= 2 and draw(st.booleans()):
+                i, j = draw(st.sampled_from([(i, j) for i in range(rows) for j in range(rows)
+                                             if i != j]))
+                a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+            elif cols >= 2:
+                i, j = draw(st.sampled_from([(i, j) for i in range(cols) for j in range(cols)
+                                             if i != j]))
+                for row in a:
+                    row[i] += c * row[j]
+    if rows:
+        for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+            a[i] = [0] * cols
+    if cols:
+        for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+            for row in a:
+                row[j] = 0
+    return IntMatrix(rows, cols, a)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(relation_matrices())
+def test_cokernel_matches_snf_and_sympy(m):
+    group = cokernel(m)
+    d, _, _ = smith_normal_form(m)
+    assert group == group_from_diagonal(m.rows, d.diagonal())
+    if m.rows and m.cols:
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+        factors = invariant_factors(sympy.Matrix(mat_rows(m)), domain=sympy.ZZ)
+        assert group == group_from_diagonal(m.rows, [int(f) for f in factors])
+    else:
+        assert group == AbelianGroup(m.rows)
 
 
 def test_abelian_group_validation():
