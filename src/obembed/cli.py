@@ -222,7 +222,7 @@ def run(argv, out=None, err=None):
     except OSError as exc:  # missing, unreadable or a directory
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=err)
         return EXIT_USAGE
     except ValueError as exc:

@@ -385,6 +385,11 @@ def _validate_flexible(cert, out):
     if n < 1:
         out.append("page has no boundary")
         return
+    try:
+        page = Surface(g, n)
+    except ValueError as exc:
+        out.append(f"input.page: {exc}")
+        return
     if not _is_int(_get(inp, "framing")):
         out.append("input.framing: missing integer framing")
     names = _get(inp, "curves")
@@ -393,7 +398,7 @@ def _validate_flexible(cert, out):
         return
     config_kind = _get(inp, "config_kind")
     if config_kind == "default":
-        expected, _ = lickorish_system(Surface(g, n))
+        expected, _ = lickorish_system(page)
         if tuple(names) != expected.names():
             out.append("curve census does not match the default configuration")
     elif config_kind != "attached":

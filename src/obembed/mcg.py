@@ -106,8 +106,8 @@ def twist_matrix(curve, sign, basis):
     rank = basis.rank
     if len(c) != rank:
         raise ValueError(f"curve {curve.name}: class dimension {len(c)} != {rank}")
-    jc = basis.pairing.apply(c)
-    rows = [[(1 if i == k else 0) + sign * c[i] * jc[k] for k in range(rank)]
+    jc = basis.dual(c)
+    rows = [[e + sign * c[i] * jc[k] for k, e in enumerate(basis.unit(i))]
             for i in range(rank)]
     return IntMatrix(rank, rank, rows)
 
@@ -127,7 +127,7 @@ def _transvect(vectors, word, cfg, basis, crossing=None):
         c = curve.homology_class
         if len(c) != rank:
             raise ValueError(f"curve {name}: class dimension {len(c)} != {rank}")
-        jc = basis.pairing.apply(c)
+        jc = basis.dual(c)
         prepared[name] = ([(i, a) for i, a in enumerate(c) if a],
                           [(i, a) for i, a in enumerate(jc) if a],
                           crossing(curve) if crossing else 0)
@@ -148,7 +148,7 @@ def word_action(word, cfg, basis=None):
     """
     basis = basis or cfg.basis()
     rank = basis.rank
-    columns = [[int(i == j) for i in range(rank)] for j in range(rank)]
+    columns = [list(basis.unit(j)) for j in range(rank)]
     _transvect(columns, word, cfg, basis)
     return IntMatrix(rank, rank, zip(*columns))
 

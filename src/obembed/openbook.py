@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from .intlinalg import AbelianGroup, IntMatrix, cokernel
 from .mcg import TwistWord, WordSyntaxError, format_word, parse_word, word_action, arc_defect
 from .surface import (ArcSystem, ConfiguredCurve, CurveConfig, H1Basis, Surface,
-                      config_from_dict, config_to_dict, lickorish_system, validate_config)
+                      boundary_class, config_from_dict, config_to_dict, lickorish_system,
+                      validate_config)
 
 FORMAT_HEADER = "openbook v1"
 
@@ -143,6 +144,10 @@ def parse_openbook(text):
             raise ValueError
     except ValueError:
         raise OpenBookParseError(3, f"boundary must be a positive integer, got {n_text!r}")
+    try:
+        page = Surface(genus, boundary)
+    except ValueError as exc:
+        raise OpenBookParseError(3, str(exc))
 
     word_text = field_line(3, "word")
     try:
@@ -150,7 +155,6 @@ def parse_openbook(text):
     except WordSyntaxError as exc:
         raise OpenBookParseError(4, str(exc))
 
-    page = Surface(genus, boundary)
     cfg = None
     extra = [(i, ln) for i, ln in enumerate(lines[4:], start=5) if ln.strip()]
     for lineno, line in extra:
@@ -256,8 +260,7 @@ def _push_classes(images, vector):
     """Apply a basis map given by per-coordinate image vectors."""
     if not images:
         return ()
-    dim = len(images[0]) if images else 0
-    out = [0] * dim
+    out = [0] * len(images[0])
     for coeff, img in zip(vector, images):
         if coeff:
             for idx, x in enumerate(img):
@@ -265,83 +268,50 @@ def _push_classes(images, vector):
     return tuple(out)
 
 
-def _same_boundary_images(g, n, j):
-    """Image vectors for H1(Sigma_{g,n}) -> H1(Sigma_{g,n+1}).
+def _attach(page, attachment):
+    """New page, basis image vectors and fresh class of a stabilization.
 
-    The split-off piece of component j becomes the new surface's last
-    puncture (component n); the base keeps its role as component n+1.
-    The only basis class that changes shape is D_j, whose loop now
-    encircles both pieces.
+    With d_m = boundary_class(page, m) and d'_m on the new page, the
+    inclusion of pages fixes the handle classes and acts on the basis
+    classes d_1 .. d_{n-1} by one rule:
+
+    same_boundary(j): the split-off piece of component j is the new last
+      puncture n, so d_j -> d'_j + d'_n, every other d_m -> d'_m, and
+      the fresh class is d'_n (the base keeps its role).
+    join_boundaries(j < k): the other components keep their order and
+      the merged one is the new base; d_j -> B'_{g+1} (the loop around
+      j), d_k -> d'_base - B'_{g+1}, and the fresh class is A'_{g+1},
+      the curve over the band.
     """
-    old_rank = 2 * g + max(n - 1, 0)
-    new_rank = 2 * g + n
-
-    def unit(idx):
-        return tuple(1 if k == idx else 0 for k in range(new_rank))
-
-    images = [unit(i) for i in range(2 * g)]
-    for m in range(1, n):
-        if m == j:
-            img = tuple(a + b for a, b in
-                        zip(unit(2 * g + m - 1), unit(2 * g + n - 1)))
-        else:
-            img = unit(2 * g + m - 1)
-        images.append(img)
-    assert len(images) == old_rank
-    fresh = unit(2 * g + n - 1)
-    return images, fresh
-
-
-def _join_images(g, n, j, k):
-    """Image vectors for H1(Sigma_{g,n}) -> H1(Sigma_{g+1,n-1}).
-
-    The merged component becomes the new base.  The loop around old
-    component j survives as the new B_{g+1}; the curve over the band,
-    crossing it once, is the new A_{g+1}.  When neither j nor k is the
-    old base, the old base is demoted to the last puncture and the
-    loop around component k is rewritten through the relation that all
-    boundary classes sum to zero.
-    """
-    new_g = g + 1
-    new_n = n - 1
-    new_rank = 2 * new_g + max(new_n - 1, 0)
-
-    def unit(idx):
-        return tuple(1 if x == idx else 0 for x in range(new_rank))
-
-    a_new, b_new = unit(2 * g), unit(2 * g + 1)
-    images = [unit(i) for i in range(2 * g)]
-
-    if k == n:
-        # holes other than j keep their order; base stays base
-        sigma = {}
-        nxt = 1
-        for m in range(1, n):
-            if m != j:
-                sigma[m] = nxt
-                nxt += 1
-        for m in range(1, n):
-            if m == j:
-                images.append(b_new)
-            else:
-                images.append(unit(2 * new_g + sigma[m] - 1))
+    g, n = page.genus, page.boundary_count
+    if isinstance(attachment, SameBoundary):
+        j = attachment.j
+        if not 1 <= j <= n:
+            raise ValueError(f"attachment index {j} out of range 1..{n}")
+        new_page = Surface(g, n + 1)
+        fresh = boundary_class(new_page, n)
+        bounds = {m: boundary_class(new_page, m) for m in range(1, n)}
+        if j < n:
+            bounds[j] = tuple(x + y for x, y in zip(bounds[j], fresh))
+    elif isinstance(attachment, JoinBoundaries):
+        j, k = attachment.j, attachment.k
+        if j == k:
+            raise ValueError("join requires two distinct boundary components")
+        if not (1 <= j <= n and 1 <= k <= n):
+            raise ValueError(f"attachment indices ({j},{k}) out of range 1..{n}")
+        j, k = min(j, k), max(j, k)
+        new_page = Surface(g + 1, n - 1)
+        basis = H1Basis.for_surface(new_page)
+        fresh, b_new = basis.unit(2 * g), basis.unit(2 * g + 1)
+        others = [m for m in range(1, n + 1) if m not in (j, k)]
+        bounds = {m: boundary_class(new_page, i) for i, m in enumerate(others, start=1)}
+        bounds[j] = b_new
+        bounds[k] = tuple(x - y for x, y in zip(boundary_class(new_page, n - 1), b_new))
     else:
-        # two punctures merge; old base becomes the last puncture
-        sigma = {}
-        nxt = 1
-        for m in range(1, n):
-            if m not in (j, k):
-                sigma[m] = nxt
-                nxt += 1
-        minus_all_d = tuple(-1 if x >= 2 * new_g else 0 for x in range(new_rank))
-        for m in range(1, n):
-            if m == j:
-                images.append(b_new)
-            elif m == k:
-                images.append(tuple(x - y for x, y in zip(minus_all_d, b_new)))
-            else:
-                images.append(unit(2 * new_g + sigma[m] - 1))
-    return images, a_new
+        raise TypeError(f"unknown attachment {attachment!r}")
+    basis = H1Basis.for_surface(new_page)
+    images = [basis.unit(i) for i in range(2 * g)] + [bounds[m] for m in range(1, n)]
+    return new_page, images, fresh
 
 
 def _fresh_name(taken):
@@ -389,26 +359,7 @@ def stabilize_positive(ob, attachment):
     Sigma_{g+1,n-1}.  The new word is one positive twist along the
     fresh over-the-band curve followed by the old word.
     """
-    g, n = ob.page.genus, ob.page.boundary_count
-
-    if isinstance(attachment, SameBoundary):
-        j = attachment.j
-        if not 1 <= j <= n:
-            raise ValueError(f"attachment index {j} out of range 1..{n}")
-        new_page = Surface(g, n + 1)
-        images, fresh_class = _same_boundary_images(g, n, j)
-    elif isinstance(attachment, JoinBoundaries):
-        j, k = attachment.j, attachment.k
-        if j == k:
-            raise ValueError("join requires two distinct boundary components")
-        if not (1 <= j <= n and 1 <= k <= n):
-            raise ValueError(f"attachment indices ({j},{k}) out of range 1..{n}")
-        j, k = min(j, k), max(j, k)
-        new_page = Surface(g + 1, n - 1)
-        images, fresh_class = _join_images(g, n, j, k)
-    else:
-        raise TypeError(f"unknown attachment {attachment!r}")
-
+    new_page, images, fresh_class = _attach(ob.page, attachment)
     kept_names = list(dict.fromkeys(name for name, _ in ob.word))
     fresh = _fresh_name(set(kept_names))
     pushed = [ConfiguredCurve(fresh, "boundary_parallel"

@@ -1,6 +1,8 @@
 """Surfaces with boundary, homology bases, and configured curve systems.
 
-Conventions (fixed once, used by every other module):
+This module is the only one that knows how page classes are written;
+every other module goes through ``H1Basis.unit``, ``H1Basis.dual``,
+``boundary_class`` and the default curve table.
 
 A page Sigma_{g,n} is drawn as g handles in a row followed by n-1
 punctures, all inside one outer boundary circle, which is boundary
@@ -8,27 +10,32 @@ component number n (the base).  The first homology basis is ordered
 
     A1, B1, A2, B2, ..., Ag, Bg, D1, ..., D_{n-1}
 
-where Ai, Bi is the symplectic pair of handle i (<Ai,Bi> = +1) and Dj
-is the class of puncture j's boundary circle.  The base component's
-class is the dependent one, -(D1 + ... + D_{n-1}).
+Pairing rule: <Ai,Bi> = +1 = -<Bi,Ai>, all other pairings of basis
+classes are 0, so the Dj lie in the radical.  ``H1Basis.dual(c)`` is
+J c with <x, c> = x . J c: it carries c's Bi entry to place Ai and
+minus its Ai entry to place Bi.
 
-The default twist-generating system consists of
+Boundary classes: ``boundary_class(surface, m)`` is Dm for m <= n-1;
+the base m = n is the dependent class -(D1 + ... + D_{n-1}).
 
-    a_i           class Ai                 (handle_a)
-    b_i           class Bi                 (handle_b)
-    c_i           class Ai - A_{i+1}       (chain, i = 1..g-1)
-    d_j           class Dj  for j <= n-1   (boundary_parallel)
-    d_n           class -(D1+...+D_{n-1})  (boundary_parallel, base side)
-    e_j           class Dj + D_{j+1}       (boundary_pair, j = 1..n-1,
-                  with D_n read as the dependent class)
+The default twist-generating system (``_default_curves``) is
 
-Null-homotopic members are dropped: d_1 on the disk and e_1 on the
-annulus bound disks and twist trivially.
+    a_i           class Ai                   (handle_a)
+    b_i           class Bi                   (handle_b)
+    c_i           class Ai - A_{i+1}         (chain, i = 1..g-1)
+    d_j           boundary_class(j)          (boundary_parallel, j = 1..n)
+    e_j           boundary_class(j) + boundary_class(j+1)
+                                             (boundary_pair, j = 1..n-1)
+
+A standard configuration may give a curve of each kind only the classes
+this table gives that kind.  ``lickorish_system`` drops the members
+that are null on a planar page: d_1 on the disk and e_1 on the annulus
+bound disks and twist trivially.
 
 Arcs r_1 .. r_{n-1} run from the base component to each puncture.  The
 algebraic crossing number of an arc with a curve depends only on the
 curve's homology class (it is the Lefschetz pairing against the arc's
-relative class), and for this arc system it equals the Dj-coordinate
+relative class), and for this arc system it equals the Di-coordinate
 of the class:
 
     <r_i, c> = [c]_{D_i}
@@ -48,6 +55,10 @@ from .intlinalg import IntMatrix
 
 CURVE_KINDS = ("handle_a", "handle_b", "chain", "boundary_pair", "boundary_parallel")
 
+# Largest page rank 2g + n - 1 accepted, checked before anything is built
+# (the largest benchmark page has rank 83).
+MAX_PAGE_RANK = 1000
+
 
 @dataclass(frozen=True)
 class Surface:
@@ -59,6 +70,8 @@ class Surface:
     def __post_init__(self):
         if self.genus < 0 or self.boundary_count < 0:
             raise ValueError("genus and boundary count must be nonnegative")
+        if self.h1_rank > MAX_PAGE_RANK:
+            raise ValueError(f"page rank {self.h1_rank} exceeds the limit {MAX_PAGE_RANK}")
 
     @property
     def euler_characteristic(self):
@@ -79,7 +92,6 @@ class H1Basis:
 
     surface: Surface
     labels: tuple
-    pairing: IntMatrix
 
     @classmethod
     def for_surface(cls, surface):
@@ -89,35 +101,47 @@ class H1Basis:
     def rank(self):
         return len(self.labels)
 
+    def unit(self, index):
+        return tuple(1 if k == index else 0 for k in range(self.rank))
+
+    def dual(self, c):
+        """J c, so that <x, c> = x . J c (the pairing rule)."""
+        h = 2 * self.surface.genus
+        out = [0] * self.rank
+        out[0:h:2] = c[1:h:2]
+        out[1:h:2] = [-a for a in c[0:h:2]]
+        return tuple(out)
+
+    @property
+    def pairing(self):
+        """The pairing matrix J; column j is J of the j-th basis class."""
+        rank = self.rank
+        return IntMatrix(rank, rank, zip(*(self.dual(self.unit(j)) for j in range(rank))))
+
     def pair(self, x, y):
         """Intersection pairing <x, y> of two class vectors."""
         x, y = tuple(x), tuple(y)
-        n = self.rank
-        if len(x) != n or len(y) != n:
+        if len(x) != self.rank or len(y) != self.rank:
             raise ValueError("class vector has wrong dimension")
-        jy = self.pairing.apply(y)
-        return sum(x[i] * jy[i] for i in range(n))
-
-    def unit(self, index):
-        return tuple(1 if k == index else 0 for k in range(self.rank))
+        return sum(a * b for a, b in zip(x, self.dual(y)))
 
 
 @lru_cache(maxsize=None)
 def _basis_for(genus, boundary_count):
-    surface = Surface(genus, boundary_count)
-    g, n = genus, boundary_count
-    labels = []
-    for i in range(1, g + 1):
-        labels.append(f"A{i}")
-        labels.append(f"B{i}")
-    for j in range(1, max(n - 1, 0) + 1):
-        labels.append(f"D{j}")
-    rank = len(labels)
-    rows = [[0] * rank for _ in range(rank)]
-    for i in range(g):
-        rows[2 * i][2 * i + 1] = 1
-        rows[2 * i + 1][2 * i] = -1
-    return H1Basis(surface, tuple(labels), IntMatrix(rank, rank, rows))
+    labels = [f"{x}{i}" for i in range(1, genus + 1) for x in "AB"]
+    labels += [f"D{j}" for j in range(1, boundary_count)]
+    return H1Basis(Surface(genus, boundary_count), tuple(labels))
+
+
+def boundary_class(surface, m):
+    """Class of boundary component m (1-based); the base m = n is dependent."""
+    g, n = surface.genus, surface.boundary_count
+    if not 1 <= m <= n:
+        raise IndexError(f"boundary component {m} out of range 1..{n}")
+    basis = H1Basis.for_surface(surface)
+    if m < n:
+        return basis.unit(2 * g + m - 1)
+    return tuple(-1 if k >= 2 * g else 0 for k in range(basis.rank))
 
 
 @dataclass(frozen=True)
@@ -180,9 +204,9 @@ class CurveConfig:
 class ArcSystem:
     """Arcs from the base boundary component to each of the others.
 
-    Crossing numbers with curves are derived from homology classes
-    (see the module docstring); an explicit table, as found in user
-    override files, is honored after validation.
+    Crossing numbers with curves are read off the homology classes (see
+    the module docstring); an explicit table, as found in user override
+    files, is only checked against them by ``validate_config``.
     """
 
     surface: Surface
@@ -192,17 +216,29 @@ class ArcSystem:
     def count(self):
         return max(self.surface.boundary_count - 1, 0)
 
-    def derived_intersection(self, arc_index, curve):
+    def intersection(self, arc_index, curve):
         if not 1 <= arc_index <= self.count:
             raise IndexError(f"arc index {arc_index} out of range 1..{self.count}")
         return curve.homology_class[2 * self.surface.genus + arc_index - 1]
 
-    def intersection(self, arc_index, curve):
-        if self.explicit is not None:
-            for i, name, value in self.explicit:
-                if i == arc_index and name == curve.name:
-                    return value
-        return self.derived_intersection(arc_index, curve)
+
+def _default_curves(surface):
+    """The unfiltered default curve table of the module docstring."""
+    g, n = surface.genus, surface.boundary_count
+    basis = H1Basis.for_surface(surface)
+    a = [basis.unit(2 * i) for i in range(g)]
+    curves = [ConfiguredCurve(f"a{i + 1}", "handle_a", a[i]) for i in range(g)]
+    curves += [ConfiguredCurve(f"b{i + 1}", "handle_b", basis.unit(2 * i + 1))
+               for i in range(g)]
+    curves += [ConfiguredCurve(f"c{i + 1}", "chain",
+                               tuple(x - y for x, y in zip(a[i], a[i + 1])))
+               for i in range(g - 1)]
+    d = [boundary_class(surface, j) for j in range(1, n + 1)]
+    curves += [ConfiguredCurve(f"d{j + 1}", "boundary_parallel", d[j]) for j in range(n)]
+    curves += [ConfiguredCurve(f"e{j + 1}", "boundary_pair",
+                               tuple(x + y for x, y in zip(d[j], d[j + 1])))
+               for j in range(n - 1)]
+    return curves
 
 
 @lru_cache(maxsize=256)
@@ -212,92 +248,22 @@ def lickorish_system(surface):
     Both are immutable, so one copy per surface is shared.  Raises
     ValueError on closed surfaces: pages must have boundary.
     """
-    g, n = surface.genus, surface.boundary_count
-    if n < 1:
+    if surface.boundary_count < 1:
         raise ValueError("page must have boundary")
-    basis = H1Basis.for_surface(surface)
-    rank = basis.rank
-    curves = []
-
-    def unit(idx):
-        return tuple(1 if k == idx else 0 for k in range(rank))
-
-    def d_class(j):
-        # class of boundary component j; the base one is dependent
-        if j <= n - 1:
-            return unit(2 * g + j - 1)
-        return tuple(-1 if 2 * g <= k < rank else 0 for k in range(rank))
-
-    for i in range(1, g + 1):
-        curves.append(ConfiguredCurve(f"a{i}", "handle_a", unit(2 * (i - 1))))
-    for i in range(1, g + 1):
-        curves.append(ConfiguredCurve(f"b{i}", "handle_b", unit(2 * (i - 1) + 1)))
-    for i in range(1, g):
-        cls = tuple(a - b for a, b in zip(unit(2 * (i - 1)), unit(2 * i)))
-        curves.append(ConfiguredCurve(f"c{i}", "chain", cls))
-    for j in range(1, n + 1):
-        if g == 0 and n == 1:
-            break  # boundary-parallel curve on the disk bounds a disk
-        curves.append(ConfiguredCurve(f"d{j}", "boundary_parallel", d_class(j)))
-    if n >= 2 and not (g == 0 and n == 2):
-        for j in range(1, n):
-            cls = tuple(a + b for a, b in zip(d_class(j), d_class(j + 1)))
-            curves.append(ConfiguredCurve(f"e{j}", "boundary_pair", cls))
-
+    # on a planar page a null class bounds a disk: the disk's d1, the annulus' e1
+    curves = [c for c in _default_curves(surface)
+              if surface.genus or any(c.homology_class)]
     return CurveConfig(surface, curves, standard=True), ArcSystem(surface)
 
 
-def _check_kind_class(curve, basis, surface):
-    """Kind-to-class rules for standard systems; returns violations."""
-    g, n = surface.genus, surface.boundary_count
-    rank = basis.rank
-    cls = curve.homology_class
-    out = []
-
-    def unit(idx):
-        return tuple(1 if k == idx else 0 for k in range(rank))
-
-    if curve.kind == "chain":
-        ok = any(cls == tuple(a - b for a, b in zip(unit(2 * i), unit(2 * i + 2)))
-                 for i in range(max(g - 1, 0)))
-        if not ok:
-            out.append(f"chain curve {curve.name}: class is not of the form Ai - A(i+1)")
-    elif curve.kind == "boundary_parallel":
-        units = [unit(2 * g + j) for j in range(max(n - 1, 0))]
-        dependent = tuple(-1 if 2 * g <= k < rank else 0 for k in range(rank))
-        if cls not in units and cls != dependent:
-            out.append(f"boundary_parallel curve {curve.name}: class is neither a Dj "
-                       "nor the dependent boundary class")
-    elif curve.kind == "boundary_pair":
-        pairs = []
-        for j in range(1, n):
-            dj = unit(2 * g + j - 1)
-            dj1 = (unit(2 * g + j) if j + 1 <= n - 1
-                   else tuple(-1 if 2 * g <= k < rank else 0 for k in range(rank)))
-            pairs.append(tuple(a + b for a, b in zip(dj, dj1)))
-        if cls not in pairs:
-            out.append(f"boundary_pair curve {curve.name}: class is not Dj + D(j+1)")
-    elif curve.kind == "handle_a":
-        if cls not in [unit(2 * i) for i in range(g)]:
-            out.append(f"handle_a curve {curve.name}: class is not an Ai")
-    elif curve.kind == "handle_b":
-        if cls not in [unit(2 * i + 1) for i in range(g)]:
-            out.append(f"handle_b curve {curve.name}: class is not a Bi")
-    return out
-
-
-def validate_config(cfg, arcs=None, surface=None, basis=None):
+def validate_config(cfg, arcs=None):
     """Check the structural invariants of a curve/arc system.
 
     Returns a list of violation strings; empty means valid.
     """
-    surface = surface or cfg.surface
-    basis = basis or H1Basis.for_surface(surface)
-    rank = basis.rank
+    surface = cfg.surface
+    rank = surface.h1_rank
     out = []
-
-    if cfg.surface != surface:
-        out.append("configuration is attached to a different surface")
 
     seen = set()
     for c in cfg.curves:
@@ -308,45 +274,30 @@ def validate_config(cfg, arcs=None, surface=None, basis=None):
             out.append(f"curve {c.name}: class has dimension {len(c.homology_class)}, "
                        f"expected {rank}")
 
-    # Pairing matrix shape: skew, symplectic on the handle block,
-    # boundary classes in the radical.
-    J = basis.pairing
-    if J.rows != rank or J.cols != rank:
-        out.append("pairing matrix has wrong shape")
-    else:
-        for i in range(rank):
-            for j in range(rank):
-                if J.entry(i, j) != -J.entry(j, i):
-                    out.append(f"pairing matrix not skew at ({i},{j})")
-        g = surface.genus
-        for i in range(g):
-            if J.entry(2 * i, 2 * i + 1) != 1:
-                out.append(f"pairing <A{i+1},B{i+1}> is {J.entry(2*i, 2*i+1)}, expected 1")
-        for i in range(2 * g, rank):
-            if any(J.entry(i, j) != 0 for j in range(rank)) or \
-               any(J.entry(j, i) != 0 for j in range(rank)):
-                out.append(f"boundary class {basis.labels[i]} is not in the radical")
-
     if cfg.standard:
+        allowed = {(d.kind, d.homology_class) for d in _default_curves(surface)}
         for c in cfg.curves:
-            if len(c.homology_class) == rank:
-                out.extend(_check_kind_class(c, basis, surface))
+            if len(c.homology_class) == rank and (c.kind, c.homology_class) not in allowed:
+                out.append(f"{c.kind} curve {c.name}: class {list(c.homology_class)} "
+                           f"is not a default {c.kind} class")
 
     if arcs is not None:
         if arcs.surface != surface:
             out.append("arc system is attached to a different surface")
-        if arcs.explicit is not None:
-            for i, name, value in arcs.explicit:
-                if not 1 <= i <= arcs.count:
-                    out.append(f"arc index {i} out of range 1..{arcs.count}")
-                    continue
-                if not cfg.has_curve(name):
-                    out.append(f"arc table references unknown curve {name!r}")
-                    continue
-                want = arcs.derived_intersection(i, cfg.curve(name))
-                if value != want:
-                    out.append(f"arc table entry <r{i},{name}> = {value} is inconsistent "
-                               f"with the curve class (forced value {want})")
+        for i, name, value in arcs.explicit or ():
+            if not 1 <= i <= arcs.count:
+                out.append(f"arc index {i} out of range 1..{arcs.count}")
+                continue
+            if not cfg.has_curve(name):
+                out.append(f"arc table references unknown curve {name!r}")
+                continue
+            curve = cfg.curve(name)
+            if len(curve.homology_class) != rank:
+                continue  # reported above
+            want = arcs.intersection(i, curve)
+            if value != want:
+                out.append(f"arc table entry <r{i},{name}> = {value} is inconsistent "
+                           f"with the curve class (forced value {want})")
     return out
 
 
@@ -384,7 +335,7 @@ def load_config_override(path_or_text, surface):
                 triples.append((idx, str(name), int(value)))
         explicit = tuple(triples)
     arcs = ArcSystem(surface, explicit)
-    violations = validate_config(cfg, arcs, surface)
+    violations = validate_config(cfg, arcs)
     if violations:
         raise ValueError("invalid configuration override: " + "; ".join(violations))
     return cfg, arcs

@@ -61,6 +61,26 @@ def test_malformed_file_exits_2_with_line_number(tmp_path):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("command", ["h1", "validate"])
+def test_non_utf8_input_is_a_parse_error(command, tmp_path):
+    p = tmp_path / "f.ob"
+    p.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)))
+    code, _, err = go(command, str(p))
+    assert code == 2
+    assert err.startswith("parse error:") and "utf-8" in err
+
+
+@pytest.mark.parametrize("field", ["genus", "boundary"])
+def test_oversized_page_exits_2(field, tmp_path):
+    values = {"genus": 0, "boundary": 1, field: 100000000}
+    p = tmp_path / "big.ob"
+    p.write_text(f"openbook v1\ngenus {values['genus']}\n"
+                 f"boundary {values['boundary']}\nword\n")
+    code, _, err = go("h1", str(p))
+    assert code == 2
+    assert "line 3" in err and "exceeds the limit" in err
+
+
 def test_missing_file_exits_2():
     code, _, err = go("h1", "/nonexistent/x.ob")
     assert code == 2

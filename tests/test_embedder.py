@@ -308,3 +308,15 @@ def test_validator_is_total_on_single_field_mutations():
         assert validate_certificate(cert) == []
     assert cases > 2000
     assert raised == []
+
+
+def test_validator_reports_oversized_pages():
+    # checked before the spec's boundary-long lists are built
+    for field, config_kind in (("genus", "default"), ("boundary", "attached")):
+        flexible = build_flexible_embedding(Surface(1, 2), 1)
+        flexible["input"]["page"][field] = 100000000
+        flexible["input"]["config_kind"] = config_kind
+        assert any("exceeds the limit" in v for v in validate_certificate(flexible))
+    witness = build_openbook_embedding(book(1, 1, "t(a1)"), 2)
+    witness["input"]["openbook"]["boundary"] = 10 ** 12
+    assert any("exceeds the limit" in v for v in validate_certificate(witness))

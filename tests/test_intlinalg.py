@@ -203,7 +203,7 @@ def relation_matrices(draw):
     return IntMatrix(rows, cols, a)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(relation_matrices())
 def test_cokernel_matches_snf_and_sympy(m):
     group = cokernel(m)

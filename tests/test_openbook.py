@@ -7,12 +7,13 @@ Independent oracles frozen here:
   has determinant +1, so coker(Phi - I) = 0.
 """
 
+import hashlib
 import random
 
 import pytest
 
-from obembed import (AbelianGroup, AbstractOpenBook, JoinBoundaries,
-                     OpenBookParseError, SameBoundary, Surface, TwistWord,
+from obembed import (AbelianGroup, AbstractOpenBook, ConfiguredCurve, CurveConfig,
+                     JoinBoundaries, OpenBookParseError, SameBoundary, Surface, TwistWord,
                      closed_h1, format_word, identify_known, lickorish_system,
                      mapping_torus_h1, parse_openbook, parse_word,
                      reduce_to_one_boundary, serialize_openbook,
@@ -365,3 +366,114 @@ def test_from_dict_requires_integer_fields():
                 {"genus": 0, "boundary": "2"}, {"genus": 0, "boundary": 2, "word": None}):
         with pytest.raises(ValueError):
             AbstractOpenBook.from_dict(bad)
+
+
+# stabilization pins: the page conventions written out independently
+
+def _attachments(n):
+    return ([SameBoundary(j) for j in range(1, n + 1)]
+            + [JoinBoundaries(j, k) for j in range(1, n + 1) for k in range(1, n + 1)
+               if j != k])
+
+
+def _stabilization_texts():
+    rng = random.Random(61)
+    for g in range(4):
+        for n in range(1, 6):
+            cfg, _ = lickorish_system(Surface(g, n))
+            for _ in range(2):
+                ob = AbstractOpenBook(Surface(g, n), random_word(rng, cfg, 6), cfg)
+                yield serialize_openbook(reduce_to_one_boundary(ob))
+                for first in _attachments(n):
+                    once = stabilize_positive(ob, first)
+                    yield serialize_openbook(once)
+                    for second in _attachments(once.page.boundary_count):
+                        yield serialize_openbook(stabilize_positive(once, second))
+                    yield serialize_openbook(reduce_to_one_boundary(once))
+
+
+def test_stabilization_outputs_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for text in _stabilization_texts():
+        digest.update(text.encode())
+        count += 1
+    assert count == 7352
+    assert digest.hexdigest() == ("b6712692252c47099001d427633f504f"
+                                  "925a69646295264850ba579b4e948ada")
+
+
+def _boundary(g, n, m):
+    """Class of boundary component m of Sigma_{g,n}; the base is -(D1+...+D_{n-1})."""
+    rank = 2 * g + n - 1
+    if m < n:
+        return tuple(int(i == 2 * g + m - 1) for i in range(rank))
+    return tuple(-int(i >= 2 * g) for i in range(rank))
+
+
+def _pair(g, x, y):
+    return sum(x[2 * i] * y[2 * i + 1] - x[2 * i + 1] * y[2 * i] for i in range(g))
+
+
+def _pushforward(g, n, attachment, classes):
+    """Stabilize a book whose curves carry the given classes; returns
+    (new page, fresh class, images of the classes)."""
+    rank = 2 * g + n - 1
+    # the doubled class matches no default class, so no renaming happens
+    curves = [ConfiguredCurve(f"x{i}", "chain", c) for i, c in enumerate(classes)]
+    curves.append(ConfiguredCurve("z", "chain", (2,) + (0,) * (rank - 1)))
+    word = TwistWord(tuple((c.name, 1) for c in curves))
+    ob = AbstractOpenBook(Surface(g, n), word, CurveConfig(Surface(g, n), curves, False))
+    st = stabilize_positive(ob, attachment)
+    classes = [st.config.curve(name).homology_class for name, _ in st.word.letters]
+    return st.page, classes[0], classes[1:-1]
+
+
+def test_stabilization_preserves_the_pairing():
+    for g in range(5):
+        for n in range(1, 7):
+            if 2 * g + n - 1 == 0:
+                continue
+            rank = 2 * g + n - 1
+            units = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+            for att in _attachments(n):
+                page, _, images = _pushforward(g, n, att, units)
+                for x, ix in zip(units, images):
+                    for y, iy in zip(units, images):
+                        assert _pair(page.genus, ix, iy) == _pair(g, x, y), (g, n, att)
+
+
+def test_stabilization_rule_on_boundary_classes():
+    for g in range(5):
+        for n in range(1, 7):
+            if 2 * g + n - 1 == 0:
+                continue
+            bounds = [_boundary(g, n, m) for m in range(1, n + 1)]
+            for att in _attachments(n):
+                page, fresh, images = _pushforward(g, n, att, bounds)
+                g2, n2 = page.genus, page.boundary_count
+                new = [None] + [_boundary(g2, n2, m) for m in range(1, n2 + 1)]
+                if isinstance(att, SameBoundary):
+                    # the split-off piece is the new last puncture n; the
+                    # base stays the base
+                    assert fresh == new[n]
+                    want = dict(enumerate(new[1:n], start=1))
+                    want[n] = new[n + 1]
+                    want[att.j] = tuple(a + b for a, b in zip(want[att.j], fresh))
+                else:
+                    j, k = sorted((att.j, att.k))
+                    b = tuple(int(i == 2 * g + 1) for i in range(2 * g2 + n2 - 1))
+                    assert fresh == tuple(int(i == 2 * g) for i in range(len(b)))
+                    others = [m for m in range(1, n + 1) if m not in (j, k)]
+                    want = {m: new[i] for i, m in enumerate(others, start=1)}
+                    want[j] = b
+                    want[k] = tuple(x - y for x, y in zip(new[n2], b))
+                assert images == [want[m] for m in range(1, n + 1)], (g, n, att)
+
+
+def test_oversized_pages_are_rejected_before_anything_is_built():
+    with pytest.raises(OpenBookParseError) as info:
+        parse_openbook("openbook v1\ngenus 100000000\nboundary 1\nword\n")
+    assert info.value.line == 3
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        AbstractOpenBook.from_dict({"genus": 0, "boundary": 10 ** 12, "word": ""})

@@ -7,7 +7,7 @@ import pytest
 from obembed import (ArcSystem, ConfiguredCurve, CurveConfig, H1Basis, Surface,
                      cokernel, lickorish_system, load_config_override,
                      validate_config)
-from obembed.surface import config_from_dict, config_to_dict
+from obembed.surface import MAX_PAGE_RANK, config_from_dict, config_to_dict
 
 
 def census(cfg):
@@ -26,6 +26,14 @@ def test_rank_and_euler_formulas():
                 assert s.h1_rank == 2 * g + n - 1
             else:
                 assert s.h1_rank == 2 * g
+
+
+def test_page_rank_is_capped():
+    assert Surface(0, MAX_PAGE_RANK + 1).h1_rank == MAX_PAGE_RANK
+    assert Surface(MAX_PAGE_RANK // 2, 1).h1_rank == MAX_PAGE_RANK
+    for g, n in ((0, MAX_PAGE_RANK + 2), (MAX_PAGE_RANK // 2, 2), (10 ** 18, 1)):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            Surface(g, n)
 
 
 def test_disk_has_no_curves():
@@ -84,16 +92,6 @@ def test_duplicate_name_reported():
                       standard=True)
     violations = validate_config(dup)
     assert any("duplicate" in v for v in violations)
-
-
-def test_tampered_pairing_reported():
-    s = Surface(1, 1)
-    cfg, _ = lickorish_system(s)
-    good = H1Basis.for_surface(s)
-    from obembed import IntMatrix
-    bad = H1Basis(s, good.labels, IntMatrix.from_rows([[0, 2], [-2, 0]]))
-    violations = validate_config(cfg, surface=s, basis=bad)
-    assert any("expected 1" in v for v in violations)
 
 
 def test_wrong_dimension_reported():
@@ -163,8 +161,68 @@ def test_load_override_rejects_inconsistent_table(tmp_path):
         load_config_override(str(path), Surface(0, 2))
 
 
+def test_load_override_with_short_class_and_arc_table(tmp_path):
+    data = {"curves": [{"name": "d1", "kind": "boundary_parallel", "class": []}],
+            "arcs": [{"index": 1, "intersections": {"d1": 1}}]}
+    with pytest.raises(ValueError, match="dimension"):
+        load_config_override(json.dumps(data), Surface(0, 2))
+
+
 def test_arc_index_out_of_range():
     _, arcs = lickorish_system(Surface(1, 2))
     cfg, _ = lickorish_system(Surface(1, 2))
     with pytest.raises(IndexError):
         arcs.intersection(2, cfg.curve("a1"))
+
+
+def test_pairing_matrix_is_the_fixed_symplectic_form():
+    # skew; <Ai,Bi> = 1 and no other handle pairing; every Dj in the radical
+    for g in range(6):
+        for n in range(6):
+            basis = H1Basis.for_surface(Surface(g, n))
+            rows, rank = basis.pairing.row_lists(), basis.rank
+            assert len(rows) == rank and all(len(r) == rank for r in rows)
+            assert all(rows[i][j] == -rows[j][i] for i in range(rank) for j in range(rank))
+            handles = {(2 * i, 2 * i + 1) for i in range(g)}
+            assert all(rows[i][j] == ((i, j) in handles)
+                       for i in range(2 * g) for j in range(i + 1, 2 * g))
+            for i in range(2 * g, rank):
+                assert not any(rows[i]) and not any(r[i] for r in rows)
+
+
+def _standard(page, *curves):
+    return validate_config(CurveConfig(page, [ConfiguredCurve(*c) for c in curves]))
+
+
+def test_disk_bounding_default_curves_are_standard():
+    # lickorish_system drops them, but their classes are the default ones
+    assert _standard(Surface(0, 1), ("d1", "boundary_parallel", ())) == []
+    assert _standard(Surface(0, 2), ("e1", "boundary_pair", (0,))) == []
+
+
+def test_default_classes_are_rejected_under_other_kinds():
+    extra = {Surface(0, 1): [("d1", "boundary_parallel", ())],
+             Surface(0, 2): [("e1", "boundary_pair", (0,))]}
+    kinds = ("handle_a", "handle_b", "chain", "boundary_pair", "boundary_parallel")
+    for g in range(4):
+        for n in range(1, 6):
+            page = Surface(g, n)
+            cfg, _ = lickorish_system(page)
+            curves = [(c.name, c.kind, c.homology_class) for c in cfg] + extra.get(page, [])
+            for name, kind, cls in curves:
+                assert _standard(page, (name, kind, cls)) == []
+                for other in kinds:
+                    if other != kind:
+                        assert _standard(page, (name, other, cls)) != [], (page, name, other)
+
+
+def test_closed_surface_has_no_boundary_parallel_class():
+    cfg = CurveConfig(Surface(1, 0), [ConfiguredCurve("d1", "boundary_parallel", (0, 0))])
+    assert any("boundary_parallel" in v for v in validate_config(cfg))
+
+
+def test_crossing_numbers_come_from_the_classes_alone():
+    cfg, _ = lickorish_system(Surface(0, 2))
+    arcs = ArcSystem(Surface(0, 2), ((1, "d1", 5),))
+    assert arcs.intersection(1, cfg.curve("d1")) == 1
+    assert any("inconsistent" in v for v in validate_config(cfg, arcs))
