@@ -8,29 +8,27 @@ sphere and for embedding plans into S5.
 """
 
 from .intlinalg import AbelianGroup, IntMatrix, cokernel, smith_normal_form
-from .surface import (ArcSystem, ConfiguredCurve, CurveConfig, H1Basis, Surface,
-                      lickorish_system, load_config_override, validate_config)
+from .surface import (ConfiguredCurve, CurveConfig, Surface, lickorish_system,
+                      load_config_override, validate_config)
 from .mcg import (TwistWord, WordSyntaxError, arc_defect, format_word, parse_word,
                   relation_report, twist_matrix, word_action)
-from .openbook import (AbstractOpenBook, JoinBoundaries, MappingTorusModel,
-                       OpenBookParseError, SameBoundary, closed_h1, identify_known,
-                       mapping_torus_h1, mapping_torus_model, parse_openbook,
-                       read_openbook, reduce_to_one_boundary, serialize_openbook,
-                       stabilize_positive, write_openbook)
+from .openbook import (AbstractOpenBook, JoinBoundaries, OpenBookParseError,
+                       SameBoundary, closed_h1, identify_known, mapping_torus_h1,
+                       parse_openbook, read_openbook, reduce_to_one_boundary,
+                       serialize_openbook, stabilize_positive, write_openbook)
 from . import embedder
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AbelianGroup", "IntMatrix", "cokernel", "smith_normal_form",
-    "ArcSystem", "ConfiguredCurve", "CurveConfig", "H1Basis", "Surface",
+    "ConfiguredCurve", "CurveConfig", "Surface",
     "lickorish_system", "load_config_override", "validate_config",
     "TwistWord", "WordSyntaxError", "arc_defect", "format_word", "parse_word",
     "relation_report", "twist_matrix", "word_action",
-    "AbstractOpenBook", "JoinBoundaries", "MappingTorusModel", "OpenBookParseError",
-    "SameBoundary", "closed_h1", "identify_known", "mapping_torus_h1",
-    "mapping_torus_model", "parse_openbook", "read_openbook",
-    "reduce_to_one_boundary", "serialize_openbook", "stabilize_positive",
-    "write_openbook",
+    "AbstractOpenBook", "JoinBoundaries", "OpenBookParseError", "SameBoundary",
+    "closed_h1", "identify_known", "mapping_torus_h1", "parse_openbook",
+    "read_openbook", "reduce_to_one_boundary", "serialize_openbook",
+    "stabilize_positive", "write_openbook",
     "embedder",
 ]

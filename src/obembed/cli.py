@@ -187,7 +187,7 @@ def _run_embed_s5(args, out, err):
 
 def _run_relations(args, out, err):
     try:
-        cfg, _ = lickorish_system(Surface(args.genus, args.boundary))
+        cfg = lickorish_system(Surface(args.genus, args.boundary))
     except ValueError as exc:
         raise _UsageError(str(exc))
     report = relation_report(cfg)

@@ -209,7 +209,7 @@ def build_flexible_embedding(page, framing, cfg=None):
     if page.boundary_count < 1:
         raise ValueError("page must have boundary")
     if cfg is None:
-        cfg, _ = lickorish_system(page)
+        cfg = lickorish_system(page)
     return {"kind": KIND_FLEXIBLE, "version": VERSION,
             "input": _flexible_input(page, framing, cfg),
             **_flexible_spec(page.genus, page.boundary_count, list(cfg.names()))}
@@ -398,7 +398,7 @@ def _validate_flexible(cert, out):
         return
     config_kind = _get(inp, "config_kind")
     if config_kind == "default":
-        expected, _ = lickorish_system(page)
+        expected = lickorish_system(page)
         if tuple(names) != expected.names():
             out.append("curve census does not match the default configuration")
     elif config_kind != "attached":
@@ -480,17 +480,17 @@ def validate_certificate(cert):
     """Re-check a certificate from its serialized form alone.
 
     Accepts a dict or a JSON string; returns a list of violations
-    (empty means valid).  A non-object certificate or an unknown kind
-    raises ValueError.
+    (empty means valid); a missing or unknown kind is a violation too.
+    Only invalid JSON text or a non-object certificate raises ValueError.
     """
     if isinstance(cert, str):
         cert = json.loads(cert)
-    out = []
     if not isinstance(cert, dict):
         raise ValueError("certificate must be a JSON object")
-    kind = cert.get("kind")
+    kind = cert.get("kind", _MISSING)
     if not isinstance(kind, str) or kind not in _VALIDATORS:
-        raise ValueError(f"unknown certificate kind {kind!r}")
+        return [f"kind: unknown certificate kind {_brief(kind)}"]
+    out = []
     version = cert.get("version")
     if not _is_int(version) or version != VERSION:
         out.append(f"unsupported version {version!r}")

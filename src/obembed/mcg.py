@@ -14,10 +14,12 @@ e * (<r, c> + <v, [c]>) * [c], where v is the defect accumulated so
 far.  The defect of a word along arc i is the class of (word(r_i) -
 r_i), the quantity the boundary filling of an open book kills.
 
-Both are computed by one rule: the word action pushes the unit classes
-through the word letter by letter, the arc defect pushes the zero
-class with the arc's crossing numbers as shifts.  ``twist_matrix``
-keeps the closed form of a single letter for the relation checks.
+Both are computed by one rule: the word action pushes the page's unit
+classes (``Surface.unit``) through the word letter by letter, the arc
+defect pushes the zero class with the arc's crossing numbers
+(``Surface.crossing``) as shifts; the pairing is ``Surface.dual``.
+``twist_matrix`` keeps the closed form of a single letter for the
+relation checks.
 """
 
 from __future__ import annotations
@@ -83,7 +85,11 @@ def parse_word(text):
         if not m:
             raise WordSyntaxError(f"bad twist letter {token!r} "
                                   "(expected t(<name>) with optional ^<int>)")
-        word.append((m.group(1), int(m.group(2) or 1)))
+        try:
+            exp = int(m.group(2) or 1)
+        except ValueError as exc:  # more digits than int() converts
+            raise WordSyntaxError(f"bad exponent of t({m.group(1)}): {exc}") from None
+        word.append((m.group(1), exp))
     return TwistWord(tuple(word))
 
 
@@ -94,43 +100,44 @@ def format_word(word):
     return " ".join(parts)
 
 
-def twist_matrix(curve, sign, basis):
+def twist_matrix(curve, sign, page):
     """Transvection matrix of a twist power along a configured curve.
 
     With c the curve's class and J the pairing, this is
     I + sign * c (Jc)^T; it is unimodular and preserves the pairing.
     """
+    rank = page.h1_rank
     if sign == 0:
-        return IntMatrix.identity(basis.rank)
+        return IntMatrix.identity(rank)
     c = curve.homology_class
-    rank = basis.rank
     if len(c) != rank:
         raise ValueError(f"curve {curve.name}: class dimension {len(c)} != {rank}")
-    jc = basis.dual(c)
-    rows = [[e + sign * c[i] * jc[k] for k, e in enumerate(basis.unit(i))]
+    jc = page.dual(c)
+    rows = [[e + sign * c[i] * jc[k] for k, e in enumerate(page.unit(i))]
             for i in range(rank)]
     return IntMatrix(rank, rank, rows)
 
 
-def _transvect(vectors, word, cfg, basis, crossing=None):
+def _transvect(vectors, word, cfg, crossing=None):
     """Push vectors (lists, updated in place) through a word in action order.
 
-    On letter (c, e) each vector x picks up e * (f(c) + <x, [c]>) * [c],
+    On letter (c, e) each vector x picks up e * (f([c]) + <x, [c]>) * [c],
     where f is ``crossing`` (an arc's crossing number) or 0 for classes.
     The support of [c] and of J[c] is computed once per distinct curve.
     """
     letters = list(word)
-    rank = basis.rank
+    page = cfg.surface
+    rank = page.h1_rank
     prepared = {}
     for name in dict.fromkeys(name for name, _ in letters):
         curve = cfg.curve(name)
         c = curve.homology_class
         if len(c) != rank:
             raise ValueError(f"curve {name}: class dimension {len(c)} != {rank}")
-        jc = basis.dual(c)
+        jc = page.dual(c)
         prepared[name] = ([(i, a) for i, a in enumerate(c) if a],
                           [(i, a) for i, a in enumerate(jc) if a],
-                          crossing(curve) if crossing else 0)
+                          crossing(c) if crossing else 0)
     for name, exp in reversed(letters):
         support, pairing, shift = prepared[name]
         for x in vectors:
@@ -141,32 +148,30 @@ def _transvect(vectors, word, cfg, basis, crossing=None):
                     x[i] += t * a
 
 
-def word_action(word, cfg, basis=None):
+def word_action(word, cfg):
     """Homology action of a word; rightmost letter acts first.
 
     Column j is the image of the j-th basis class.
     """
-    basis = basis or cfg.basis()
-    rank = basis.rank
-    columns = [list(basis.unit(j)) for j in range(rank)]
-    _transvect(columns, word, cfg, basis)
+    page = cfg.surface
+    rank = page.h1_rank
+    columns = [list(page.unit(j)) for j in range(rank)]
+    _transvect(columns, word, cfg)
     return IntMatrix(rank, rank, zip(*columns))
 
 
-def arc_defect(word, arc_index, cfg, arcs, basis=None):
+def arc_defect(word, arc_index, cfg):
     """Defect class of a word along arc ``arc_index`` (1-based).
 
     The running defect v starts at zero and follows the transvection
     rule shifted by the arc's crossing number: on letter (c, e) it picks
-    up e*(<r,c> + <v,[c]>)*[c].
+    up e*(<r,c> + <v,[c]>)*[c].  Raises IndexError when the page has no
+    such arc, whatever the word.
     """
-    basis = basis or cfg.basis()
-    if arcs.count == 0:
-        raise IndexError("surface has a single boundary component, no arcs exist")
-    if not 1 <= arc_index <= arcs.count:
-        raise IndexError(f"arc index {arc_index} out of range 1..{arcs.count}")
-    v = [0] * basis.rank
-    _transvect([v], word, cfg, basis, lambda curve: arcs.intersection(arc_index, curve))
+    page = cfg.surface
+    v = [0] * page.h1_rank
+    page.crossing(arc_index, v)  # the range check, also for words without letters
+    _transvect([v], word, cfg, lambda c: page.crossing(arc_index, c))
     return tuple(v)
 
 
@@ -190,7 +195,7 @@ class RelationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def relation_report(cfg, basis=None):
+def relation_report(cfg):
     """Exact matrix checks of the standard mapping-class relations.
 
     For every configured pair: the braid relation when the classes
@@ -198,13 +203,13 @@ def relation_report(cfg, basis=None):
     has genus, also (T_a1 T_b1)^6 = identity, the order-six element
     of the genus-one block.
     """
-    basis = basis or cfg.basis()
+    page = cfg.surface
     checks = []
     curves = list(cfg.curves)
-    mats = {c.name: twist_matrix(c, 1, basis) for c in curves}
+    mats = {c.name: twist_matrix(c, 1, page) for c in curves}
     for idx, c in enumerate(curves):
         for d in curves[idx + 1:]:
-            p = basis.pair(c.homology_class, d.homology_class)
+            p = page.pair(c.homology_class, d.homology_class)
             tc, td = mats[c.name], mats[d.name]
             if p == 0:
                 ok = tc * td == td * tc
@@ -215,7 +220,7 @@ def relation_report(cfg, basis=None):
                 checks.append(RelationCheck(f"braid({c.name},{d.name})", "braid", ok))
     if cfg.surface.genus >= 1 and cfg.has_curve("a1") and cfg.has_curve("b1"):
         prod = mats["a1"] * mats["b1"]
-        power = IntMatrix.identity(basis.rank)
+        power = IntMatrix.identity(page.h1_rank)
         for _ in range(6):
             power = power * prod
         checks.append(RelationCheck("order6(a1,b1)", "order6", power.is_identity()))

@@ -31,9 +31,8 @@ from dataclasses import dataclass
 
 from .intlinalg import AbelianGroup, IntMatrix, cokernel
 from .mcg import TwistWord, WordSyntaxError, format_word, parse_word, word_action, arc_defect
-from .surface import (ArcSystem, ConfiguredCurve, CurveConfig, H1Basis, Surface,
-                      boundary_class, config_from_dict, config_to_dict, lickorish_system,
-                      validate_config)
+from .surface import (ConfiguredCurve, CurveConfig, Surface, boundary_class,
+                      config_from_dict, config_to_dict, lickorish_system, validate_config)
 
 FORMAT_HEADER = "openbook v1"
 
@@ -66,14 +65,7 @@ class AbstractOpenBook:
 
     @classmethod
     def with_default_config(cls, page, word=TwistWord(), label=None):
-        cfg, _ = lickorish_system(page)
-        return cls(page, word, cfg, label)
-
-    def basis(self):
-        return H1Basis.for_surface(self.page)
-
-    def arcs(self):
-        return ArcSystem(self.page)
+        return cls(page, word, lickorish_system(page), label)
 
     def to_dict(self):
         d = {"genus": self.page.genus,
@@ -98,7 +90,7 @@ class AbstractOpenBook:
         if data.get("config"):
             cfg = _attached_config(data["config"], page)
         else:
-            cfg, _ = lickorish_system(page)
+            cfg = lickorish_system(page)
         return cls(page, word, cfg, data.get("label"))
 
 
@@ -169,7 +161,7 @@ def parse_openbook(text):
             raise OpenBookParseError(lineno, f"unexpected line {line!r}")
 
     if cfg is None:
-        cfg, _ = lickorish_system(page)
+        cfg = lickorish_system(page)
     try:
         return AbstractOpenBook(page, word, cfg)
     except ValueError as exc:
@@ -198,29 +190,6 @@ def write_openbook(ob, path):
         fh.write(serialize_openbook(ob))
 
 
-@dataclass(frozen=True)
-class MappingTorusModel:
-    """Homological model of the page's mapping torus.
-
-    action is the (unimodular) monodromy matrix Phi; defects are the
-    boundary-section classes delta_1..delta_{n-1} that the filling of
-    the open book kills.
-    """
-
-    page: Surface
-    action: IntMatrix
-    defects: tuple
-
-
-def mapping_torus_model(ob):
-    basis = ob.basis()
-    phi = word_action(ob.word, ob.config, basis)
-    arcs = ob.arcs()
-    defects = tuple(arc_defect(ob.word, i, ob.config, arcs, basis)
-                    for i in range(1, arcs.count + 1))
-    return MappingTorusModel(ob.page, phi, defects)
-
-
 def _relation_matrix(phi, defects=()):
     """Phi - I, followed by one column per defect class."""
     rank = phi.rows
@@ -231,14 +200,15 @@ def _relation_matrix(phi, defects=()):
 
 def mapping_torus_h1(ob):
     """H1 of the page's mapping torus: Z (+) coker(Phi - I)."""
-    c = cokernel(_relation_matrix(mapping_torus_model(ob).action))
+    c = cokernel(_relation_matrix(word_action(ob.word, ob.config)))
     return AbelianGroup(c.free_rank + 1, c.torsion)
 
 
 def closed_h1(ob):
     """H1 of the closed manifold presented by the open book."""
-    model = mapping_torus_model(ob)
-    return cokernel(_relation_matrix(model.action, model.defects))
+    phi = word_action(ob.word, ob.config)
+    defects = [arc_defect(ob.word, i, ob.config) for i in range(1, ob.page.boundary_count)]
+    return cokernel(_relation_matrix(phi, defects))
 
 
 @dataclass(frozen=True)
@@ -301,16 +271,14 @@ def _attach(page, attachment):
             raise ValueError(f"attachment indices ({j},{k}) out of range 1..{n}")
         j, k = min(j, k), max(j, k)
         new_page = Surface(g + 1, n - 1)
-        basis = H1Basis.for_surface(new_page)
-        fresh, b_new = basis.unit(2 * g), basis.unit(2 * g + 1)
+        fresh, b_new = new_page.unit(2 * g), new_page.unit(2 * g + 1)
         others = [m for m in range(1, n + 1) if m not in (j, k)]
         bounds = {m: boundary_class(new_page, i) for i, m in enumerate(others, start=1)}
         bounds[j] = b_new
         bounds[k] = tuple(x - y for x, y in zip(boundary_class(new_page, n - 1), b_new))
     else:
         raise TypeError(f"unknown attachment {attachment!r}")
-    basis = H1Basis.for_surface(new_page)
-    images = [basis.unit(i) for i in range(2 * g)] + [bounds[m] for m in range(1, n)]
+    images = [new_page.unit(i) for i in range(2 * g)] + [bounds[m] for m in range(1, n)]
     return new_page, images, fresh
 
 
@@ -328,7 +296,7 @@ def _canonicalize(page, curves, word):
     sign (a twist cannot see the curve's orientation) with distinct
     targets; returns None otherwise.
     """
-    default_cfg, _ = lickorish_system(page)
+    default_cfg = lickorish_system(page)
     defaults = list(default_cfg.curves)
     mapping = {}
     used = set()

@@ -1,8 +1,8 @@
-"""Surfaces with boundary, homology bases, and configured curve systems.
+"""Surfaces with boundary, their homology, and configured curve systems.
 
 This module is the only one that knows how page classes are written;
-every other module goes through ``H1Basis.unit``, ``H1Basis.dual``,
-``boundary_class`` and the default curve table.
+every other module goes through ``Surface.unit``, ``Surface.dual``,
+``Surface.crossing``, ``boundary_class`` and the default curve table.
 
 A page Sigma_{g,n} is drawn as g handles in a row followed by n-1
 punctures, all inside one outer boundary circle, which is boundary
@@ -11,7 +11,7 @@ component number n (the base).  The first homology basis is ordered
     A1, B1, A2, B2, ..., Ag, Bg, D1, ..., D_{n-1}
 
 Pairing rule: <Ai,Bi> = +1 = -<Bi,Ai>, all other pairings of basis
-classes are 0, so the Dj lie in the radical.  ``H1Basis.dual(c)`` is
+classes are 0, so the Dj lie in the radical.  ``Surface.dual(c)`` is
 J c with <x, c> = x . J c: it carries c's Bi entry to place Ai and
 minus its Ai entry to place Bi.
 
@@ -36,7 +36,7 @@ Arcs r_1 .. r_{n-1} run from the base component to each puncture.  The
 algebraic crossing number of an arc with a curve depends only on the
 curve's homology class (it is the Lefschetz pairing against the arc's
 relative class), and for this arc system it equals the Di-coordinate
-of the class:
+of the class (``Surface.crossing``):
 
     <r_i, c> = [c]_{D_i}
 
@@ -50,8 +50,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-from .intlinalg import IntMatrix
 
 CURVE_KINDS = ("handle_a", "handle_b", "chain", "boundary_pair", "boundary_parallel")
 
@@ -85,52 +83,31 @@ class Surface:
     def __str__(self):
         return f"Sigma_{{{self.genus},{self.boundary_count}}}"
 
-
-@dataclass(frozen=True)
-class H1Basis:
-    """Ordered basis of H1(Sigma) with its intersection pairing."""
-
-    surface: Surface
-    labels: tuple
-
-    @classmethod
-    def for_surface(cls, surface):
-        return _basis_for(surface.genus, surface.boundary_count)
-
-    @property
-    def rank(self):
-        return len(self.labels)
-
     def unit(self, index):
-        return tuple(1 if k == index else 0 for k in range(self.rank))
+        """The index-th basis class (0-based, in the order above)."""
+        return tuple(1 if k == index else 0 for k in range(self.h1_rank))
 
     def dual(self, c):
         """J c, so that <x, c> = x . J c (the pairing rule)."""
-        h = 2 * self.surface.genus
-        out = [0] * self.rank
+        h = 2 * self.genus
+        out = [0] * self.h1_rank
         out[0:h:2] = c[1:h:2]
         out[1:h:2] = [-a for a in c[0:h:2]]
         return tuple(out)
 
-    @property
-    def pairing(self):
-        """The pairing matrix J; column j is J of the j-th basis class."""
-        rank = self.rank
-        return IntMatrix(rank, rank, zip(*(self.dual(self.unit(j)) for j in range(rank))))
-
     def pair(self, x, y):
         """Intersection pairing <x, y> of two class vectors."""
         x, y = tuple(x), tuple(y)
-        if len(x) != self.rank or len(y) != self.rank:
+        if len(x) != self.h1_rank or len(y) != self.h1_rank:
             raise ValueError("class vector has wrong dimension")
         return sum(a * b for a, b in zip(x, self.dual(y)))
 
-
-@lru_cache(maxsize=None)
-def _basis_for(genus, boundary_count):
-    labels = [f"{x}{i}" for i in range(1, genus + 1) for x in "AB"]
-    labels += [f"D{j}" for j in range(1, boundary_count)]
-    return H1Basis(Surface(genus, boundary_count), tuple(labels))
+    def crossing(self, i, c):
+        """Crossing number <r_i, c> of arc r_i (1-based) with a curve of class c."""
+        count = max(self.boundary_count - 1, 0)
+        if not 1 <= i <= count:
+            raise IndexError(f"arc index {i} out of range 1..{count}")
+        return c[2 * self.genus + i - 1]
 
 
 def boundary_class(surface, m):
@@ -138,10 +115,9 @@ def boundary_class(surface, m):
     g, n = surface.genus, surface.boundary_count
     if not 1 <= m <= n:
         raise IndexError(f"boundary component {m} out of range 1..{n}")
-    basis = H1Basis.for_surface(surface)
     if m < n:
-        return basis.unit(2 * g + m - 1)
-    return tuple(-1 if k >= 2 * g else 0 for k in range(basis.rank))
+        return surface.unit(2 * g + m - 1)
+    return tuple(-1 if k >= 2 * g else 0 for k in range(surface.h1_rank))
 
 
 @dataclass(frozen=True)
@@ -153,10 +129,15 @@ class ConfiguredCurve:
     homology_class: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "homology_class",
-                           tuple(int(x) for x in self.homology_class))
+        c = self.homology_class
+        if not isinstance(self.name, str):
+            raise ValueError(f"curve name must be a string, got {self.name!r}")
         if self.kind not in CURVE_KINDS:
             raise ValueError(f"unknown curve kind {self.kind!r}")
+        # bool is a subclass of int, so it is rejected by the exact type test
+        if not isinstance(c, (list, tuple)) or any(type(x) is not int for x in c):
+            raise ValueError(f"curve {self.name}: class must be a list of integers")
+        object.__setattr__(self, "homology_class", tuple(c))
 
 
 @dataclass(frozen=True)
@@ -196,39 +177,13 @@ class CurveConfig:
     def __len__(self):
         return len(self.curves)
 
-    def basis(self):
-        return H1Basis.for_surface(self.surface)
-
-
-@dataclass(frozen=True)
-class ArcSystem:
-    """Arcs from the base boundary component to each of the others.
-
-    Crossing numbers with curves are read off the homology classes (see
-    the module docstring); an explicit table, as found in user override
-    files, is only checked against them by ``validate_config``.
-    """
-
-    surface: Surface
-    explicit: tuple = None  # ((arc_index, curve_name, value), ...) or None
-
-    @property
-    def count(self):
-        return max(self.surface.boundary_count - 1, 0)
-
-    def intersection(self, arc_index, curve):
-        if not 1 <= arc_index <= self.count:
-            raise IndexError(f"arc index {arc_index} out of range 1..{self.count}")
-        return curve.homology_class[2 * self.surface.genus + arc_index - 1]
-
 
 def _default_curves(surface):
     """The unfiltered default curve table of the module docstring."""
     g, n = surface.genus, surface.boundary_count
-    basis = H1Basis.for_surface(surface)
-    a = [basis.unit(2 * i) for i in range(g)]
+    a = [surface.unit(2 * i) for i in range(g)]
     curves = [ConfiguredCurve(f"a{i + 1}", "handle_a", a[i]) for i in range(g)]
-    curves += [ConfiguredCurve(f"b{i + 1}", "handle_b", basis.unit(2 * i + 1))
+    curves += [ConfiguredCurve(f"b{i + 1}", "handle_b", surface.unit(2 * i + 1))
                for i in range(g)]
     curves += [ConfiguredCurve(f"c{i + 1}", "chain",
                                tuple(x - y for x, y in zip(a[i], a[i + 1])))
@@ -243,9 +198,9 @@ def _default_curves(surface):
 
 @lru_cache(maxsize=256)
 def lickorish_system(surface):
-    """The default twist-generating curve system and arc system.
+    """The default twist-generating curve system.
 
-    Both are immutable, so one copy per surface is shared.  Raises
+    It is immutable, so one copy per surface is shared.  Raises
     ValueError on closed surfaces: pages must have boundary.
     """
     if surface.boundary_count < 1:
@@ -253,12 +208,14 @@ def lickorish_system(surface):
     # on a planar page a null class bounds a disk: the disk's d1, the annulus' e1
     curves = [c for c in _default_curves(surface)
               if surface.genus or any(c.homology_class)]
-    return CurveConfig(surface, curves, standard=True), ArcSystem(surface)
+    return CurveConfig(surface, curves, standard=True)
 
 
-def validate_config(cfg, arcs=None):
-    """Check the structural invariants of a curve/arc system.
+def validate_config(cfg, arc_table=()):
+    """Check the structural invariants of a curve system and an arc table.
 
+    arc_table holds (arc index, curve name, crossing number) triples, as
+    given by an override file; each value must be the forced one.
     Returns a list of violation strings; empty means valid.
     """
     surface = cfg.surface
@@ -281,23 +238,21 @@ def validate_config(cfg, arcs=None):
                 out.append(f"{c.kind} curve {c.name}: class {list(c.homology_class)} "
                            f"is not a default {c.kind} class")
 
-    if arcs is not None:
-        if arcs.surface != surface:
-            out.append("arc system is attached to a different surface")
-        for i, name, value in arcs.explicit or ():
-            if not 1 <= i <= arcs.count:
-                out.append(f"arc index {i} out of range 1..{arcs.count}")
-                continue
-            if not cfg.has_curve(name):
-                out.append(f"arc table references unknown curve {name!r}")
-                continue
-            curve = cfg.curve(name)
-            if len(curve.homology_class) != rank:
-                continue  # reported above
-            want = arcs.intersection(i, curve)
-            if value != want:
-                out.append(f"arc table entry <r{i},{name}> = {value} is inconsistent "
-                           f"with the curve class (forced value {want})")
+    for i, name, value in arc_table:
+        if not cfg.has_curve(name):
+            out.append(f"arc table references unknown curve {name!r}")
+            continue
+        c = cfg.curve(name).homology_class
+        if len(c) != rank:
+            continue  # reported above
+        try:
+            want = surface.crossing(i, c)
+        except IndexError as exc:
+            out.append(str(exc))
+            continue
+        if value != want:
+            out.append(f"arc table entry <r{i},{name}> = {value} is inconsistent "
+                       f"with the curve class (forced value {want})")
     return out
 
 
@@ -307,18 +262,18 @@ def config_to_dict(cfg):
 
 
 def config_from_dict(data, surface, standard=False):
-    curves = [ConfiguredCurve(str(c["name"]), str(c["kind"]),
-                              tuple(int(x) for x in c["class"]))
-              for c in data["curves"]]
+    curves = [ConfiguredCurve(c["name"], c["kind"], c["class"]) for c in data["curves"]]
     return CurveConfig(surface, curves, standard=standard)
 
 
 def load_config_override(path_or_text, surface):
-    """Load a user configuration file (JSON), validating it.
+    """Load and validate a user configuration file (JSON); returns the CurveConfig.
 
-    The format carries curves and, optionally, an explicit arc table:
+    The format carries curves and, optionally, an explicit arc table
+    that must agree with the crossing numbers the classes force:
     {"curves": [{"name", "class", "kind"}, ...],
      "arcs": [{"index": i, "intersections": {"name": value, ...}}, ...]}
+    Class entries, arc indices and values must be JSON integers.
     """
     if isinstance(path_or_text, str) and path_or_text.lstrip().startswith("{"):
         data = json.loads(path_or_text)
@@ -326,16 +281,14 @@ def load_config_override(path_or_text, surface):
         with open(path_or_text, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     cfg = config_from_dict(data, surface, standard=True)
-    explicit = None
-    if "arcs" in data and data["arcs"] is not None:
-        triples = []
-        for rec in data["arcs"]:
-            idx = int(rec["index"])
-            for name, value in sorted(rec.get("intersections", {}).items()):
-                triples.append((idx, str(name), int(value)))
-        explicit = tuple(triples)
-    arcs = ArcSystem(surface, explicit)
-    violations = validate_config(cfg, arcs)
+    arc_table = []
+    for rec in data.get("arcs") or ():
+        index, values = rec["index"], rec.get("intersections", {})
+        if (type(index) is not int or not isinstance(values, dict)
+                or any(type(v) is not int for v in values.values())):
+            raise ValueError("arc entries need an integer index and integer intersections")
+        arc_table += [(index, name, value) for name, value in sorted(values.items())]
+    violations = validate_config(cfg, arc_table)
     if violations:
         raise ValueError("invalid configuration override: " + "; ".join(violations))
-    return cfg, arcs
+    return cfg

@@ -6,7 +6,7 @@ the independent check that the SNF transforms are unimodular.
 
 from __future__ import annotations
 
-from obembed import AbstractOpenBook, Surface, TwistWord, lickorish_system
+from obembed import AbstractOpenBook, IntMatrix, Surface, TwistWord, lickorish_system
 
 
 def det_bareiss(rows):
@@ -38,15 +38,19 @@ def mat_rows(m):
     return [list(m.row(i)) for i in range(m.rows)]
 
 
+def pairing_matrix(page):
+    """The pairing matrix J of a page; column j is J of the j-th basis class."""
+    rank = page.h1_rank
+    return IntMatrix(rank, rank, zip(*(page.dual(page.unit(j)) for j in range(rank))))
+
+
 def random_int_matrix(rng, rows, cols, lo=-20, hi=20):
-    from obembed import IntMatrix
     return IntMatrix(rows, cols,
                      [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
 
 
 def random_unimodular(rng, n, steps=12):
     """Product of elementary operations, so det = +-1 by construction."""
-    from obembed import IntMatrix
     a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(steps):
         kind = rng.randrange(3)
@@ -75,5 +79,5 @@ def random_word(rng, cfg, max_len=10, max_exp=3):
 
 def random_open_book(rng, max_genus=3, max_boundary=3, max_len=10):
     page = Surface(rng.randint(0, max_genus), rng.randint(1, max_boundary))
-    cfg, _ = lickorish_system(page)
+    cfg = lickorish_system(page)
     return AbstractOpenBook(page, random_word(rng, cfg, max_len), cfg)

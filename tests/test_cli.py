@@ -2,11 +2,13 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import obembed
 from obembed.cli import run
 
 LENS5 = "openbook v1\ngenus 0\nboundary 2\nword t(d1)^5\n"
@@ -79,6 +81,23 @@ def test_oversized_page_exits_2(field, tmp_path):
     code, _, err = go("h1", str(p))
     assert code == 2
     assert "line 3" in err and "exceeds the limit" in err
+
+
+def test_non_integer_config_class_exits_2(tmp_path):
+    p = tmp_path / "f.ob"
+    p.write_text(LENS5.replace("t(d1)^5", "t(x)^5")
+                 + 'config {"curves":[{"name":"x","kind":"handle_a","class":"10"}]}\n')
+    code, out, err = go("h1", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: line 5") and "list of integers" in err
+
+
+def test_overlong_exponent_exits_2(tmp_path):
+    p = tmp_path / "f.ob"
+    p.write_text(TREFOIL.replace("t(b1)", "t(b1)^" + "9" * 5000))
+    code, out, err = go("h1", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: line 4: bad exponent of t(b1)")
 
 
 def test_missing_file_exits_2():
@@ -235,7 +254,11 @@ def test_identical_invocations_identical_bytes(lens_file, tmp_path):
 
 
 def test_console_entry_point(lens_file):
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(obembed.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "obembed.cli", "h1", lens_file],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == "H1 = Z/5\n"

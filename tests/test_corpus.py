@@ -94,7 +94,7 @@ def test_highrank_stabilization_and_conjugation_invariance():
     torsion_seen = 0
     for genus, boundary in ((10, 1), (10, 3), (11, 1), (11, 2), (12, 1), (12, 2)):
         page = Surface(genus, boundary)
-        cfg, _ = lickorish_system(page)
+        cfg = lickorish_system(page)
         names = cfg.names()
         word = fixed_length_word(rng, names, 100)
         ob = AbstractOpenBook(page, word, cfg)

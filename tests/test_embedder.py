@@ -216,8 +216,28 @@ def test_validator_accepts_json_text():
 
 
 def test_validator_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unknown certificate kind"):
-        validate_certificate({"kind": "nonsense", "version": 1})
+    # a violation for any object; only a non-object or invalid JSON raises
+    for cert in ({"kind": "nonsense", "version": 1}, {"version": 1}, {}, {"kind": []},
+                 {"kind": {}}, {"kind": None}, '{"kind": 7}'):
+        violations = validate_certificate(cert)
+        assert len(violations) == 1
+        assert violations[0].startswith("kind: unknown certificate kind")
+    for bad in ([], "[]", "3", "not json", 3, None):
+        with pytest.raises(ValueError):
+            validate_certificate(bad)
+
+
+def test_validator_reports_non_integer_config_classes():
+    from obembed import ConfiguredCurve, CurveConfig
+    page = Surface(1, 3)
+    cfg = CurveConfig(page, [ConfiguredCurve("x", "boundary_parallel", (0, 0, 1, 0))],
+                      standard=False)
+    cert = build_openbook_embedding(AbstractOpenBook(page, parse_word("t(x)^2"), cfg), 1)
+    assert validate_certificate(cert) == []
+    for cls in ("0010", [0.0, 0, 1.0, 0], [False, False, True, False]):
+        cert["input"]["openbook"]["config"]["curves"][0]["class"] = cls
+        assert any(v.startswith("input.openbook:") and "list of integers" in v
+                   for v in validate_certificate(cert)), cls
 
 
 def test_validator_flags_missing_fields():
@@ -279,8 +299,7 @@ def _paths(obj, prefix=()):
 
 def test_validator_is_total_on_single_field_mutations():
     # Every field of one certificate per kind set to each JSON shape; the
-    # validator must answer with violations, never raise -- except that an
-    # unknown kind raises ValueError, as documented.
+    # validator must answer with violations, never raise.
     certs = [build_flexible_embedding(Surface(1, 2), 1),
              build_openbook_embedding(book(1, 1, "t(a1) t(b1)^-2"), 3),
              build_annulus_s5(book(0, 2, "t(d1)^3 t(d2)")),
@@ -299,9 +318,6 @@ def test_validator_is_total_on_single_field_mutations():
                 cases += 1
                 try:
                     validate_certificate(cert)
-                except ValueError:
-                    if path != ("kind",):
-                        raised.append((cert["kind"], path, value))
                 except Exception as exc:  # noqa: BLE001 - the property under test
                     raised.append((cert["kind"], path, value, repr(exc)))
             parent[path[-1]] = original

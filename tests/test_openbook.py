@@ -8,13 +8,14 @@ Independent oracles frozen here:
 """
 
 import hashlib
+import json
 import random
 
 import pytest
 
 from obembed import (AbelianGroup, AbstractOpenBook, ConfiguredCurve, CurveConfig,
                      JoinBoundaries, OpenBookParseError, SameBoundary, Surface, TwistWord,
-                     closed_h1, format_word, identify_known, lickorish_system,
+                     arc_defect, closed_h1, format_word, identify_known, lickorish_system,
                      mapping_torus_h1, parse_openbook, parse_word,
                      reduce_to_one_boundary, serialize_openbook,
                      stabilize_positive, word_action)
@@ -58,14 +59,12 @@ def test_mapping_torus_always_has_a_circle_factor():
 
 
 def test_mapping_torus_model_fields():
-    from obembed import mapping_torus_model
     from helpers import det_bareiss, mat_rows
     ob = book(1, 2, "t(a1) t(e1)^2")
-    model = mapping_torus_model(ob)
-    assert model.page == ob.page
-    assert abs(det_bareiss(mat_rows(model.action))) == 1
-    assert len(model.defects) == 1
-    assert all(len(d) == ob.page.h1_rank for d in model.defects)
+    assert abs(det_bareiss(mat_rows(word_action(ob.word, ob.config)))) == 1
+    assert len(arc_defect(ob.word, 1, ob.config)) == ob.page.h1_rank
+    with pytest.raises(IndexError):  # one arc on a two-boundary page
+        arc_defect(ob.word, 2, ob.config)
 
 
 # closed manifold
@@ -103,7 +102,7 @@ def test_one_boundary_closed_h1_equals_cokernel():
     for _ in range(30):
         g = rng.randint(1, 3)
         page = Surface(g, 1)
-        cfg, _ = lickorish_system(page)
+        cfg = lickorish_system(page)
         w = random_word(rng, cfg, 8)
         ob = AbstractOpenBook(page, w, cfg)
         phi = word_action(w, cfg)
@@ -159,7 +158,7 @@ def test_identify_catalog():
 
 def test_identify_stays_conservative():
     rng = random.Random(41)
-    cfg, _ = lickorish_system(Surface(2, 1))
+    cfg = lickorish_system(Surface(2, 1))
     w = random_word(rng, cfg, 6)
     assert identify_known(AbstractOpenBook(Surface(2, 1), w, cfg)) is None
     # mirror lens spaces are not in the catalog
@@ -368,6 +367,20 @@ def test_from_dict_requires_integer_fields():
             AbstractOpenBook.from_dict(bad)
 
 
+def test_attached_config_classes_must_be_integers():
+    for cls in ('"10"', "[1.7]", "[true]", "10", '"0001"'):
+        text = attached('{"name":"x","kind":"boundary_parallel","class":' + cls + '}',
+                        "t(x)^3")
+        with pytest.raises(OpenBookParseError, match="list of integers") as exc:
+            parse_openbook(text)
+        assert exc.value.line == 5
+        config = {"curves": [{"name": "x", "kind": "boundary_parallel",
+                              "class": json.loads(cls)}]}
+        with pytest.raises(ValueError, match="list of integers"):
+            AbstractOpenBook.from_dict({"genus": 0, "boundary": 2, "word": "t(x)^3",
+                                        "config": config})
+
+
 # stabilization pins: the page conventions written out independently
 
 def _attachments(n):
@@ -380,7 +393,7 @@ def _stabilization_texts():
     rng = random.Random(61)
     for g in range(4):
         for n in range(1, 6):
-            cfg, _ = lickorish_system(Surface(g, n))
+            cfg = lickorish_system(Surface(g, n))
             for _ in range(2):
                 ob = AbstractOpenBook(Surface(g, n), random_word(rng, cfg, 6), cfg)
                 yield serialize_openbook(reduce_to_one_boundary(ob))

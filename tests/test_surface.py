@@ -1,13 +1,14 @@
-"""Surface, basis, and default configuration tests."""
+"""Surface, pairing, arc crossing and default configuration tests."""
 
 import json
 
 import pytest
 
-from obembed import (ArcSystem, ConfiguredCurve, CurveConfig, H1Basis, Surface,
-                     cokernel, lickorish_system, load_config_override,
-                     validate_config)
+from obembed import (ConfiguredCurve, CurveConfig, Surface, cokernel, lickorish_system,
+                     load_config_override, validate_config)
 from obembed.surface import MAX_PAGE_RANK, config_from_dict, config_to_dict
+
+from helpers import pairing_matrix
 
 
 def census(cfg):
@@ -37,31 +38,35 @@ def test_page_rank_is_capped():
 
 
 def test_disk_has_no_curves():
-    cfg, arcs = lickorish_system(Surface(0, 1))
+    page = Surface(0, 1)
+    cfg = lickorish_system(page)
     assert len(cfg) == 0
-    assert arcs.count == 0
+    with pytest.raises(IndexError):  # no arcs
+        page.crossing(1, ())
 
 
 def test_annulus_system():
-    cfg, arcs = lickorish_system(Surface(0, 2))
+    page = Surface(0, 2)
+    cfg = lickorish_system(page)
     assert cfg.names() == ("d1", "d2")
     assert cfg.curve("d1").homology_class == (1,)
     assert cfg.curve("d2").homology_class == (-1,)
-    assert arcs.count == 1
-    assert arcs.intersection(1, cfg.curve("d1")) == 1
+    with pytest.raises(IndexError):  # one arc
+        page.crossing(2, (1,))
+    assert page.crossing(1, cfg.curve("d1").homology_class) == 1
     # opposite orientation of the same core circle
-    assert arcs.intersection(1, cfg.curve("d2")) == -1
+    assert page.crossing(1, cfg.curve("d2").homology_class) == -1
 
 
 def test_genus_two_one_boundary_census():
-    cfg, _ = lickorish_system(Surface(2, 1))
+    cfg = lickorish_system(Surface(2, 1))
     got = census(cfg)
     assert got == {"handle_a": 2, "handle_b": 2, "chain": 1, "boundary_parallel": 1}
     assert Surface(2, 1).h1_rank == 4
 
 
 def test_multi_boundary_census():
-    cfg, _ = lickorish_system(Surface(1, 3))
+    cfg = lickorish_system(Surface(1, 3))
     got = census(cfg)
     assert got == {"handle_a": 1, "handle_b": 1, "boundary_parallel": 3,
                    "boundary_pair": 2}
@@ -80,13 +85,13 @@ def test_closed_surface_rejected():
 def test_default_system_validates():
     for g in range(6):
         for n in range(1, 6):
-            cfg, arcs = lickorish_system(Surface(g, n))
-            assert validate_config(cfg, arcs) == []
+            cfg = lickorish_system(Surface(g, n))
+            assert validate_config(cfg) == []
 
 
 def test_duplicate_name_reported():
     s = Surface(1, 1)
-    cfg, _ = lickorish_system(s)
+    cfg = lickorish_system(s)
     dup = CurveConfig(s, list(cfg.curves) + [ConfiguredCurve("a1", "handle_a",
                                                              (1, 0))],
                       standard=True)
@@ -113,25 +118,25 @@ def test_kind_class_rules_for_standard_configs():
 def test_pairing_rank_is_twice_genus():
     for g in range(4):
         for n in range(1, 4):
-            basis = H1Basis.for_surface(Surface(g, n))
-            c = cokernel(basis.pairing)
-            rank = basis.rank - c.free_rank
+            page = Surface(g, n)
+            c = cokernel(pairing_matrix(page))
+            rank = page.h1_rank - c.free_rank
             assert rank == 2 * g
 
 
 def test_pairing_values():
-    basis = H1Basis.for_surface(Surface(2, 2))
-    a1 = basis.unit(0)
-    b1 = basis.unit(1)
-    d1 = basis.unit(4)
-    assert basis.pair(a1, b1) == 1
-    assert basis.pair(b1, a1) == -1
-    assert basis.pair(a1, d1) == 0
-    assert basis.pair(d1, d1) == 0
+    page = Surface(2, 2)
+    a1 = page.unit(0)
+    b1 = page.unit(1)
+    d1 = page.unit(4)
+    assert page.pair(a1, b1) == 1
+    assert page.pair(b1, a1) == -1
+    assert page.pair(a1, d1) == 0
+    assert page.pair(d1, d1) == 0
 
 
 def test_config_json_round_trip():
-    cfg, _ = lickorish_system(Surface(2, 2))
+    cfg = lickorish_system(Surface(2, 2))
     data = config_to_dict(cfg)
     back = config_from_dict(data, Surface(2, 2), standard=True)
     assert back.names() == cfg.names()
@@ -140,18 +145,18 @@ def test_config_json_round_trip():
 
 
 def test_load_override_accepts_consistent_table(tmp_path):
-    cfg, _ = lickorish_system(Surface(0, 2))
+    cfg = lickorish_system(Surface(0, 2))
     data = config_to_dict(cfg)
     data["arcs"] = [{"index": 1, "intersections": {"d1": 1, "d2": -1}}]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data))
-    loaded_cfg, loaded_arcs = load_config_override(str(path), Surface(0, 2))
+    loaded_cfg = load_config_override(str(path), Surface(0, 2))
     assert loaded_cfg.names() == ("d1", "d2")
-    assert loaded_arcs.intersection(1, loaded_cfg.curve("d2")) == -1
+    assert Surface(0, 2).crossing(1, loaded_cfg.curve("d2").homology_class) == -1
 
 
 def test_load_override_rejects_inconsistent_table(tmp_path):
-    cfg, _ = lickorish_system(Surface(0, 2))
+    cfg = lickorish_system(Surface(0, 2))
     data = config_to_dict(cfg)
     # the crossing number is forced by the class; +1 here is unrealizable
     data["arcs"] = [{"index": 1, "intersections": {"d2": 1}}]
@@ -169,18 +174,18 @@ def test_load_override_with_short_class_and_arc_table(tmp_path):
 
 
 def test_arc_index_out_of_range():
-    _, arcs = lickorish_system(Surface(1, 2))
-    cfg, _ = lickorish_system(Surface(1, 2))
+    page = Surface(1, 2)
+    cfg = lickorish_system(page)
     with pytest.raises(IndexError):
-        arcs.intersection(2, cfg.curve("a1"))
+        page.crossing(2, cfg.curve("a1").homology_class)
 
 
 def test_pairing_matrix_is_the_fixed_symplectic_form():
     # skew; <Ai,Bi> = 1 and no other handle pairing; every Dj in the radical
     for g in range(6):
         for n in range(6):
-            basis = H1Basis.for_surface(Surface(g, n))
-            rows, rank = basis.pairing.row_lists(), basis.rank
+            page = Surface(g, n)
+            rows, rank = pairing_matrix(page).row_lists(), page.h1_rank
             assert len(rows) == rank and all(len(r) == rank for r in rows)
             assert all(rows[i][j] == -rows[j][i] for i in range(rank) for j in range(rank))
             handles = {(2 * i, 2 * i + 1) for i in range(g)}
@@ -207,7 +212,7 @@ def test_default_classes_are_rejected_under_other_kinds():
     for g in range(4):
         for n in range(1, 6):
             page = Surface(g, n)
-            cfg, _ = lickorish_system(page)
+            cfg = lickorish_system(page)
             curves = [(c.name, c.kind, c.homology_class) for c in cfg] + extra.get(page, [])
             for name, kind, cls in curves:
                 assert _standard(page, (name, kind, cls)) == []
@@ -222,7 +227,36 @@ def test_closed_surface_has_no_boundary_parallel_class():
 
 
 def test_crossing_numbers_come_from_the_classes_alone():
-    cfg, _ = lickorish_system(Surface(0, 2))
-    arcs = ArcSystem(Surface(0, 2), ((1, "d1", 5),))
-    assert arcs.intersection(1, cfg.curve("d1")) == 1
-    assert any("inconsistent" in v for v in validate_config(cfg, arcs))
+    page = Surface(0, 2)
+    cfg = lickorish_system(page)
+    assert page.crossing(1, cfg.curve("d1").homology_class) == 1
+    assert any("inconsistent" in v for v in validate_config(cfg, ((1, "d1", 5),)))
+
+
+def test_arc_table_checks():
+    cfg = lickorish_system(Surface(0, 3))
+    assert validate_config(cfg, ((1, "d1", 1), (2, "d3", -1))) == []
+    assert any("out of range 1..2" in v for v in validate_config(cfg, ((3, "d1", 0),)))
+    assert any("unknown curve 'zz'" in v for v in validate_config(cfg, ((1, "zz", 0),)))
+    assert any("forced value -1" in v for v in validate_config(cfg, ((2, "d3", 1),)))
+
+
+def test_config_classes_must_be_integer_lists():
+    good = {"name": "a1", "kind": "handle_a", "class": [1, 0]}
+    assert config_from_dict({"curves": [good]}, Surface(1, 1)).names() == ("a1",)
+    for field, value in (("class", "10"), ("class", [1.7, 0.2]), ("class", [True, False]),
+                         ("class", 10), ("name", 1), ("kind", ["handle_a"])):
+        with pytest.raises(ValueError):
+            config_from_dict({"curves": [{**good, field: value}]}, Surface(1, 1))
+
+
+def test_load_override_rejects_non_integer_arc_entries():
+    cfg = lickorish_system(Surface(0, 2))
+    for rec in ({"index": "1", "intersections": {"d1": 1}},
+                {"index": 1, "intersections": {"d1": 1.0}},
+                {"index": True, "intersections": {"d1": 1}},
+                {"index": 1, "intersections": {"d1": True}},
+                {"index": 1, "intersections": [["d1", 1]]}):
+        data = {**config_to_dict(cfg), "arcs": [rec]}
+        with pytest.raises(ValueError, match="integer"):
+            load_config_override(json.dumps(data), Surface(0, 2))
