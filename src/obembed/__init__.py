@@ -9,7 +9,7 @@ sphere and for embedding plans into S5.
 
 from .intlinalg import AbelianGroup, IntMatrix, cokernel, smith_normal_form
 from .surface import (ConfiguredCurve, CurveConfig, Surface, lickorish_system,
-                      load_config_override, validate_config)
+                      load_config_override)
 from .mcg import (TwistWord, WordSyntaxError, arc_defect, format_word, parse_word,
                   relation_report, twist_matrix, word_action)
 from .openbook import (AbstractOpenBook, JoinBoundaries, OpenBookParseError,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelianGroup", "IntMatrix", "cokernel", "smith_normal_form",
     "ConfiguredCurve", "CurveConfig", "Surface",
-    "lickorish_system", "load_config_override", "validate_config",
+    "lickorish_system", "load_config_override",
     "TwistWord", "WordSyntaxError", "arc_defect", "format_word", "parse_word",
     "relation_report", "twist_matrix", "word_action",
     "AbstractOpenBook", "JoinBoundaries", "OpenBookParseError", "SameBoundary",

@@ -74,9 +74,6 @@ class IntMatrix:
     def row_lists(self):
         return [list(r) for r in self._data]
 
-    def column(self, j):
-        return tuple(self._data[i][j] for i in range(self.rows))
-
     def diagonal(self):
         return tuple(self._data[i][i] for i in range(min(self.rows, self.cols)))
 

@@ -110,8 +110,6 @@ def twist_matrix(curve, sign, page):
     if sign == 0:
         return IntMatrix.identity(rank)
     c = curve.homology_class
-    if len(c) != rank:
-        raise ValueError(f"curve {curve.name}: class dimension {len(c)} != {rank}")
     jc = page.dual(c)
     rows = [[e + sign * c[i] * jc[k] for k, e in enumerate(page.unit(i))]
             for i in range(rank)]
@@ -127,13 +125,9 @@ def _transvect(vectors, word, cfg, crossing=None):
     """
     letters = list(word)
     page = cfg.surface
-    rank = page.h1_rank
     prepared = {}
     for name in dict.fromkeys(name for name, _ in letters):
-        curve = cfg.curve(name)
-        c = curve.homology_class
-        if len(c) != rank:
-            raise ValueError(f"curve {name}: class dimension {len(c)} != {rank}")
+        c = cfg.curve(name).homology_class
         jc = page.dual(c)
         prepared[name] = ([(i, a) for i, a in enumerate(c) if a],
                           [(i, a) for i, a in enumerate(jc) if a],

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .intlinalg import AbelianGroup, IntMatrix, cokernel
 from .mcg import TwistWord, WordSyntaxError, format_word, parse_word, word_action, arc_defect
 from .surface import (ConfiguredCurve, CurveConfig, Surface, boundary_class,
-                      config_from_dict, config_to_dict, lickorish_system, validate_config)
+                      config_from_dict, config_to_dict, lickorish_system)
 
 FORMAT_HEADER = "openbook v1"
 
@@ -79,28 +79,18 @@ class AbstractOpenBook:
 
     @classmethod
     def from_dict(cls, data):
-        genus, boundary, word_text = data["genus"], data["boundary"], data.get("word", "")
-        if type(genus) is not int or type(boundary) is not int:
-            raise ValueError(f"genus and boundary must be integers, got {genus!r}, "
-                             f"{boundary!r}")
+        if not isinstance(data, dict) or not {"genus", "boundary"} <= data.keys():
+            raise ValueError("open book needs an object with genus and boundary")
+        page = Surface(data["genus"], data["boundary"])
+        word_text = data.get("word", "")
         if not isinstance(word_text, str):
             raise ValueError(f"word must be a string, got {word_text!r}")
-        page = Surface(genus, boundary)
         word = parse_word(word_text)
         if data.get("config"):
-            cfg = _attached_config(data["config"], page)
+            cfg = config_from_dict(data["config"], page)
         else:
             cfg = lickorish_system(page)
         return cls(page, word, cfg, data.get("label"))
-
-
-def _attached_config(data, page):
-    """An attached configuration from its JSON form, checked like an override."""
-    cfg = config_from_dict(data, page, standard=False)
-    violations = validate_config(cfg)
-    if violations:
-        raise ValueError("; ".join(violations))
-    return cfg
 
 
 def parse_openbook(text):
@@ -154,8 +144,8 @@ def parse_openbook(text):
             if cfg is not None:
                 raise OpenBookParseError(lineno, "duplicate config line")
             try:
-                cfg = _attached_config(json.loads(line[len("config "):]), page)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                cfg = config_from_dict(json.loads(line[len("config "):]), page)
+            except ValueError as exc:
                 raise OpenBookParseError(lineno, f"bad config payload: {exc}")
         else:
             raise OpenBookParseError(lineno, f"unexpected line {line!r}")
@@ -289,34 +279,25 @@ def _fresh_name(taken):
     return f"s{i}"
 
 
-def _canonicalize(page, curves, word):
-    """Try to rename pushforward curves onto the default configuration.
+def _canonicalize(page, curves):
+    """Renaming of pushforward curves onto the default configuration.
 
-    Succeeds when every class matches a default class exactly or up to
-    sign (a twist cannot see the curve's orientation) with distinct
-    targets; returns None otherwise.
+    Each class goes to the first unused default curve, in table order,
+    with that class, or failing that with its negative (a twist cannot
+    see the curve's orientation); returns None when one has no match.
     """
-    default_cfg = lickorish_system(page)
-    defaults = list(default_cfg.curves)
+    by_class = {}
+    for d in lickorish_system(page):
+        by_class.setdefault(d.homology_class, []).append(d.name)
     mapping = {}
-    used = set()
     for c in curves:
-        target = None
-        for d in defaults:
-            if d.name not in used and d.homology_class == c.homology_class:
-                target = d
+        for cls in (c.homology_class, tuple(-x for x in c.homology_class)):
+            if by_class.get(cls):
+                mapping[c.name] = by_class[cls].pop(0)
                 break
-        if target is None:
-            neg = tuple(-x for x in c.homology_class)
-            for d in defaults:
-                if d.name not in used and d.homology_class == neg:
-                    target = d
-                    break
-        if target is None:
+        else:
             return None
-        mapping[c.name] = target.name
-        used.add(target.name)
-    return AbstractOpenBook(page, word.rename(mapping), default_cfg)
+    return mapping
 
 
 def stabilize_positive(ob, attachment):
@@ -339,11 +320,11 @@ def stabilize_positive(ob, attachment):
                                       _push_classes(images, old.homology_class)))
     new_word = TwistWord(((fresh, 1),) + ob.word.letters)
 
-    canonical = _canonicalize(new_page, pushed, new_word)
-    if canonical is not None:
-        return AbstractOpenBook(canonical.page, canonical.word, canonical.config,
-                                ob.label)
-    cfg = CurveConfig(new_page, pushed, standard=False)
+    mapping = _canonicalize(new_page, pushed)
+    if mapping is None:
+        cfg = CurveConfig(new_page, pushed, standard=False)
+    else:
+        new_word, cfg = new_word.rename(mapping), lickorish_system(new_page)
     return AbstractOpenBook(new_page, new_word, cfg, ob.label)
 
 

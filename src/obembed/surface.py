@@ -18,7 +18,7 @@ minus its Ai entry to place Bi.
 Boundary classes: ``boundary_class(surface, m)`` is Dm for m <= n-1;
 the base m = n is the dependent class -(D1 + ... + D_{n-1}).
 
-The default twist-generating system (``_default_curves``) is
+The default twist-generating system (``_default_table``) is
 
     a_i           class Ai                   (handle_a)
     b_i           class Bi                   (handle_b)
@@ -31,6 +31,13 @@ A standard configuration may give a curve of each kind only the classes
 this table gives that kind.  ``lickorish_system`` drops the members
 that are null on a planar page: d_1 on the disk and e_1 on the annulus
 bound disks and twist trivially.
+
+Pages and configurations are valid by construction.  ``Surface``
+rejects a genus or boundary count that is not a nonnegative int, and
+``CurveConfig`` rejects duplicate names, classes of the wrong dimension
+and, when standard, classes outside the table; each raises one
+ValueError.  ``config_from_dict`` and ``load_config_override`` (JSON
+text, with an optional arc table) raise nothing else on malformed input.
 
 Arcs r_1 .. r_{n-1} run from the base component to each puncture.  The
 algebraic crossing number of an arc with a curve depends only on the
@@ -66,6 +73,10 @@ class Surface:
     boundary_count: int
 
     def __post_init__(self):
+        # bool is a subclass of int, so it is rejected by the exact type test
+        if type(self.genus) is not int or type(self.boundary_count) is not int:
+            raise ValueError(f"genus and boundary must be integers, got {self.genus!r}, "
+                             f"{self.boundary_count!r}")
         if self.genus < 0 or self.boundary_count < 0:
             raise ValueError("genus and boundary count must be nonnegative")
         if self.h1_rank > MAX_PAGE_RANK:
@@ -147,7 +158,8 @@ class CurveConfig:
     standard=True marks the default (or a user-supplied standard)
     system, for which the kind of each curve pins its class shape.
     Configurations produced by stabilization are not standard: their
-    classes are pushforwards and leave the default patterns.
+    classes are pushforwards and leave the default patterns.  An invalid
+    system raises one ValueError listing every violation.
     """
 
     surface: Surface
@@ -157,7 +169,24 @@ class CurveConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "curves", tuple(self.curves))
-        object.__setattr__(self, "_index", {c.name: c for c in self.curves})
+        rank = self.surface.h1_rank
+        index, out = {}, []
+        for c in self.curves:
+            if c.name in index:
+                out.append(f"duplicate curve name {c.name!r}")
+            index[c.name] = c
+            if len(c.homology_class) != rank:
+                out.append(f"curve {c.name}: class has dimension {len(c.homology_class)}, "
+                           f"expected {rank}")
+        if self.standard:
+            allowed = {(kind, c) for _, kind, c in _default_table(self.surface)}
+            out += [f"{c.kind} curve {c.name}: class {list(c.homology_class)} "
+                    f"is not a default {c.kind} class" for c in self.curves
+                    if len(c.homology_class) == rank
+                    and (c.kind, c.homology_class) not in allowed]
+        if out:
+            raise ValueError("; ".join(out))
+        object.__setattr__(self, "_index", index)
 
     def curve(self, name):
         try:
@@ -178,22 +207,22 @@ class CurveConfig:
         return len(self.curves)
 
 
-def _default_curves(surface):
-    """The unfiltered default curve table of the module docstring."""
+def _default_table(surface):
+    """The unfiltered default curve table of the module docstring.
+
+    Rows are (name, kind, class) triples.
+    """
     g, n = surface.genus, surface.boundary_count
     a = [surface.unit(2 * i) for i in range(g)]
-    curves = [ConfiguredCurve(f"a{i + 1}", "handle_a", a[i]) for i in range(g)]
-    curves += [ConfiguredCurve(f"b{i + 1}", "handle_b", surface.unit(2 * i + 1))
-               for i in range(g)]
-    curves += [ConfiguredCurve(f"c{i + 1}", "chain",
-                               tuple(x - y for x, y in zip(a[i], a[i + 1])))
-               for i in range(g - 1)]
+    rows = [(f"a{i + 1}", "handle_a", a[i]) for i in range(g)]
+    rows += [(f"b{i + 1}", "handle_b", surface.unit(2 * i + 1)) for i in range(g)]
+    rows += [(f"c{i + 1}", "chain", tuple(x - y for x, y in zip(a[i], a[i + 1])))
+             for i in range(g - 1)]
     d = [boundary_class(surface, j) for j in range(1, n + 1)]
-    curves += [ConfiguredCurve(f"d{j + 1}", "boundary_parallel", d[j]) for j in range(n)]
-    curves += [ConfiguredCurve(f"e{j + 1}", "boundary_pair",
-                               tuple(x + y for x, y in zip(d[j], d[j + 1])))
-               for j in range(n - 1)]
-    return curves
+    rows += [(f"d{j + 1}", "boundary_parallel", d[j]) for j in range(n)]
+    rows += [(f"e{j + 1}", "boundary_pair", tuple(x + y for x, y in zip(d[j], d[j + 1])))
+             for j in range(n - 1)]
+    return rows
 
 
 @lru_cache(maxsize=256)
@@ -206,54 +235,9 @@ def lickorish_system(surface):
     if surface.boundary_count < 1:
         raise ValueError("page must have boundary")
     # on a planar page a null class bounds a disk: the disk's d1, the annulus' e1
-    curves = [c for c in _default_curves(surface)
-              if surface.genus or any(c.homology_class)]
+    curves = [ConfiguredCurve(*row) for row in _default_table(surface)
+              if surface.genus or any(row[2])]
     return CurveConfig(surface, curves, standard=True)
-
-
-def validate_config(cfg, arc_table=()):
-    """Check the structural invariants of a curve system and an arc table.
-
-    arc_table holds (arc index, curve name, crossing number) triples, as
-    given by an override file; each value must be the forced one.
-    Returns a list of violation strings; empty means valid.
-    """
-    surface = cfg.surface
-    rank = surface.h1_rank
-    out = []
-
-    seen = set()
-    for c in cfg.curves:
-        if c.name in seen:
-            out.append(f"duplicate curve name {c.name!r}")
-        seen.add(c.name)
-        if len(c.homology_class) != rank:
-            out.append(f"curve {c.name}: class has dimension {len(c.homology_class)}, "
-                       f"expected {rank}")
-
-    if cfg.standard:
-        allowed = {(d.kind, d.homology_class) for d in _default_curves(surface)}
-        for c in cfg.curves:
-            if len(c.homology_class) == rank and (c.kind, c.homology_class) not in allowed:
-                out.append(f"{c.kind} curve {c.name}: class {list(c.homology_class)} "
-                           f"is not a default {c.kind} class")
-
-    for i, name, value in arc_table:
-        if not cfg.has_curve(name):
-            out.append(f"arc table references unknown curve {name!r}")
-            continue
-        c = cfg.curve(name).homology_class
-        if len(c) != rank:
-            continue  # reported above
-        try:
-            want = surface.crossing(i, c)
-        except IndexError as exc:
-            out.append(str(exc))
-            continue
-        if value != want:
-            out.append(f"arc table entry <r{i},{name}> = {value} is inconsistent "
-                       f"with the curve class (forced value {want})")
-    return out
 
 
 def config_to_dict(cfg):
@@ -262,12 +246,18 @@ def config_to_dict(cfg):
 
 
 def config_from_dict(data, surface, standard=False):
-    curves = [ConfiguredCurve(c["name"], c["kind"], c["class"]) for c in data["curves"]]
-    return CurveConfig(surface, curves, standard=standard)
+    """The CurveConfig of {"curves": [{"name", "kind", "class"}, ...]}."""
+    curves = data.get("curves") if isinstance(data, dict) else None
+    if not isinstance(curves, list) or not all(
+            isinstance(c, dict) and {"name", "kind", "class"} <= c.keys() for c in curves):
+        raise ValueError("configuration needs a list of curves, each with name, kind "
+                         "and class")
+    return CurveConfig(surface, [ConfiguredCurve(c["name"], c["kind"], c["class"])
+                                 for c in curves], standard=standard)
 
 
-def load_config_override(path_or_text, surface):
-    """Load and validate a user configuration file (JSON); returns the CurveConfig.
+def load_config_override(text, surface):
+    """Load a standard configuration from JSON text; returns the CurveConfig.
 
     The format carries curves and, optionally, an explicit arc table
     that must agree with the crossing numbers the classes force:
@@ -275,20 +265,29 @@ def load_config_override(path_or_text, surface):
      "arcs": [{"index": i, "intersections": {"name": value, ...}}, ...]}
     Class entries, arc indices and values must be JSON integers.
     """
-    if isinstance(path_or_text, str) and path_or_text.lstrip().startswith("{"):
-        data = json.loads(path_or_text)
-    else:
-        with open(path_or_text, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    data = json.loads(text)
     cfg = config_from_dict(data, surface, standard=True)
-    arc_table = []
-    for rec in data.get("arcs") or ():
-        index, values = rec["index"], rec.get("intersections", {})
+    arcs = data.get("arcs") or []
+    if not isinstance(arcs, list) or not all(isinstance(rec, dict) for rec in arcs):
+        raise ValueError("arcs must be a list of objects")
+    out = []
+    for rec in arcs:
+        index, values = rec.get("index"), rec.get("intersections", {})
         if (type(index) is not int or not isinstance(values, dict)
                 or any(type(v) is not int for v in values.values())):
             raise ValueError("arc entries need an integer index and integer intersections")
-        arc_table += [(index, name, value) for name, value in sorted(values.items())]
-    violations = validate_config(cfg, arc_table)
-    if violations:
-        raise ValueError("invalid configuration override: " + "; ".join(violations))
+        for name, value in sorted(values.items()):
+            if not cfg.has_curve(name):
+                out.append(f"arc table references unknown curve {name!r}")
+                continue
+            try:
+                want = surface.crossing(index, cfg.curve(name).homology_class)
+            except IndexError as exc:
+                out.append(str(exc))
+                continue
+            if value != want:
+                out.append(f"arc table entry <r{index},{name}> = {value} is inconsistent "
+                           f"with the curve class (forced value {want})")
+    if out:
+        raise ValueError("invalid configuration override: " + "; ".join(out))
     return cfg

@@ -92,6 +92,15 @@ def test_non_integer_config_class_exits_2(tmp_path):
     assert err.startswith("parse error: line 5") and "list of integers" in err
 
 
+def test_malformed_config_structure_exits_2(tmp_path):
+    p = tmp_path / "f.ob"
+    for payload in ('{"curves": 5}', "[1]"):
+        p.write_text(LENS5 + "config " + payload + "\n")
+        code, out, err = go("h1", str(p))
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: line 5"), err
+
+
 def test_overlong_exponent_exits_2(tmp_path):
     p = tmp_path / "f.ob"
     p.write_text(TREFOIL.replace("t(b1)", "t(b1)^" + "9" * 5000))

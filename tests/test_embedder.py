@@ -336,3 +336,13 @@ def test_validator_reports_oversized_pages():
     witness = build_openbook_embedding(book(1, 1, "t(a1)"), 2)
     witness["input"]["openbook"]["boundary"] = 10 ** 12
     assert any("exceeds the limit" in v for v in validate_certificate(witness))
+
+
+def test_validator_reports_malformed_pages_through_surface():
+    for value, message in ((None, "input.page: genus and boundary must be integers, got 1, None"),
+                           (True, "input.page: genus and boundary must be integers, got 1, True"),
+                           (-1, "input.page: genus and boundary count must be nonnegative"),
+                           (0, "page has no boundary")):
+        flexible = build_flexible_embedding(Surface(1, 2), 1)
+        flexible["input"]["page"]["boundary"] = value
+        assert validate_certificate(flexible) == [message]

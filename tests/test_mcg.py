@@ -108,9 +108,8 @@ def test_word_action_matches_product_of_twist_matrices():
 def test_wrong_class_dimension_rejected():
     from obembed import ConfiguredCurve, CurveConfig
     page = Surface(1, 1)
-    cfg = CurveConfig(page, [ConfiguredCurve("x", "handle_a", (1, 0, 0))], standard=False)
     with pytest.raises(ValueError, match="dimension"):
-        word_action(parse_word("t(x)"), cfg)
+        CurveConfig(page, [ConfiguredCurve("x", "handle_a", (1, 0, 0))], standard=False)
 
 
 def test_empty_word_is_identity():

@@ -362,7 +362,9 @@ def test_attached_config_rejects_wrong_dimension():
 
 def test_from_dict_requires_integer_fields():
     for bad in ({"genus": 1.5, "boundary": 1}, {"genus": True, "boundary": 1},
-                {"genus": 0, "boundary": "2"}, {"genus": 0, "boundary": 2, "word": None}):
+                {"genus": 0, "boundary": "2"}, {"genus": 0, "boundary": 2, "word": None},
+                {"genus": 0}, [0, 2], {"genus": 0, "boundary": 2, "config": {"curves": [[1]]}},
+                {"genus": 0, "boundary": 2, "config": {"curves": [{"name": "x"}]}}):
         with pytest.raises(ValueError):
             AbstractOpenBook.from_dict(bad)
 

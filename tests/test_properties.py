@@ -5,17 +5,21 @@
 - ``validate_certificate`` is total: with any JSON value set at any
   field of a valid certificate it returns a list of violations; it
   raises ValueError only for a non-object.
+- The JSON loaders of open books and configurations raise nothing but
+  ValueError, whatever the structure of their input.
 """
 
 import copy
+import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obembed import (AbstractOpenBook, JoinBoundaries, SameBoundary, Surface, TwistWord,
-                     lickorish_system, parse_openbook, parse_word, serialize_openbook,
-                     stabilize_positive)
+                     lickorish_system, load_config_override, parse_openbook, parse_word,
+                     serialize_openbook, stabilize_positive)
+from obembed.surface import CURVE_KINDS, config_from_dict
 from obembed.embedder import (build_annulus_s5, build_flexible_embedding,
                               build_openbook_embedding, build_s5_plan, validate_certificate)
 
@@ -96,3 +100,36 @@ def test_validator_is_total_on_json_fields(field, value):
     else:
         with pytest.raises(ValueError):
             validate_certificate(cert)
+
+
+def _objects(fields):
+    """Objects with any subset of the given keys, each a fitting or an arbitrary value."""
+    return st.fixed_dictionaries({}, optional={key: values | json_values
+                                               for key, values in fields.items()})
+
+
+_names = st.sampled_from(["x", "d1"])
+configs = _objects({
+    "curves": st.lists(_objects({"name": _names, "kind": st.sampled_from(CURVE_KINDS),
+                                 "class": st.lists(st.integers(-1, 1), max_size=3)})
+                       | json_values, max_size=3),
+    "arcs": st.lists(_objects({"index": st.integers(0, 3),
+                               "intersections": st.dictionaries(
+                                   _names, st.integers(-1, 1) | json_values, max_size=2)})
+                     | json_values, max_size=2)})
+books = _objects({"genus": st.integers(0, 2), "boundary": st.integers(0, 3),
+                  "word": st.sampled_from(["", "t(x)", "t(d1)^2"]), "config": configs,
+                  "label": st.text(max_size=3)})
+
+
+@settings(max_examples=300)
+@given(books | configs | json_values, st.sampled_from([Surface(0, 2), Surface(1, 1)]))
+@example({"genus": 0, "boundary": 2, "config": {"curves": [[1]]}}, Surface(0, 2))
+def test_json_loaders_raise_only_value_error(value, page):
+    loaders = (AbstractOpenBook.from_dict, lambda v: config_from_dict(v, page),
+               lambda v: load_config_override(json.dumps(v), page))
+    for load in loaders:
+        try:
+            load(value)
+        except ValueError:
+            pass

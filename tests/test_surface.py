@@ -5,7 +5,7 @@ import json
 import pytest
 
 from obembed import (ConfiguredCurve, CurveConfig, Surface, cokernel, lickorish_system,
-                     load_config_override, validate_config)
+                     load_config_override)
 from obembed.surface import MAX_PAGE_RANK, config_from_dict, config_to_dict
 
 from helpers import pairing_matrix
@@ -34,6 +34,12 @@ def test_page_rank_is_capped():
     assert Surface(MAX_PAGE_RANK // 2, 1).h1_rank == MAX_PAGE_RANK
     for g, n in ((0, MAX_PAGE_RANK + 2), (MAX_PAGE_RANK // 2, 2), (10 ** 18, 1)):
         with pytest.raises(ValueError, match="exceeds the limit"):
+            Surface(g, n)
+
+
+def test_genus_and_boundary_must_be_integers():
+    for g, n in ((1.5, 1), (True, 1), (0, "2"), (None, 1), (0, False)):
+        with pytest.raises(ValueError, match="genus and boundary must be integers"):
             Surface(g, n)
 
 
@@ -86,33 +92,41 @@ def test_default_system_validates():
     for g in range(6):
         for n in range(1, 6):
             cfg = lickorish_system(Surface(g, n))
-            assert validate_config(cfg) == []
+            assert CurveConfig(cfg.surface, cfg.curves, standard=True) == cfg
 
 
 def test_duplicate_name_reported():
     s = Surface(1, 1)
     cfg = lickorish_system(s)
-    dup = CurveConfig(s, list(cfg.curves) + [ConfiguredCurve("a1", "handle_a",
-                                                             (1, 0))],
-                      standard=True)
-    violations = validate_config(dup)
-    assert any("duplicate" in v for v in violations)
+    with pytest.raises(ValueError, match="duplicate curve name 'a1'"):
+        CurveConfig(s, list(cfg.curves) + [ConfiguredCurve("a1", "handle_a", (1, 0))],
+                    standard=True)
 
 
 def test_wrong_dimension_reported():
     s = Surface(1, 1)
-    cfg = CurveConfig(s, [ConfiguredCurve("a1", "handle_a", (1, 0, 0))])
-    violations = validate_config(cfg)
-    assert any("dimension" in v for v in violations)
+    with pytest.raises(ValueError, match="curve a1: class has dimension 3, expected 2"):
+        CurveConfig(s, [ConfiguredCurve("a1", "handle_a", (1, 0, 0))])
+
+
+def test_violations_are_reported_together():
+    s = Surface(1, 1)
+    with pytest.raises(ValueError) as exc:
+        CurveConfig(s, [ConfiguredCurve("a1", "chain", (1, 0)),
+                        ConfiguredCurve("a1", "handle_a", (1,))])
+    assert str(exc.value) == ("duplicate curve name 'a1'; "
+                              "curve a1: class has dimension 1, expected 2; "
+                              "chain curve a1: class [1, 0] is not a default chain class")
 
 
 def test_kind_class_rules_for_standard_configs():
     s = Surface(1, 2)
-    cfg = CurveConfig(s, [ConfiguredCurve("x", "chain", (1, 1, 0))], standard=True)
-    assert any("chain" in v for v in validate_config(cfg))
+    with pytest.raises(ValueError, match=r"chain curve x: class \[1, 1, 0\] is not a "
+                                         "default chain class"):
+        CurveConfig(s, [ConfiguredCurve("x", "chain", (1, 1, 0))], standard=True)
     # the same class is fine in a non-standard (pushforward) config
     cfg2 = CurveConfig(s, [ConfiguredCurve("x", "chain", (1, 1, 0))], standard=False)
-    assert validate_config(cfg2) == []
+    assert cfg2.names() == ("x",)
 
 
 def test_pairing_rank_is_twice_genus():
@@ -150,7 +164,7 @@ def test_load_override_accepts_consistent_table(tmp_path):
     data["arcs"] = [{"index": 1, "intersections": {"d1": 1, "d2": -1}}]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data))
-    loaded_cfg = load_config_override(str(path), Surface(0, 2))
+    loaded_cfg = load_config_override(path.read_text(), Surface(0, 2))
     assert loaded_cfg.names() == ("d1", "d2")
     assert Surface(0, 2).crossing(1, loaded_cfg.curve("d2").homology_class) == -1
 
@@ -163,7 +177,7 @@ def test_load_override_rejects_inconsistent_table(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="inconsistent"):
-        load_config_override(str(path), Surface(0, 2))
+        load_config_override(path.read_text(), Surface(0, 2))
 
 
 def test_load_override_with_short_class_and_arc_table(tmp_path):
@@ -171,6 +185,15 @@ def test_load_override_with_short_class_and_arc_table(tmp_path):
             "arcs": [{"index": 1, "intersections": {"d1": 1}}]}
     with pytest.raises(ValueError, match="dimension"):
         load_config_override(json.dumps(data), Surface(0, 2))
+
+
+def test_load_override_takes_json_text_only(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config_to_dict(lickorish_system(Surface(0, 2)))))
+    for text in ("[]", str(path), "{", '{"curves": 5}', '{"curves": [{"name": "d1"}]}',
+                 '{"curves": [], "arcs": 5}', '{"curves": [], "arcs": [1]}'):
+        with pytest.raises(ValueError):
+            load_config_override(text, Surface(0, 2))
 
 
 def test_arc_index_out_of_range():
@@ -196,13 +219,18 @@ def test_pairing_matrix_is_the_fixed_symplectic_form():
 
 
 def _standard(page, *curves):
-    return validate_config(CurveConfig(page, [ConfiguredCurve(*c) for c in curves]))
+    """The violations of a standard configuration; empty when it is valid."""
+    try:
+        CurveConfig(page, [ConfiguredCurve(*c) for c in curves])
+    except ValueError as exc:
+        return str(exc)
+    return ""
 
 
 def test_disk_bounding_default_curves_are_standard():
     # lickorish_system drops them, but their classes are the default ones
-    assert _standard(Surface(0, 1), ("d1", "boundary_parallel", ())) == []
-    assert _standard(Surface(0, 2), ("e1", "boundary_pair", (0,))) == []
+    assert _standard(Surface(0, 1), ("d1", "boundary_parallel", ())) == ""
+    assert _standard(Surface(0, 2), ("e1", "boundary_pair", (0,))) == ""
 
 
 def test_default_classes_are_rejected_under_other_kinds():
@@ -215,30 +243,41 @@ def test_default_classes_are_rejected_under_other_kinds():
             cfg = lickorish_system(page)
             curves = [(c.name, c.kind, c.homology_class) for c in cfg] + extra.get(page, [])
             for name, kind, cls in curves:
-                assert _standard(page, (name, kind, cls)) == []
+                assert _standard(page, (name, kind, cls)) == ""
                 for other in kinds:
                     if other != kind:
-                        assert _standard(page, (name, other, cls)) != [], (page, name, other)
+                        assert (f"is not a default {other} class"
+                                in _standard(page, (name, other, cls))), (page, name, other)
 
 
 def test_closed_surface_has_no_boundary_parallel_class():
-    cfg = CurveConfig(Surface(1, 0), [ConfiguredCurve("d1", "boundary_parallel", (0, 0))])
-    assert any("boundary_parallel" in v for v in validate_config(cfg))
+    with pytest.raises(ValueError, match="boundary_parallel"):
+        CurveConfig(Surface(1, 0), [ConfiguredCurve("d1", "boundary_parallel", (0, 0))])
+
+
+def _override(page, *arcs):
+    """The default configuration of page loaded with the given arc table."""
+    data = {**config_to_dict(lickorish_system(page)),
+            "arcs": [{"index": i, "intersections": {name: value}} for i, name, value in arcs]}
+    return load_config_override(json.dumps(data), page)
 
 
 def test_crossing_numbers_come_from_the_classes_alone():
     page = Surface(0, 2)
     cfg = lickorish_system(page)
     assert page.crossing(1, cfg.curve("d1").homology_class) == 1
-    assert any("inconsistent" in v for v in validate_config(cfg, ((1, "d1", 5),)))
+    with pytest.raises(ValueError, match="inconsistent"):
+        _override(page, (1, "d1", 5))
 
 
 def test_arc_table_checks():
-    cfg = lickorish_system(Surface(0, 3))
-    assert validate_config(cfg, ((1, "d1", 1), (2, "d3", -1))) == []
-    assert any("out of range 1..2" in v for v in validate_config(cfg, ((3, "d1", 0),)))
-    assert any("unknown curve 'zz'" in v for v in validate_config(cfg, ((1, "zz", 0),)))
-    assert any("forced value -1" in v for v in validate_config(cfg, ((2, "d3", 1),)))
+    page = Surface(0, 3)
+    assert _override(page, (1, "d1", 1), (2, "d3", -1)) == lickorish_system(page)
+    for arc, message in (((3, "d1", 0), "out of range 1..2"),
+                         ((1, "zz", 0), "unknown curve 'zz'"),
+                         ((2, "d3", 1), "forced value -1")):
+        with pytest.raises(ValueError, match=message):
+            _override(page, arc)
 
 
 def test_config_classes_must_be_integer_lists():
