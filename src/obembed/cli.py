@@ -10,6 +10,7 @@ manifest order).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -36,7 +37,12 @@ class _UsageError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built on first use and shared by every ``run``.
+
+    Parsing keeps no state in it: each call gets a fresh namespace.
+    """
     parser = _ArgumentParser(prog="obembed",
                              description="open book invariants and embedding certificates")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,9 +14,10 @@ e * (<r, c> + <v, [c]>) * [c], where v is the defect accumulated so
 far.  The defect of a word along arc i is the class of (word(r_i) -
 r_i), the quantity the boundary filling of an open book kills.
 
-Both are computed by one rule: the word action pushes the page's unit
-classes (``Surface.unit``) through the word letter by letter, the arc
-defect pushes the zero class with the arc's crossing numbers
+Both are computed by one rule, applied to a matrix held as rows: each
+letter multiplies it on the left by I + e * c (Jc)^T, which touches only
+the rows in the support of c.  The word action starts from the identity,
+the arc defect from the zero column with the arc's crossing numbers
 (``Surface.crossing``) as shifts; the pairing is ``Surface.dual``.
 ``twist_matrix`` keeps the closed form of a single letter for the
 relation checks.
@@ -116,30 +117,35 @@ def twist_matrix(curve, sign, page):
     return IntMatrix(rank, rank, rows)
 
 
-def _transvect(vectors, word, cfg, crossing=None):
-    """Push vectors (lists, updated in place) through a word in action order.
+def _transvect(rows, word, cfg, shift=None):
+    """Apply a word's action to a matrix given by its rows (updated in place).
 
-    On letter (c, e) each vector x picks up e * (f([c]) + <x, [c]>) * [c],
-    where f is ``crossing`` (an arc's crossing number) or 0 for classes.
-    The support of [c] and of J[c] is computed once per distinct curve.
+    Letters act rightmost first, each as T = I + e * c (Jc)^T on the
+    left: w = (Jc)^T . rows + s, then row i += e * c_i * w for each i in
+    the support of c.  s is ``shift(c)``, one entry per column (an arc's
+    crossing number), or nothing for classes.  The supports of c and Jc
+    are computed once per distinct curve.
     """
     letters = list(word)
     page = cfg.surface
     prepared = {}
     for name in dict.fromkeys(name for name, _ in letters):
         c = cfg.curve(name).homology_class
-        jc = page.dual(c)
+        s = shift(c) if shift else None
         prepared[name] = ([(i, a) for i, a in enumerate(c) if a],
-                          [(i, a) for i, a in enumerate(jc) if a],
-                          crossing(c) if crossing else 0)
+                          [(k, b) for k, b in enumerate(page.dual(c)) if b],
+                          s if s and any(s) else None)
     for name, exp in reversed(letters):
-        support, pairing, shift = prepared[name]
-        for x in vectors:
-            t = shift + sum(x[i] * a for i, a in pairing)
-            if t:
-                t *= exp
-                for i, a in support:
-                    x[i] += t * a
+        support, pairing, s = prepared[name]
+        w = s
+        for k, b in pairing:
+            r = rows[k]
+            w = [b * y for y in r] if w is None else [x + b * y for x, y in zip(w, r)]
+        if w is None or not any(w):
+            continue
+        for i, a in support:
+            m = exp * a
+            rows[i] = [x + m * y for x, y in zip(rows[i], w)]
 
 
 def word_action(word, cfg):
@@ -147,11 +153,10 @@ def word_action(word, cfg):
 
     Column j is the image of the j-th basis class.
     """
-    page = cfg.surface
-    rank = page.h1_rank
-    columns = [list(page.unit(j)) for j in range(rank)]
-    _transvect(columns, word, cfg)
-    return IntMatrix(rank, rank, zip(*columns))
+    rank = cfg.surface.h1_rank
+    rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    _transvect(rows, word, cfg)
+    return IntMatrix(rank, rank, rows)
 
 
 def arc_defect(word, arc_index, cfg):
@@ -163,10 +168,11 @@ def arc_defect(word, arc_index, cfg):
     such arc, whatever the word.
     """
     page = cfg.surface
-    v = [0] * page.h1_rank
-    page.crossing(arc_index, v)  # the range check, also for words without letters
-    _transvect([v], word, cfg, lambda c: page.crossing(arc_index, c))
-    return tuple(v)
+    rows = [[0] for _ in range(page.h1_rank)]
+    page.crossing(arc_index, (0,) * page.h1_rank)  # the range check, also for empty words
+    _transvect(rows, word, cfg, lambda c: [page.crossing(arc_index, c)])
+    (v,) = zip(*rows)
+    return v
 
 
 @dataclass(frozen=True)

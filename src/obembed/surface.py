@@ -55,14 +55,20 @@ above.
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 CURVE_KINDS = ("handle_a", "handle_b", "chain", "boundary_pair", "boundary_parallel")
 
-# Largest page rank 2g + n - 1 accepted, checked before anything is built
-# (the largest benchmark page has rank 83).
+# Largest page rank 2g + n - 1 accepted, checked before anything is built.
+# The benchmark corpus tops out at rank 24; the cap is not yet tied to a
+# measured per-operation budget.
 MAX_PAGE_RANK = 1000
+
+# lickorish_system keeps the most recently used systems while their ranks
+# sum to at most this.  A system's size grows as rank^2, about 12 MiB at
+# rank 1000, so the cache stays within about 24 MiB.
+SYSTEM_CACHE_RANK = 2 * MAX_PAGE_RANK
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,7 @@ class Surface:
 
     def unit(self, index):
         """The index-th basis class (0-based, in the order above)."""
-        return tuple(1 if k == index else 0 for k in range(self.h1_rank))
+        return (0,) * index + (1,) + (0,) * (self.h1_rank - index - 1)
 
     def dual(self, c):
         """J c, so that <x, c> = x . J c (the pairing rule)."""
@@ -225,19 +231,31 @@ def _default_table(surface):
     return rows
 
 
-@lru_cache(maxsize=256)
+_systems = OrderedDict()  # Surface -> CurveConfig, least recently used first
+
+
 def lickorish_system(surface):
     """The default twist-generating curve system.
 
-    It is immutable, so one copy per surface is shared.  Raises
-    ValueError on closed surfaces: pages must have boundary.
+    It is immutable, so one copy per surface is shared while it stays in
+    the cache (``SYSTEM_CACHE_RANK``).  Raises ValueError on closed
+    surfaces: pages must have boundary.
     """
+    cfg = _systems.get(surface)
+    if cfg is not None:
+        _systems.move_to_end(surface)
+        return cfg
     if surface.boundary_count < 1:
         raise ValueError("page must have boundary")
     # on a planar page a null class bounds a disk: the disk's d1, the annulus' e1
     curves = [ConfiguredCurve(*row) for row in _default_table(surface)
               if surface.genus or any(row[2])]
-    return CurveConfig(surface, curves, standard=True)
+    cfg = _systems[surface] = CurveConfig(surface, curves, standard=True)
+    total = sum(s.h1_rank for s in _systems)
+    while total > SYSTEM_CACHE_RANK:
+        evicted, _ = _systems.popitem(last=False)
+        total -= evicted.h1_rank
+    return cfg
 
 
 def config_to_dict(cfg):

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import obembed
+from obembed import cli
 from obembed.cli import run
 
 LENS5 = "openbook v1\ngenus 0\nboundary 2\nword t(d1)^5\n"
@@ -262,12 +263,53 @@ def test_identical_invocations_identical_bytes(lens_file, tmp_path):
     assert a == b
 
 
-def test_console_entry_point(lens_file):
+def fresh_process(*argv):
+    """Exit code, stdout and stderr of ``python -m obembed.cli`` in a new process."""
     # the child imports the same package as this process, installed or not
     src = os.path.dirname(os.path.dirname(obembed.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "obembed.cli", "h1", lens_file],
+    proc = subprocess.run([sys.executable, "-m", "obembed.cli", *argv],
                           capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert proc.stdout == "H1 = Z/5\n"
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_console_entry_point(lens_file):
+    assert fresh_process("h1", lens_file) == (0, "H1 = Z/5\n", "")
+
+
+def test_calls_in_one_process_match_fresh_processes(lens_file, tmp_path):
+    cert = str(tmp_path / "cert.json")
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"{cert}\n{lens_file}\n")
+    sequence = [("h1", lens_file, "--json"),
+                ("h1", lens_file),
+                ("stabilize", lens_file),                 # usage error
+                ("h1", lens_file),
+                ("stabilize", lens_file, "--same", "1"),
+                ("stabilize", lens_file, "--join", "1", "2"),
+                ("embed", lens_file, "--framing", "2", "--out", cert),
+                ("validate", "--manifest", str(manifest))]
+    in_process = [go(*argv) for argv in sequence]
+    assert [r[0] for r in in_process] == [0, 0, 2, 0, 0, 0, 0, 2]
+    for argv, (code, out, err) in zip(sequence, in_process):
+        assert fresh_process(*argv) == (code, out, err), argv
+
+
+def test_parser_is_built_once_per_process(monkeypatch, lens_file):
+    built = []
+    init = cli._ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    go("h1", lens_file)
+    per_tree = len(built)
+    for _ in range(10):
+        assert go("h1", lens_file)[0] == 0
+        assert go("h1")[0] == 2
+    assert built.count("obembed") == 1
+    assert len(built) == per_tree

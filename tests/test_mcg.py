@@ -225,3 +225,76 @@ def test_relation_report_passes_small_sweep():
         for n in range(1, 3):
             cfg, _ = setup_surface(g, n)
             assert relation_report(cfg).all_pass
+
+
+# Oracles for the transvection rule at large rank.  Each compares the
+# package's word action or arc defect with a computation that goes
+# through twist_matrix, the pairing matrix and det_bareiss only.
+
+def fixed_length_word(rng, cfg, length):
+    names = cfg.names()
+    return TwistWord(tuple((rng.choice(names), rng.choice((-2, -1, 1, 2)))
+                           for _ in range(length)))
+
+
+@pytest.mark.parametrize("g, n", [(50, 1), (48, 9), (55, 11)])
+def test_word_action_is_symplectic_and_unimodular_at_rank_100_plus(g, n):
+    cfg, page = setup_surface(g, n)
+    assert 100 <= page.h1_rank <= 120
+    rng = random.Random(1000 * g + n)
+    j = pairing_matrix(page)
+    phi = word_action(fixed_length_word(rng, cfg, 200), cfg)
+    assert not phi.is_identity()
+    assert phi.transpose() * j * phi == j
+    assert det_bareiss(mat_rows(phi)) == 1
+
+
+def _defect_by_twist_matrices(word, i, cfg):
+    # v(l_k .. l_L) = T_k v(l_{k+1} .. l_L) + e_k <r_i, c_k> c_k, rightmost first
+    page = cfg.surface
+    v = (0,) * page.h1_rank
+    for name, exp in reversed(word.letters):
+        curve = cfg.curve(name)
+        c = curve.homology_class
+        t = exp * page.crossing(i, c)
+        v = tuple(x + t * a for x, a in zip(twist_matrix(curve, exp, page).apply(v), c))
+    return v
+
+
+def _action_by_twist_matrices(word, vector, cfg):
+    page = cfg.surface
+    for name, exp in reversed(word.letters):
+        vector = twist_matrix(cfg.curve(name), exp, page).apply(vector)
+    return vector
+
+
+def test_arc_defect_cocycle_at_rank_60_plus():
+    # defect(w1 w2) = defect(w1) + action(w1) * defect(w2), with the action
+    # and one side's defects taken from twist matrices
+    cfg, page = setup_surface(25, 12)
+    assert page.h1_rank >= 60
+    rng = random.Random(43)
+    seen_nonzero = False
+    for _ in range(2):
+        w1, w2 = fixed_length_word(rng, cfg, 25), fixed_length_word(rng, cfg, 25)
+        for i in (1, 11):
+            d1, d2 = arc_defect(w1, i, cfg), arc_defect(w2, i, cfg)
+            assert d1 == _defect_by_twist_matrices(w1, i, cfg)
+            assert d2 == _defect_by_twist_matrices(w2, i, cfg)
+            pushed = _action_by_twist_matrices(w1, d2, cfg)
+            assert arc_defect(w1.concat(w2), i, cfg) == tuple(
+                a + b for a, b in zip(d1, pushed))
+            seen_nonzero = seen_nonzero or any(d1) or any(d2)
+    assert seen_nonzero
+
+
+def test_word_action_matches_twist_matrix_product_at_rank_30():
+    cfg, page = setup_surface(12, 7)
+    assert page.h1_rank == 30
+    rng = random.Random(47)
+    for _ in range(4):
+        w = fixed_length_word(rng, cfg, 12)
+        product = IntMatrix.identity(page.h1_rank)
+        for name, exp in w:
+            product = product * twist_matrix(cfg.curve(name), exp, page)
+        assert word_action(w, cfg) == product

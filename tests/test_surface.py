@@ -6,6 +6,7 @@ import pytest
 
 from obembed import (ConfiguredCurve, CurveConfig, Surface, cokernel, lickorish_system,
                      load_config_override)
+from obembed import surface as surface_module
 from obembed.surface import MAX_PAGE_RANK, config_from_dict, config_to_dict
 
 from helpers import pairing_matrix
@@ -35,6 +36,20 @@ def test_page_rank_is_capped():
     for g, n in ((0, MAX_PAGE_RANK + 2), (MAX_PAGE_RANK // 2, 2), (10 ** 18, 1)):
         with pytest.raises(ValueError, match="exceeds the limit"):
             Surface(g, n)
+
+
+def test_system_cache_is_bounded_by_total_rank():
+    bound = surface_module.SYSTEM_CACHE_RANK
+    pages = [Surface(g, 2) for g in range(120, 130)]
+    assert sum(p.h1_rank for p in pages) > bound
+    first = lickorish_system(pages[0])
+    systems = [lickorish_system(p) for p in pages]
+    cached = surface_module._systems
+    assert sum(p.h1_rank for p in cached) <= bound
+    assert lickorish_system(pages[-1]) is systems[-1]  # the most recent stay
+    assert pages[0] not in cached                      # the least recent went
+    rebuilt = lickorish_system(pages[0])
+    assert rebuilt is not first and rebuilt == first
 
 
 def test_genus_and_boundary_must_be_integers():
