@@ -32,8 +32,17 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def print_help(self, file=None):
+        # argparse would write to sys.stdout and exit; run() writes the
+        # text to its own out stream and returns instead.
+        raise _HelpRequested(self.format_help())
+
 
 class _UsageError(Exception):
+    pass
+
+
+class _HelpRequested(Exception):
     pass
 
 
@@ -219,6 +228,9 @@ def run(argv, out=None, err=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args, out, err)
+    except _HelpRequested as exc:
+        out.write(str(exc))
+        return EXIT_OK
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return EXIT_USAGE

@@ -7,27 +7,51 @@ the reduction routines work on private copies.
 ``smith_normal_form`` is the reference: it tracks the unimodular
 transforms, whose entries can grow to tens of thousands of bits at rank
 twenty.  ``cokernel`` needs only the invariant factors and works modulo
-a determinant instead (Domich, Kannan and Trotter 1987; Cohen, *A
-Course in Computational Algebraic Number Theory*, section 2.4):
+a determinant instead (Domich, Kannan and Trotter 1987; Kannan and
+Bachem 1979; Cohen, *A Course in Computational Algebraic Number Theory*,
+section 2.4):
 
 1. Fraction-free elimination (Bareiss 1968) gives the rank rho of the
    r x c relation matrix M and its last pivot Delta, a nonzero rho x rho
    minor.  If rho = 0 or |Delta| = 1 the cokernel is free.
-2. Otherwise let D = |Delta| and L' = (column span of M) + D*Z^r.  Row
-   and column operations and adding multiples of D to an entry all keep
-   L' (the last adds a vector of D*Z^r to a column), so M is diagonalised
-   with every entry kept in [0, D) and no transforms.  With diagonal
-   a_1..a_min(r,c), Z^r / L' is the sum of Z/gcd(a_i, D) and
-   (Z/D)^(r - min(r, c)).
+2. Otherwise let D = |Delta|.  Z^r / (column span of M + D*Z^r) is
+   (Z/D)^r / (column span of M mod D), and Gaussian elimination over the
+   ring Z/D splits it into cyclic groups.  Invertible row operations mod
+   D are automorphisms of (Z/D)^r and invertible column operations keep
+   the span, so neither changes the group.  On the remaining block:
+
+   - Pivot: a nonzero entry p whose g = gcd(p, D) is least, taking the
+     first with g = 1.
+   - Clean, when g divides every entry of p's column and row.  For each
+     prime l, v_l(g) = min(v_l(p), v_l(D)), so l divides at most one of
+     p/g and D/g; they are coprime and inv = (p/g)^-1 mod D/g exists.
+     For a multiple x of g, q = (x/g) * inv mod D/g has
+     q * (p/g) = x/g (mod D/g); multiplying by g gives q * p = x (mod D).
+     Subtracting q times the pivot row from the row of each x in p's
+     column clears that column.  The column operations that would clear
+     the pivot row the same way touch no other row, because the pivot
+     column is now zero elsewhere.  So the pivot row and column split
+     off (Z/D)/(p) = Z/g and are dropped.
+   - Combine, when g does not divide an entry x of p's column (or row):
+     with h = gcd(p, x) = s*p + t*x, the rows (or columns) of p and x
+     become s*(p's) + t*(x's) and (p/h)*(x's) - (x/h)*(p's), a step of
+     determinant 1 that leaves h at the pivot and 0 in place of x.  Now
+     gcd(h, D) = gcd(g, x) is a proper divisor of g, so the pivot's gcd
+     with D strictly decreases and at most log2(D) combines precede a
+     clean step.
+   - Finish: each row left when no nonzero entry remains contributes Z/D.
+
+   Every entry stays in [0, D) throughout.
 3. Let d_1 | ... | d_rho be the nonzero invariant factors of M.  Their
    product is the gcd of the rho x rho minors, so it divides Delta, and
-   gcd(d_i, D) = d_i.  Hence Z^r / L' = Z/d_1 + ... + Z/d_rho + (Z/D)^(r - rho):
-   its invariant-factor chain of length r ends in r - rho copies of D,
-   and its first rho factors are d_1..d_rho.  The cokernel is
-   Z^(r - rho) plus those factors.
+   gcd(d_i, D) = d_i.  Hence Z^r / L' = Z/d_1 + ... + Z/d_rho + (Z/D)^(r - rho)
+   for L' = (column span of M) + D*Z^r: its invariant-factor chain of
+   length r ends in r - rho copies of D, and its first rho factors are
+   d_1..d_rho.  The cokernel is Z^(r - rho) plus those factors.
 
-Every entry of step 2 stays below D, so the work is bounded by the bit
-length of D rather than by the growth of the transforms.
+Each unit pivot costs one row update per nonzero row of its column and
+no column work; the work is bounded by the bit length of D rather than
+by the growth of the transforms.
 """
 
 from __future__ import annotations
@@ -44,7 +68,7 @@ class IntMatrix:
     def __init__(self, rows, cols, data):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        data = tuple(tuple(int(x) for x in row) for row in data)
+        data = tuple(tuple(map(int, row)) for row in data)
         if len(data) != rows or any(len(row) != cols for row in data):
             raise ValueError("entry grid does not match declared shape")
         self.rows = rows
@@ -304,42 +328,76 @@ def _bareiss(a):
     return rank, prev
 
 
-def _diagonal_mod(a, rows, cols, d):
-    """Diagonal of a after unimodular operations with entries reduced mod d.
+def _xgcd_step(p, x):
+    """(h, s, t, u, v) for positive p and x, with h = gcd(p, x) = s*p + t*x.
 
-    a holds entries in [0, d) and is consumed.  Minimal pivots and
-    Euclidean clearing as in smith_normal_form, but without transforms
-    and without forcing a divisibility chain.
+    [[s, t], [-u, v]] has determinant 1 and takes (p, x) to (h, 0).
     """
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        piv = _min_abs_nonzero(a, t, rows, cols)
-        if piv is None:
-            break
-        a[t], a[piv[0]] = a[piv[0]], a[t]
+    h = gcd(p, x)
+    s = pow(p // h, -1, x // h)
+    return h, s, (h - s * p) // x, x // h, p // h
+
+
+def _least_gcd_entry(a, d):
+    """(i, j, g) for an entry a[i][j] whose g = gcd(a[i][j], d) is least.
+
+    The first entry with g = 1 ends the search; None if every entry is 0.
+    Entries lie in [0, d), so x % g is nonzero only for a nonzero x that
+    is not a multiple of the best g so far, the only ones that can beat it.
+    """
+    best, g = None, d
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if x % g:
+                h = gcd(x, d)
+                if h < g:
+                    best, g = (i, j), h
+                    if g == 1:
+                        return i, j, 1
+    return None if best is None else (*best, g)
+
+
+def _cyclic_orders_mod(a, d):
+    """Orders of the cyclic summands of (Z/d)^rows / (column span of a).
+
+    Gaussian elimination over the ring Z/d, step 2 of the module
+    docstring; a holds entries in [0, d) and is consumed.
+    """
+    orders = []
+    while (piv := _least_gcd_entry(a, d)) is not None:
+        i, j, g = piv
+        while g > 1:
+            # Combine: an entry x of the pivot's column (or row) that g does
+            # not divide goes into the pivot by one unimodular 2 x 2 step,
+            # which leaves gcd(p, x) there and 0 in place of x.
+            p = a[i][j]
+            k = next((k for k, row in enumerate(a) if row[j] % g), None)
+            if k is not None:
+                h, s, t, u, v = _xgcd_step(p, a[k][j])
+                ri, rk = a[i], a[k]
+                a[i] = [(s * y + t * z) % d for y, z in zip(ri, rk)]
+                a[k] = [(v * z - u * y) % d for y, z in zip(ri, rk)]
+            else:
+                k = next((k for k, y in enumerate(a[i]) if y % g), None)
+                if k is None:
+                    break
+                h, s, t, u, v = _xgcd_step(p, a[i][k])
+                for row in a:
+                    y, z = row[j], row[k]
+                    row[j], row[k] = (s * y + t * z) % d, (v * z - u * y) % d
+            g = gcd(h, d)
+        # Clean: q * p = x (mod d) clears each entry x of the pivot column.
+        # The pivot row and column then split off Z/g and are dropped.
+        prow = a.pop(i)
+        dg = d // g
+        inv = pow(prow.pop(j) // g, -1, dg)
         for row in a:
-            row[t], row[piv[1]] = row[piv[1]], row[t]
-        while True:
-            # Remainders are exact: 0 <= x - q*p < p < d.
-            for i in range(t + 1, rows):
-                while a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    a[i][t:] = [(x - q * y) % d for x, y in zip(a[i][t:], a[t][t:])]
-                    if a[i][t] != 0:
-                        a[i], a[t] = a[t], a[i]
-            for j in range(t + 1, cols):
-                while a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    for row in a[t:]:
-                        row[j] = (row[j] - q * row[t]) % d
-                    if a[t][j] != 0:
-                        for row in a[t:]:
-                            row[t], row[j] = row[j], row[t]
-            if all(a[i][t] == 0 for i in range(t + 1, rows)):
-                break
-        t += 1
-    return [a[i][i] for i in range(limit)]
+            x = row.pop(j)
+            if x:
+                q = x // g * inv % dg
+                row[:] = [(y - q * z) % d for y, z in zip(row, prow)]
+        orders.append(g)
+    return orders + [d] * len(a)
 
 
 def _invariant_factors(orders):
@@ -360,21 +418,18 @@ def cokernel(m):
     """Structure of Z^rows / (column span of m) as an AbelianGroup.
 
     Determinant-modular, as laid out in the module docstring: Bareiss
-    gives the rank rho and a nonzero rho x rho minor Delta; the matrix is
-    then diagonalised with entries reduced mod D = |Delta|.  The group
-    read off, Z/gcd(a_i, D) per diagonal entry and Z/D per row without
-    one, equals Z/d_1 + ... + Z/d_rho + (Z/D)^(rows - rho), because the
-    invariant factors d_i of m multiply to a divisor of Delta and so
-    gcd(d_i, D) = d_i.  The torsion is the chain with its top rows - rho
-    factors (each D) dropped.
+    gives the rank rho and a nonzero rho x rho minor Delta; elimination
+    over Z/D, D = |Delta|, then splits (Z/D)^rows / (column span of m)
+    into cyclic groups.  That group equals Z/d_1 + ... + Z/d_rho +
+    (Z/D)^(rows - rho), because the invariant factors d_i of m multiply
+    to a divisor of Delta and so gcd(d_i, D) = d_i.  The torsion is the
+    chain with its top rows - rho factors (each D) dropped.
     """
     rows = m.rows
     rank, delta = _bareiss(m.row_lists())
     d = abs(delta)
     if rank == 0 or d == 1:
         return AbelianGroup(rows - rank)
-    a = [[x % d for x in row] for row in m.row_lists()]
-    diag = _diagonal_mod(a, rows, m.cols, d)
-    orders = [gcd(x, d) for x in diag] + [d] * (rows - len(diag))
+    orders = _cyclic_orders_mod([[x % d for x in row] for row in m._data], d)
     chain = _invariant_factors(orders)
     return AbelianGroup(rows - rank, tuple(chain[:len(chain) - (rows - rank)]))

@@ -183,8 +183,11 @@ def write_openbook(ob, path):
 def _relation_matrix(phi, defects=()):
     """Phi - I, followed by one column per defect class."""
     rank = phi.rows
-    rows = [[phi.entry(i, j) - (i == j) for j in range(rank)] + [d[i] for d in defects]
-            for i in range(rank)]
+    rows = []
+    for i in range(rank):
+        row = list(phi.row(i))
+        row[i] -= 1
+        rows.append(row + [d[i] for d in defects])
     return IntMatrix(rank, rank + len(defects), rows)
 
 

@@ -34,6 +34,25 @@ def det_bareiss(rows):
     return sign * a[n - 1][n - 1]
 
 
+def rank_mod_p(rows, p):
+    """Rank over F_p (Gaussian elimination on the rows reduced mod the prime p)."""
+    a = [[x % p for x in r] for r in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        prow = [x * inv % p for x in a[rank]]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col]
+            if f:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], prow)]
+        rank += 1
+    return rank
+
+
 def mat_rows(m):
     return [list(m.row(i)) for i in range(m.rows)]
 

@@ -130,6 +130,15 @@ def test_usage_error_exits_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [("--help",), ("h1", "--help"), ("stabilize", "-h")])
+def test_help_goes_to_out_and_returns_0(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps help to the terminal width
+    code, out, err = go(*argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: obembed")
+    assert fresh_process(*argv) == (code, out, err)
+
+
 def test_stabilize_round_trip(lens_file, tmp_path):
     out_path = str(tmp_path / "st.ob")
     code, _, _ = go("stabilize", lens_file, "--join", "1", "2", "--out", out_path)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obembed import AbelianGroup, IntMatrix, cokernel, smith_normal_form
-from obembed.intlinalg import _bareiss
+from obembed.intlinalg import _bareiss, _cyclic_orders_mod, _invariant_factors
 
 from helpers import det_bareiss, mat_rows, random_int_matrix, random_unimodular
 
@@ -156,9 +156,46 @@ def test_cokernel_more_rows_than_rank():
     assert cokernel(IntMatrix.from_rows([[6], [0], [0]])) == AbelianGroup(2, (6,))
 
 
+# One fixed matrix per step of the elimination over Z/D; the comment names
+# the step the first pivot takes (D is the Bareiss minor, shown mod D).
+@pytest.mark.parametrize("rows", [
+    [[3, 1], [1, 3]],            # D = 8: unit pivot 3, q = 1 * 3^-1 = 3 mod 8
+    [[6, 2], [2, 6]],            # D = 32: clean pivot 6, g = 2, q = 1 * 3^-1 mod 16
+    [[6, 9], [10, 0]],           # D = 90: g = 6 does not divide 10 below it: row combine
+    [[15, 0, 6], [10, 6, 0]],    # D = 90: g = 6 divides its column, not 15 beside it:
+                                 # column combine
+    [[6, 10, 0], [15, 0, 0], [0, 0, 30]],   # D = 4500: 6 and 15 combine to g = 3
+])
+def test_elimination_steps_match_snf(rows):
+    m = IntMatrix.from_rows(rows)
+    d, _, _ = smith_normal_form(m)
+    assert cokernel(m) == group_from_diagonal(m.rows, d.diagonal())
+
+
+@pytest.mark.parametrize("rows, d", [
+    ([[3, 1], [1, 3]], 8),
+    ([[6, 2], [2, 6]], 32),
+    ([[6, 9], [10, 0]], 90),
+    ([[15, 0, 6], [10, 6, 0]], 90),
+    ([[2, 3], [3, 0]], 6),          # D need not be the determinant here
+    ([[4, 0, 6], [0, 0, 0]], 8),    # a row with no pivot contributes Z/D
+])
+def test_cyclic_orders_mod_is_the_quotient_by_d(rows, d):
+    # (Z/d)^r / span(M) is the cokernel of [M | d*I] over Z.
+    r = len(rows)
+    m = IntMatrix.from_rows([row + [d * (i == j) for j in range(r)]
+                             for i, row in enumerate(rows)])
+    orders = _cyclic_orders_mod([list(row) for row in rows], d)
+    assert len(orders) == r
+    diag, _, _ = smith_normal_form(m)
+    group = AbelianGroup(0, tuple(_invariant_factors(orders)))
+    assert group == group_from_diagonal(r, diag.diagonal())
+
+
 @st.composite
 def relation_matrices(draw):
-    """Rectangular matrices up to 8 x 10: dense, low-rank or a scrambled diagonal.
+    """Rectangular matrices up to 8 x 10: dense, low-rank, a scrambled diagonal,
+    or with every entry sharing a factor with the determinant D.
 
     Entries are small or at least 60 bits; some rows and columns are zeroed.
     """
@@ -170,9 +207,14 @@ def relation_matrices(draw):
     def grid(r, c, values=small):
         return [[draw(values) for _ in range(c)] for _ in range(r)]
 
-    kind = draw(st.sampled_from(["dense", "low-rank", "diagonal"]))
+    kind = draw(st.sampled_from(["dense", "low-rank", "diagonal", "shared-factor"]))
     if kind == "dense":
         a = grid(rows, cols, entry)
+    elif kind == "shared-factor":
+        # Every entry is a multiple of 6 and 6^rho divides every rho x rho
+        # minor, so no entry is a unit mod D: only non-unit pivots and combines.
+        a = grid(rows, cols, st.sampled_from([0, 2, 3, 4, 6, 8, 9, 10, 12, 15])
+                 .flatmap(lambda x: st.sampled_from([6 * x, -6 * x])))
     elif kind == "low-rank":
         inner = draw(st.integers(0, max(0, min(rows, cols) - 1)))
         a = (IntMatrix(rows, inner, grid(rows, inner, entry))

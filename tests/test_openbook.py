@@ -144,6 +144,71 @@ def test_conjugation_invariance():
         assert closed_h1(other) == closed_h1(ob)
 
 
+# Oracles at rank 100-120, sharing no code with cokernel: local ranks mod
+# small primes, the determinant, and invariance under stabilization and
+# conjugation.  The words are long enough that Phi - I has full rank.
+
+def long_word_book(g, n, length):
+    page = Surface(g, n)
+    cfg = lickorish_system(page)
+    rng = random.Random(1000 * g + n)
+    names = cfg.names()
+    word = TwistWord(tuple((rng.choice(names), rng.choice((-2, -1, 1, 2)))
+                           for _ in range(length)))
+    return AbstractOpenBook(page, word, cfg)
+
+
+def relation_rows(ob):
+    """Phi - I and one defect column per arc, built from the word action alone."""
+    phi = word_action(ob.word, ob.config)
+    defects = [arc_defect(ob.word, i, ob.config) for i in range(1, ob.page.boundary_count)]
+    rows = [list(phi.row(i)) + [d[i] for d in defects] for i in range(phi.rows)]
+    for i in range(phi.rows):
+        rows[i][i] -= 1
+    return rows
+
+
+@pytest.mark.parametrize("g, n", [(50, 4), (60, 1)])
+def test_closed_h1_local_ranks_mod_p_at_rank_100_plus(g, n):
+    # Z^f + sum Z/d_i tensored with F_p has dimension f + #{d_i : p | d_i},
+    # which is also rows - rank_Fp of the relation matrix.
+    from helpers import rank_mod_p
+    ob = long_word_book(g, n, 2000)
+    rows = relation_rows(ob)
+    assert 100 <= len(rows) <= 120
+    h = closed_h1(ob)
+    assert h.torsion
+    for p in (2, 3, 5, 7):
+        local = h.free_rank + sum(1 for d in h.torsion if d % p == 0)
+        assert local == len(rows) - rank_mod_p(rows, p), p
+
+
+@pytest.mark.parametrize("g, length", [(50, 1500), (60, 2000)])
+def test_torsion_order_equals_det_at_rank_100_plus(g, length):
+    from math import prod
+    from helpers import det_bareiss
+    ob = long_word_book(g, 1, length)
+    det = det_bareiss(relation_rows(ob))
+    assert det != 0
+    h = closed_h1(ob)
+    assert h.free_rank == 0
+    assert prod(h.torsion) == abs(det)
+
+
+def test_closed_h1_invariance_at_rank_100_plus():
+    ob = long_word_book(50, 3, 1500)
+    assert ob.page.h1_rank == 102
+    h = closed_h1(ob)
+    assert len(h.torsion) > 5
+    rng = random.Random(59)
+    psi = random_word(rng, ob.config, 100)
+    conj = AbstractOpenBook(ob.page, psi.concat(ob.word).concat(psi.inverse()), ob.config)
+    for other in (stabilize_positive(ob, SameBoundary(2)),
+                  stabilize_positive(ob, JoinBoundaries(1, 3)),
+                  conj):
+        assert closed_h1(other) == h
+
+
 # identify
 
 def test_identify_catalog():
