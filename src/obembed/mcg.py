@@ -14,13 +14,15 @@ e * (<r, c> + <v, [c]>) * [c], where v is the defect accumulated so
 far.  The defect of a word along arc i is the class of (word(r_i) -
 r_i), the quantity the boundary filling of an open book kills.
 
-Both are computed by one rule, applied to a matrix held as rows: each
-letter multiplies it on the left by I + e * c (Jc)^T, which touches only
-the rows in the support of c.  The word action starts from the identity,
-the arc defect from the zero column with the arc's crossing numbers
-(``Surface.crossing``) as shifts; the pairing is ``Surface.dual``.
-``twist_matrix`` keeps the closed form of a single letter for the
-relation checks.
+Both are computed in one pass over the augmented matrix [I | 0]
+(rank x (rank + n - 1)), held as rows: each letter multiplies it on the
+left by I + e * c (Jc)^T, with the arcs' crossing numbers <r_i, c> added
+to the defect columns, and only the rows in the support of c change.
+The result is [Phi | delta_1 .. delta_{n-1}]; without arcs the pass
+starts from I alone and yields Phi.  The per-curve data (the supports of
+c and Jc and the sparse crossing shift) come from ``CurveConfig.twist``,
+built once per configuration.  ``twist_matrix`` keeps the closed form of
+a single letter for the relation checks.
 """
 
 from __future__ import annotations
@@ -41,19 +43,22 @@ class WordSyntaxError(ValueError):
 class TwistWord:
     """An ordered word of (curve_name, exponent) letters.
 
-    Zero exponents are dropped on construction; the word is otherwise
-    kept letter-for-letter (words with equal matrices are not merged).
+    Names must be strings and exponents ints (not bools); anything else
+    raises ValueError.  Zero exponents are dropped on construction; the
+    word is otherwise kept letter-for-letter (words with equal matrices
+    are not merged).
     """
 
     letters: tuple = ()
 
     def __post_init__(self):
-        cleaned = []
         for name, exp in self.letters:
-            exp = int(exp)
-            if exp != 0:
-                cleaned.append((str(name), exp))
-        object.__setattr__(self, "letters", tuple(cleaned))
+            # bool is a subclass of int, so it is rejected by the exact type test
+            if not isinstance(name, str) or type(exp) is not int:
+                raise ValueError(f"twist letter needs a string name and an integer "
+                                 f"exponent, got ({name!r}, {exp!r})")
+        object.__setattr__(self, "letters",
+                           tuple((name, exp) for name, exp in self.letters if exp))
 
     def __len__(self):
         return len(self.letters)
@@ -117,46 +122,56 @@ def twist_matrix(curve, sign, page):
     return IntMatrix(rank, rank, rows)
 
 
-def _transvect(rows, word, cfg, shift=None):
+def _transvect(rows, word, cfg, arcs):
     """Apply a word's action to a matrix given by its rows (updated in place).
 
     Letters act rightmost first, each as T = I + e * c (Jc)^T on the
     left: w = (Jc)^T . rows + s, then row i += e * c_i * w for each i in
-    the support of c.  s is ``shift(c)``, one entry per column (an arc's
-    crossing number), or nothing for classes.  The supports of c and Jc
-    are computed once per distinct curve.
+    the support of c; s is the letter's arc shift if ``arcs`` is set.
+    The rows stay independent (their leading block is invertible), so w
+    is zero exactly for a letter with no pairing and no shift, which is
+    skipped.  A shift alone touches only its columns; one pairing entry
+    (k, b) and no shift adds (e * c_i * b) * row k directly.
     """
-    letters = list(word)
-    page = cfg.surface
-    prepared = {}
-    for name in dict.fromkeys(name for name, _ in letters):
-        c = cfg.curve(name).homology_class
-        s = shift(c) if shift else None
-        prepared[name] = ([(i, a) for i, a in enumerate(c) if a],
-                          [(k, b) for k, b in enumerate(page.dual(c)) if b],
-                          s if s and any(s) else None)
-    for name, exp in reversed(letters):
-        support, pairing, s = prepared[name]
-        w = s
-        for k, b in pairing:
-            r = rows[k]
-            w = [b * y for y in r] if w is None else [x + b * y for x, y in zip(w, r)]
-        if w is None or not any(w):
+    twist = cfg.twist
+    for name, exp in reversed(word.letters):
+        support, pairing, shift = twist(name)
+        if not arcs:
+            shift = None
+        if not pairing:
+            if shift:
+                for i, a in support:
+                    row, m = rows[i], exp * a
+                    for col, s in shift:
+                        row[col] += m * s
             continue
+        (k, b), *rest = pairing
+        if not rest and not shift:
+            w, exp = rows[k], exp * b  # w = b * row k, with b folded into the factor
+        else:
+            w = [b * y for y in rows[k]]
+            for k, b in rest:
+                w = [x + b * y for x, y in zip(w, rows[k])]
+            for col, s in shift or ():
+                w[col] += s
         for i, a in support:
             m = exp * a
             rows[i] = [x + m * y for x, y in zip(rows[i], w)]
 
 
-def word_action(word, cfg):
+def word_action(word, cfg, arcs=False):
     """Homology action of a word; rightmost letter acts first.
 
-    Column j is the image of the j-th basis class.
+    Column j is the image of the j-th basis class.  With ``arcs`` the
+    matrix is [Phi | delta_1 .. delta_{n-1}]: column rank + i - 1 holds
+    the defect class of arc i.
     """
-    rank = cfg.surface.h1_rank
-    rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
-    _transvect(rows, word, cfg)
-    return IntMatrix(rank, rank, rows)
+    page = cfg.surface
+    rank = page.h1_rank
+    width = rank + max(page.boundary_count - 1, 0) if arcs else rank
+    rows = [[0] * i + [1] + [0] * (width - i - 1) for i in range(rank)]
+    _transvect(rows, word, cfg, arcs)
+    return IntMatrix(rank, width, rows)
 
 
 def arc_defect(word, arc_index, cfg):
@@ -164,15 +179,15 @@ def arc_defect(word, arc_index, cfg):
 
     The running defect v starts at zero and follows the transvection
     rule shifted by the arc's crossing number: on letter (c, e) it picks
-    up e*(<r,c> + <v,[c]>)*[c].  Raises IndexError when the page has no
-    such arc, whatever the word.
+    up e*(<r,c> + <v,[c]>)*[c].  It is one column of the ``arcs`` word
+    action.  Raises IndexError when the page has no such arc, whatever
+    the word.
     """
     page = cfg.surface
-    rows = [[0] for _ in range(page.h1_rank)]
     page.crossing(arc_index, (0,) * page.h1_rank)  # the range check, also for empty words
-    _transvect(rows, word, cfg, lambda c: [page.crossing(arc_index, c)])
-    (v,) = zip(*rows)
-    return v
+    action = word_action(word, cfg, arcs=True)
+    col = page.h1_rank + arc_index - 1
+    return tuple(action.entry(i, col) for i in range(action.rows))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,8 @@ import json
 from dataclasses import dataclass
 
 from .intlinalg import AbelianGroup, IntMatrix, cokernel
-from .mcg import TwistWord, WordSyntaxError, format_word, parse_word, word_action, arc_defect
+# arc_defect is unused here; bench/tracer.py wraps it under this module's name
+from .mcg import TwistWord, WordSyntaxError, arc_defect, format_word, parse_word, word_action
 from .surface import (ConfiguredCurve, CurveConfig, Surface, boundary_class,
                       config_from_dict, config_to_dict, lickorish_system)
 
@@ -180,15 +181,12 @@ def write_openbook(ob, path):
         fh.write(serialize_openbook(ob))
 
 
-def _relation_matrix(phi, defects=()):
-    """Phi - I, followed by one column per defect class."""
-    rank = phi.rows
-    rows = []
-    for i in range(rank):
-        row = list(phi.row(i))
+def _relation_matrix(action):
+    """A word action with I subtracted from its leading square block."""
+    rows = action.row_lists()
+    for i, row in enumerate(rows):
         row[i] -= 1
-        rows.append(row + [d[i] for d in defects])
-    return IntMatrix(rank, rank + len(defects), rows)
+    return IntMatrix(action.rows, action.cols, rows)
 
 
 def mapping_torus_h1(ob):
@@ -199,9 +197,7 @@ def mapping_torus_h1(ob):
 
 def closed_h1(ob):
     """H1 of the closed manifold presented by the open book."""
-    phi = word_action(ob.word, ob.config)
-    defects = [arc_defect(ob.word, i, ob.config) for i in range(1, ob.page.boundary_count)]
-    return cokernel(_relation_matrix(phi, defects))
+    return cokernel(_relation_matrix(word_action(ob.word, ob.config, arcs=True)))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 This module is the only one that knows how page classes are written;
 every other module goes through ``Surface.unit``, ``Surface.dual``,
-``Surface.crossing``, ``boundary_class`` and the default curve table.
+``Surface.crossing``, ``CurveConfig.twist``, ``boundary_class`` and the
+default curve table.
 
 A page Sigma_{g,n} is drawn as g handles in a row followed by n-1
 punctures, all inside one outer boundary circle, which is boundary
@@ -67,7 +68,8 @@ MAX_PAGE_RANK = 1000
 
 # lickorish_system keeps the most recently used systems while their ranks
 # sum to at most this.  A system's size grows as rank^2, about 12 MiB at
-# rank 1000, so the cache stays within about 24 MiB.
+# rank 1000, so the cache stays within about 24 MiB.  The twist tables of
+# CurveConfig.twist add about 1 MiB at rank 1000 (tracemalloc, Sigma_{0,1000}).
 SYSTEM_CACHE_RANK = 2 * MAX_PAGE_RANK
 
 
@@ -172,6 +174,7 @@ class CurveConfig:
     curves: tuple
     standard: bool = True
     _index: dict = field(default=None, repr=False, compare=False)
+    _twists: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "curves", tuple(self.curves))
@@ -193,12 +196,32 @@ class CurveConfig:
         if out:
             raise ValueError("; ".join(out))
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_twists", {})
 
     def curve(self, name):
         try:
             return self._index[name]
         except KeyError:
             raise KeyError(f"unknown curve name {name!r}") from None
+
+    def twist(self, name):
+        """(support of c, support of Jc, arc shift) of curve ``name``, built once.
+
+        Each is a tuple of nonzero (index, entry) pairs; the shift holds
+        <r_i, c> at column rank + i - 1 of [Phi | delta_1 .. delta_{n-1}],
+        or is None when c crosses no arc.  It is sparse: a dense shift
+        row per curve would cost rank^2 on planar pages.
+        """
+        data = self._twists.get(name)
+        if data is None:
+            page, c = self.surface, self.curve(name).homology_class
+            rank = page.h1_rank
+            shift = tuple((rank + i - 1, x) for i in range(1, page.boundary_count)
+                          if (x := page.crossing(i, c)))
+            data = self._twists[name] = (tuple((i, a) for i, a in enumerate(c) if a),
+                                         tuple((k, b) for k, b in enumerate(page.dual(c)) if b),
+                                         shift or None)
+        return data
 
     def has_curve(self, name):
         return name in self._index

@@ -1,8 +1,10 @@
 """Smoke run of the benchmark harness: one smallest pass per workload.
 
-Runs ``bench/run.py --smoke`` in a subprocess and checks only the shape
-of its last-line JSON and that every output was correct; there are no
-timing asserts.  The full ``bench/selftest.py`` stays out of this suite.
+Runs ``bench/run.py --smoke`` in a subprocess, untraced and traced, and
+checks only the shape of its last-line JSON and that every output was
+correct; there are no timing asserts.  The traced run catches a package
+change that breaks the outside tracer.  The full ``bench/selftest.py``
+stays out of this suite.
 """
 
 import json
@@ -13,18 +15,23 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ["h1-batch", "h1-highrank", "cert-roundtrip"]
 END_TO_END = {"setup_s", "throughput_per_s", "latency_p50_ms", "latency_tail_ms",
               "peak_rss_mb"}
 
 
-@pytest.mark.parametrize("workload", ["h1-batch", "h1-highrank", "cert-roundtrip"])
-def test_bench_smoke(workload):
+def smoke_report(workload, trace):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
-         "--seed", "7", "--seconds", "1", "--trace", "0", "--smoke"],
+         "--seed", "7", "--seconds", "1", "--trace", trace, "--smoke"],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_bench_smoke(workload):
+    report = smoke_report(workload, "0")
     assert {"correct", "attempted", "failed", "metrics"} <= set(report)
     assert set(report["metrics"]) == END_TO_END
     for metric in report["metrics"].values():
@@ -33,3 +40,11 @@ def test_bench_smoke(workload):
     assert report["attempted"] > 0
     if workload == "h1-highrank":
         assert report["failed"] == 0
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_bench_smoke_traced(workload):
+    report = smoke_report(workload, "1")
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(report["metrics"]) == {m["name"] for m in per_layer}
+    assert report["correct"] is True

@@ -12,9 +12,9 @@ import random
 
 import pytest
 
-from obembed import (AbstractOpenBook, IntMatrix, Surface, TwistWord, WordSyntaxError,
-                     arc_defect, format_word, lickorish_system, parse_word,
-                     relation_report, twist_matrix, word_action)
+from obembed import (AbstractOpenBook, IntMatrix, JoinBoundaries, Surface, TwistWord,
+                     WordSyntaxError, arc_defect, format_word, lickorish_system, parse_word,
+                     relation_report, stabilize_positive, twist_matrix, word_action)
 
 from helpers import det_bareiss, mat_rows, pairing_matrix, random_word
 
@@ -48,6 +48,18 @@ def test_parse_rejects_garbage():
 def test_zero_exponents_dropped():
     w = TwistWord((("a1", 0), ("b1", 2)))
     assert w.letters == (("b1", 2),)
+
+
+@pytest.mark.parametrize("letter", [("a1", 1.7), ("a1", 2.0), ("a1", "3"), ("a1", True),
+                                    ("a1", None), (1, 1), (None, 2), (b"a1", 1)])
+def test_twist_word_takes_string_names_and_int_exponents(letter):
+    with pytest.raises(ValueError, match="string name and an integer exponent"):
+        TwistWord((letter,))
+
+
+def test_twist_word_accepts_large_and_negative_ints():
+    big = 10 ** 40
+    assert TwistWord((("a1", big), ("b1", -3))).letters == (("a1", big), ("b1", -3))
 
 
 def test_radical_class_twists_trivially_on_h1():
@@ -286,6 +298,30 @@ def test_arc_defect_cocycle_at_rank_60_plus():
                 a + b for a, b in zip(d1, pushed))
             seen_nonzero = seen_nonzero or any(d1) or any(d2)
     assert seen_nonzero
+
+
+def test_arcs_action_on_letters_with_pairing_and_shift():
+    # No standard system has a letter whose class has both handle and D
+    # coordinates; JoinBoundaries(1, 3) on Sigma_{1,4} pushes e1, e2, e3 (and
+    # d3) to such classes on Sigma_{2,3}.  Every defect column of the one
+    # pass must match the twist-matrix recursion, and its leading block Phi.
+    rng = random.Random(53)
+    cfg, page = setup_surface(1, 4)
+    ob = stabilize_positive(AbstractOpenBook(page, fixed_length_word(rng, cfg, 30), cfg),
+                            JoinBoundaries(1, 3))
+    cfg, page = ob.config, ob.page
+    rank, arcs = page.h1_rank, page.boundary_count - 1
+    assert not cfg.standard and arcs == 2
+    both = {name for name in cfg.names() if cfg.twist(name)[1] and cfg.twist(name)[2]}
+    assert {"e1", "e2", "e3"} <= both
+    for w in (ob.word, fixed_length_word(rng, cfg, 40), fixed_length_word(rng, cfg, 40)):
+        action = word_action(w, cfg, arcs=True)
+        assert (action.rows, action.cols) == (rank, rank + arcs)
+        assert [r[:rank] for r in mat_rows(action)] == mat_rows(word_action(w, cfg))
+        for i in range(1, arcs + 1):
+            defect = tuple(r[rank + i - 1] for r in mat_rows(action))
+            assert defect == _defect_by_twist_matrices(w, i, cfg)
+            assert defect == arc_defect(w, i, cfg)
 
 
 def test_word_action_matches_twist_matrix_product_at_rank_30():

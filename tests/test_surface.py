@@ -1,6 +1,7 @@
 """Surface, pairing, arc crossing and default configuration tests."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -314,3 +315,30 @@ def test_load_override_rejects_non_integer_arc_entries():
         data = {**config_to_dict(cfg), "arcs": [rec]}
         with pytest.raises(ValueError, match="integer"):
             load_config_override(json.dumps(data), Surface(0, 2))
+
+
+def test_twist_table_is_sparse_and_lazy():
+    # a dense shift row per curve would cost rank^2: about 5 MiB here
+    page = Surface(0, 400)
+    cfg = CurveConfig(page, lickorish_system(page).curves)
+    assert (page.h1_rank, len(cfg), cfg._twists) == (399, 799, {})
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for name in cfg.names():
+            cfg.twist(name)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 1 << 20
+    assert cfg.twist("d400") is cfg.twist("d400")
+
+
+def test_twist_table_entries():
+    page = Surface(1, 3)
+    cfg = lickorish_system(page)
+    assert cfg.twist("a1") == (((0, 1),), ((1, -1),), None)
+    assert cfg.twist("d1") == (((2, 1),), (), ((4, 1),))
+    assert cfg.twist("d3") == (((2, -1), (3, -1)), (), ((4, -1), (5, -1)))
+    with pytest.raises(KeyError):
+        cfg.twist("zz")
