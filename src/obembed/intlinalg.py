@@ -13,7 +13,18 @@ section 2.4):
 
 1. Fraction-free elimination (Bareiss 1968) gives the rank rho of the
    r x c relation matrix M and its last pivot Delta, a nonzero rho x rho
-   minor.  If rho = 0 or |Delta| = 1 the cokernel is free.
+   minor.  If rho = 0 or |Delta| = 1 the cokernel is free.  The pivot
+   is the first nonzero entry of its column.  Scaling is deferred: the
+   eager sweep multiplies a row with a 0 in the pivot column by
+   piv / prev, and these factors telescope, so such a row is left alone
+   and remembers the pivot it was last rewritten under, its level l.
+   When it next has a nonzero x in the pivot column, each entry y is
+   rewritten as (y * piv - x * z) / l, z being the pivot row's entry in
+   y's column; when it is next the pivot row it is first brought up as
+   y * prev / l.  Both divisions are exact, since the
+   results are the eager sweep's entries, which are minors of M.  A
+   stale row is zero exactly where the eager row is, so the pivot order,
+   rho and Delta are the eager sweep's.
 2. Otherwise let D = |Delta|.  Z^r / (column span of M + D*Z^r) is
    (Z/D)^r / (column span of M mod D), and Gaussian elimination over the
    ring Z/D splits it into cyclic groups.  Invertible row operations mod
@@ -49,9 +60,11 @@ section 2.4):
    length r ends in r - rho copies of D, and its first rho factors are
    d_1..d_rho.  The cokernel is Z^(r - rho) plus those factors.
 
-Each unit pivot costs one row update per nonzero row of its column and
-no column work; the work is bounded by the bit length of D rather than
-by the growth of the transforms.
+Each Bareiss step rewrites only the rows with a nonzero entry in its
+pivot column, so on the sparse relation matrices of open books most
+rows sit out most steps.  Each unit pivot mod D costs one row update per
+nonzero row of its column and no column work; the work is bounded by the
+bit length of D rather than by the growth of the transforms.
 """
 
 from __future__ import annotations
@@ -305,9 +318,21 @@ def _bareiss(a):
 
     The pivot is, up to sign, a nonzero rank x rank minor; it is 1 for
     rank 0.  Consumes a.
+
+    Scaling is deferred: a row is rewritten only at the steps where its
+    entry in the pivot column is nonzero, and level[i] is the pivot it
+    was last rewritten under (1 at the start).  The eager sweep would
+    multiply it by piv / prev at each skipped step; those factors
+    telescope, so the row is the eager one times level[i] / prev.  The
+    update (y * piv - x * z) // level[i], and the catch-up
+    y * prev // level[i] of a stale pivot row, give the eager values
+    exactly, because those are Bareiss entries (minors).  A stale row is
+    zero where the eager row is, so the pivot order and Delta are the
+    eager sweep's.  Levels move with their rows when rows are swapped.
     """
     rows = len(a)
     cols = len(a[0]) if a else 0
+    level = [1] * rows
     rank, prev, col = 0, 1, 0
     while rank < rows and col < cols:
         p = next((i for i in range(rank, rows) if a[i][col] != 0), None)
@@ -315,13 +340,20 @@ def _bareiss(a):
             col += 1
             continue
         a[rank], a[p] = a[p], a[rank]
+        level[rank], level[p] = level[p], level[rank]
         prow = a[rank][col:]
+        lp = level[rank]
+        if lp != prev:
+            prow = [y * prev // lp for y in prow]
         piv = prow[0]
         for i in range(rank + 1, rows):
             ai = a[i]
             x = ai[col]
-            # Entries left of col are zero in both rows; the division is exact.
-            ai[col:] = [(y * piv - x * z) // prev for y, z in zip(ai[col:], prow)]
+            if x:
+                # Entries left of col are zero in both rows.
+                li = level[i]
+                ai[col:] = [(y * piv - x * z) // li for y, z in zip(ai[col:], prow)]
+                level[i] = piv
         prev = piv
         rank += 1
         col += 1

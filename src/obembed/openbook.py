@@ -308,7 +308,7 @@ def stabilize_positive(ob, attachment):
     fresh over-the-band curve followed by the old word.
     """
     new_page, images, fresh_class = _attach(ob.page, attachment)
-    kept_names = list(dict.fromkeys(name for name, _ in ob.word))
+    kept_names = ob.word.curve_names()
     fresh = _fresh_name(set(kept_names))
     pushed = [ConfiguredCurve(fresh, "boundary_parallel"
                               if isinstance(attachment, SameBoundary) else "handle_a",

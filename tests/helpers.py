@@ -34,6 +34,32 @@ def det_bareiss(rows):
     return sign * a[n - 1][n - 1]
 
 
+def bareiss_rank_minor(rows):
+    """(rank, signed last pivot) of eager fraction-free elimination.
+
+    The textbook rectangular sweep: the first nonzero entry of the
+    column is the pivot, and every row below it is updated at every
+    step, rows with a zero in the pivot column included.
+    """
+    a = [list(r) for r in rows]
+    nrows, ncols = len(a), len(a[0]) if a else 0
+    rank, prev = 0, 1
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        piv = next((i for i in range(rank, nrows) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(rank + 1, nrows):
+            for j in range(col + 1, ncols):
+                a[i][j] = (a[i][j] * a[rank][col] - a[i][col] * a[rank][j]) // prev
+            a[i][col] = 0
+        prev = a[rank][col]
+        rank += 1
+    return rank, prev
+
+
 def rank_mod_p(rows, p):
     """Rank over F_p (Gaussian elimination on the rows reduced mod the prime p)."""
     a = [[x % p for x in r] for r in rows]

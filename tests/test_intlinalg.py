@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from obembed import AbelianGroup, IntMatrix, cokernel, smith_normal_form
 from obembed.intlinalg import _bareiss, _cyclic_orders_mod, _invariant_factors
 
-from helpers import det_bareiss, mat_rows, random_int_matrix, random_unimodular
+from helpers import (bareiss_rank_minor, det_bareiss, mat_rows, random_int_matrix,
+                     random_unimodular)
 
 
 def snf_is_consistent(m):
@@ -154,6 +155,75 @@ def test_cokernel_more_rows_than_rank():
     assert _bareiss(m.row_lists())[0] == 1
     assert cokernel(m) == AbelianGroup(3, (2,))
     assert cokernel(IntMatrix.from_rows([[6], [0], [0]])) == AbelianGroup(2, (6,))
+
+
+def random_sparse_rows(rng, rows, cols, density, big):
+    """Entries nonzero with the given probability, small or of 60 to 64 bits."""
+    def entry():
+        if rng.random() >= density:
+            return 0
+        x = rng.randint(2 ** 60, 2 ** 64) if big else rng.randint(1, 9)
+        return rng.choice((x, -x))
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def test_bareiss_matches_eager_sweep_on_sparse_matrices():
+    rng = random.Random(20261018)
+    for n in range(240):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        if n % 2:
+            rows, cols = min(rows, cols), max(rows, cols) + 1
+        else:
+            rows, cols = max(rows, cols) + 1, min(rows, cols)
+        a = random_sparse_rows(rng, rows, cols, rng.uniform(0.05, 0.4), n % 3 == 0)
+        for i in rng.sample(range(rows), rng.randint(0, min(2, rows))):
+            a[i] = [0] * cols
+        for j in rng.sample(range(cols), rng.randint(0, min(2, cols))):
+            for row in a:
+                row[j] = 0
+        assert _bareiss([list(r) for r in a]) == bareiss_rank_minor(a), a
+
+
+@pytest.mark.parametrize("rows", [
+    # Row 2 skips step 0; at step 1 it is the first nonzero of column 1,
+    # below row 1 (updated, now 0 there), so a stale row is swapped in as pivot.
+    [[2, 1, 0, 0], [2, 1, 1, 0], [0, 3, 1, 1], [1, 0, 0, 1]],
+    # Row 3 skips steps 0 and 1 (pivots 2 and 3) and is updated at step 2.
+    [[2, 1, 1, 0], [1, 2, 0, 1], [1, 1, 3, 1], [0, 0, 1, 2]],
+])
+def test_bareiss_deferred_rows_match_eager_sweep(rows):
+    result = _bareiss([list(r) for r in rows])
+    assert result == bareiss_rank_minor(rows)
+    assert abs(result[1]) == abs(det_bareiss(rows))
+
+
+class CountingRow(list):
+    """A row that counts its item and slice assignments."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+
+def test_bareiss_leaves_rows_with_zero_pivot_entries_alone():
+    # M = diag(A, I_m): the eager sweep rewrites identity row k + j at every
+    # step up to its own, at least k times; the deferred one never does.
+    rng = random.Random(7)
+    k, m = 6, 5
+    dense = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(k)] for _ in range(k)]
+    grid = [row + [0] * m for row in dense] + [[0] * k + [int(i == j) for j in range(m)]
+                                               for i in range(m)]
+    a = [list(r) for r in grid[:k]] + [CountingRow(r) for r in grid[k:]]
+    identity_rows = a[k:]
+    result = _bareiss(a)
+    assert result == bareiss_rank_minor(grid) and result[0] == k + m
+    assert [r.writes for r in identity_rows] == [0] * m
+    assert all(x is y for x, y in zip(a[k:], identity_rows))
+    assert [list(r) for r in a[k:]] == grid[k:]
 
 
 # One fixed matrix per step of the elimination over Z/D; the comment names
