@@ -10,9 +10,10 @@ The fixed parts of each certificate (scene constants, generator
 schedule, Euler and parity checks) come from one spec function per
 kind, a pure function of the input.  The builder emits the spec; the
 validator recomputes it from the certificate's own ``input`` and diffs
-it key by key.  Checked independently of the spec: H1 (recomputed),
-collar levels in (0, 1/2), the realization of the word in action
-order, and the completeness of the avoidance checklist.
+it key by key.  Checked independently of the spec: H1 and the S5
+normalization (both recomputed), collar levels in (0, 1/2), the
+realization of the word in action order, and the completeness of the
+avoidance checklist.
 
 Certificate wire format (JSON): top-level keys are exactly
 {kind, version, input, scene, schedule, checks}, version 1.
@@ -443,17 +444,20 @@ def _validate_annulus(cert, out):
 
 def _validate_s5_plan(cert, out):
     original = _openbook(_get(cert["input"], "openbook"), "input.openbook", out)
-    reduced = _openbook(_get(cert["scene"], "normalized_openbook"),
-                        "scene.normalized_openbook", out)
-    if original is None or reduced is None:
+    if original is None:
         return
-    if reduced.page.boundary_count != 1:
-        out.append("normalized page must have exactly one boundary component")
+    try:
+        reduced = reduce_to_one_boundary(original)
+    except ValueError as exc:  # a join past the page-rank cap
+        out.append(f"input.openbook: {exc}")
+        return
+    # H1 after the recomputed reduction cross-checks the stabilization code
     before, after = closed_h1(original), closed_h1(reduced)
     if before != after:
         out.append("normalization changed H1")
-    # the open books, the avoidance checklist and the realization are
-    # checked on their own
+    _diff("scene.normalized_openbook", reduced.to_dict(),
+          _get(cert["scene"], "normalized_openbook", _MISSING), out, "the input open book")
+    # the input, the avoidance checklist and the realization are checked on their own
     _diff_spec(_s5_spec(reduced, before, after), cert, out,
                "the input and normalized open books",
                free=("input.openbook", "scene.normalized_openbook", "scene.avoidance",

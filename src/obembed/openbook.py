@@ -27,9 +27,8 @@ configuration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .intlinalg import AbelianGroup, IntMatrix, cokernel
+from .intlinalg import AbelianGroup, IntMatrix, Value, cokernel
 # arc_defect is unused here; bench/tracer.py wraps it under this module's name
 from .mcg import TwistWord, WordSyntaxError, arc_defect, format_word, parse_word, word_action
 from .surface import (ConfiguredCurve, CurveConfig, Surface, boundary_class,
@@ -46,23 +45,25 @@ class OpenBookParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class AbstractOpenBook:
-    """A (page, monodromy word) pair presenting a closed 3-manifold."""
+class AbstractOpenBook(Value):
+    """A (page, monodromy word) pair presenting a closed 3-manifold.
 
-    page: Surface
-    word: TwistWord
-    config: CurveConfig
-    label: str = None
+    The label, if any, must be a string; anything else raises ValueError.
+    """
 
-    def __post_init__(self):
-        if self.page.boundary_count < 1:
+    __slots__ = ("page", "word", "config", "label")
+
+    def __init__(self, page, word, config, label=None):
+        if page.boundary_count < 1:
             raise ValueError("page must have boundary")
-        if self.config.surface != self.page:
+        if config.surface != page:
             raise ValueError("configuration belongs to a different surface")
-        for name, _ in self.word:
-            if not self.config.has_curve(name):
+        for name, _ in word:
+            if not config.has_curve(name):
                 raise ValueError(f"monodromy letter {name!r} is not a configured curve")
+        if label is not None and not isinstance(label, str):
+            raise ValueError(f"label must be a string, got {label!r}")
+        self._set(page, word, config, label)
 
     @classmethod
     def with_default_config(cls, page, word=TwistWord(), label=None):
@@ -200,19 +201,22 @@ def closed_h1(ob):
     return cokernel(_relation_matrix(word_action(ob.word, ob.config, arcs=True)))
 
 
-@dataclass(frozen=True)
-class SameBoundary:
+class SameBoundary(Value):
     """Plumb with both band feet on boundary component j."""
 
-    j: int
+    __slots__ = ("j",)
+
+    def __init__(self, j):
+        self._set(j)
 
 
-@dataclass(frozen=True)
-class JoinBoundaries:
+class JoinBoundaries(Value):
     """Plumb with the band joining distinct components j and k."""
 
-    j: int
-    k: int
+    __slots__ = ("j", "k")
+
+    def __init__(self, j, k):
+        self._set(j, k)
 
 
 def _push_classes(images, vector):

@@ -33,12 +33,14 @@ this table gives that kind.  ``lickorish_system`` drops the members
 that are null on a planar page: d_1 on the disk and e_1 on the annulus
 bound disks and twist trivially.
 
-Pages and configurations are valid by construction.  ``Surface``
-rejects a genus or boundary count that is not a nonnegative int, and
-``CurveConfig`` rejects duplicate names, classes of the wrong dimension
-and, when standard, classes outside the table; each raises one
-ValueError.  ``config_from_dict`` and ``load_config_override`` (JSON
-text, with an optional arc table) raise nothing else on malformed input.
+Pages, curves and configurations are immutable values (``Value``, from
+``intlinalg``: equality, hash and repr by field), valid by
+construction.  ``Surface`` rejects a genus or boundary count that is
+not a nonnegative int, and ``CurveConfig`` rejects duplicate names,
+classes of the wrong dimension and, when standard, classes outside the
+table; each raises one ValueError.  ``config_from_dict`` and
+``load_config_override`` (JSON text, with an optional arc table) raise
+nothing else on malformed input.
 
 Arcs r_1 .. r_{n-1} run from the base component to each puncture.  The
 algebraic crossing number of an arc with a curve depends only on the
@@ -57,7 +59,8 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from dataclasses import dataclass, field
+
+from .intlinalg import Value
 
 CURVE_KINDS = ("handle_a", "handle_b", "chain", "boundary_pair", "boundary_parallel")
 
@@ -73,20 +76,19 @@ MAX_PAGE_RANK = 1000
 SYSTEM_CACHE_RANK = 2 * MAX_PAGE_RANK
 
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(Value):
     """Compact orientable surface with genus g and n boundary circles."""
 
-    genus: int
-    boundary_count: int
+    __slots__ = ("genus", "boundary_count")
 
-    def __post_init__(self):
+    def __init__(self, genus, boundary_count):
         # bool is a subclass of int, so it is rejected by the exact type test
-        if type(self.genus) is not int or type(self.boundary_count) is not int:
-            raise ValueError(f"genus and boundary must be integers, got {self.genus!r}, "
-                             f"{self.boundary_count!r}")
-        if self.genus < 0 or self.boundary_count < 0:
+        if type(genus) is not int or type(boundary_count) is not int:
+            raise ValueError(f"genus and boundary must be integers, got {genus!r}, "
+                             f"{boundary_count!r}")
+        if genus < 0 or boundary_count < 0:
             raise ValueError("genus and boundary count must be nonnegative")
+        self._set(genus, boundary_count)
         if self.h1_rank > MAX_PAGE_RANK:
             raise ValueError(f"page rank {self.h1_rank} exceeds the limit {MAX_PAGE_RANK}")
 
@@ -139,28 +141,24 @@ def boundary_class(surface, m):
     return tuple(-1 if k >= 2 * g else 0 for k in range(surface.h1_rank))
 
 
-@dataclass(frozen=True)
-class ConfiguredCurve:
+class ConfiguredCurve(Value):
     """A named simple closed curve, remembered through its class only."""
 
-    name: str
-    kind: str
-    homology_class: tuple
+    __slots__ = ("name", "kind", "homology_class")
 
-    def __post_init__(self):
-        c = self.homology_class
-        if not isinstance(self.name, str):
-            raise ValueError(f"curve name must be a string, got {self.name!r}")
-        if self.kind not in CURVE_KINDS:
-            raise ValueError(f"unknown curve kind {self.kind!r}")
+    def __init__(self, name, kind, homology_class):
+        if not isinstance(name, str):
+            raise ValueError(f"curve name must be a string, got {name!r}")
+        if kind not in CURVE_KINDS:
+            raise ValueError(f"unknown curve kind {kind!r}")
         # bool is a subclass of int, so it is rejected by the exact type test
-        if not isinstance(c, (list, tuple)) or any(type(x) is not int for x in c):
-            raise ValueError(f"curve {self.name}: class must be a list of integers")
-        object.__setattr__(self, "homology_class", tuple(c))
+        if not isinstance(homology_class, (list, tuple)) or any(
+                type(x) is not int for x in homology_class):
+            raise ValueError(f"curve {name}: class must be a list of integers")
+        self._set(name, kind, tuple(homology_class))
 
 
-@dataclass(frozen=True)
-class CurveConfig:
+class CurveConfig(Value):
     """An ordered system of named curves on a fixed surface.
 
     standard=True marks the default (or a user-supplied standard)
@@ -170,33 +168,28 @@ class CurveConfig:
     system raises one ValueError listing every violation.
     """
 
-    surface: Surface
-    curves: tuple
-    standard: bool = True
-    _index: dict = field(default=None, repr=False, compare=False)
-    _twists: dict = field(default=None, repr=False, compare=False)
+    __slots__ = ("surface", "curves", "standard", "_index", "_twists")
 
-    def __post_init__(self):
-        object.__setattr__(self, "curves", tuple(self.curves))
-        rank = self.surface.h1_rank
+    def __init__(self, surface, curves, standard=True):
+        curves = tuple(curves)
+        rank = surface.h1_rank
         index, out = {}, []
-        for c in self.curves:
+        for c in curves:
             if c.name in index:
                 out.append(f"duplicate curve name {c.name!r}")
             index[c.name] = c
             if len(c.homology_class) != rank:
                 out.append(f"curve {c.name}: class has dimension {len(c.homology_class)}, "
                            f"expected {rank}")
-        if self.standard:
-            allowed = {(kind, c) for _, kind, c in _default_table(self.surface)}
+        if standard:
+            allowed = {(kind, c) for _, kind, c in _default_table(surface)}
             out += [f"{c.kind} curve {c.name}: class {list(c.homology_class)} "
-                    f"is not a default {c.kind} class" for c in self.curves
+                    f"is not a default {c.kind} class" for c in curves
                     if len(c.homology_class) == rank
                     and (c.kind, c.homology_class) not in allowed]
         if out:
             raise ValueError("; ".join(out))
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_twists", {})
+        self._set(surface, curves, standard, index, {})
 
     def curve(self, name):
         try:

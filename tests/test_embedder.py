@@ -183,6 +183,29 @@ def test_s5_plan_tamper_h1_record():
     assert any("h1_after" in v for v in violations)
 
 
+@pytest.mark.parametrize("normalized", ["t(a1)^-5 t(b1)^-1", "t(b1)^5 t(a1)"])
+def test_s5_plan_tamper_normalization(normalized):
+    # same H1 (Z/5) as the true normalization t(a1) t(b1)^5, with a matching
+    # realization; only recomputing the reduction of the input catches it
+    plan = build_s5_plan(book(0, 2, "t(d1)^5"))
+    assert plan["scene"]["normalized_openbook"]["word"] == "t(a1) t(b1)^5"
+    plan["scene"]["normalized_openbook"]["word"] = normalized
+    plan["schedule"]["monodromy"] = [
+        {"position": pos, "curve": name, "exponent": exp, "schedule_ref": name}
+        for pos, (name, exp) in enumerate(reversed(parse_word(normalized).letters), start=1)]
+    violations = validate_certificate(plan)
+    assert violations
+    assert violations[0].startswith("scene.normalized_openbook.word: expected 't(a1) t(b1)^5'")
+    assert all(v.startswith(("scene.normalized_openbook", "schedule.monodromy"))
+               for v in violations)
+
+
+def test_s5_plan_validation_is_total_past_the_rank_cap():
+    plan = build_s5_plan(book(0, 2, "t(d1)^5"))
+    plan["input"]["openbook"] = {"genus": 0, "boundary": 1001, "word": ""}
+    assert "input.openbook: page rank 1001 exceeds the limit 1000" in validate_certificate(plan)
+
+
 def test_s5_plan_tamper_reason_code():
     plan = build_s5_plan(book(0, 1))
     plan["scene"]["avoidance"][0]["reason"] = "wishful_thinking"

@@ -339,6 +339,26 @@ def test_abelian_group_validation():
         AbelianGroup(-1)
 
 
+@pytest.mark.parametrize("free_rank, torsion", [
+    (1.5, ()), (True, ()), ("1", ()), (None, ()), (2.0, ()),
+    (1, ("12",)), (True, ("12",)), (0, (2.0,)), (0, (True,)), (0, (2, 4.0)), (0, 12), (0, "12"),
+])
+def test_abelian_group_needs_integers(free_rank, torsion):
+    # no coercion: Z^1.5 and Z + Z/12 from (True, ("12",)) used to be accepted
+    with pytest.raises(ValueError, match="must be integers"):
+        AbelianGroup(free_rank, torsion)
+
+
+@pytest.mark.parametrize("data", [
+    {"free_rank": "1", "torsion": []}, {"free_rank": 1.0, "torsion": []},
+    {"free_rank": 1, "torsion": ["3"]}, {"free_rank": 1, "torsion": [3.0]},
+    {"free_rank": False, "torsion": [3]},
+])
+def test_abelian_group_from_dict_does_not_coerce(data):
+    with pytest.raises(ValueError, match="must be integers"):
+        AbelianGroup.from_dict(data)
+
+
 def test_abelian_group_describe():
     assert AbelianGroup(0).describe() == "0"
     assert AbelianGroup(1).describe() == "Z"

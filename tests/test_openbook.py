@@ -434,6 +434,17 @@ def test_from_dict_requires_integer_fields():
             AbstractOpenBook.from_dict(bad)
 
 
+@pytest.mark.parametrize("label", [7, True, ["lens"], {"name": "lens"}, b"lens"])
+def test_label_must_be_a_string(label):
+    page = Surface(0, 2)
+    with pytest.raises(ValueError, match="label must be a string"):
+        AbstractOpenBook(page, parse_word("t(d1)^5"), lickorish_system(page), label)
+    with pytest.raises(ValueError, match="label must be a string"):
+        AbstractOpenBook.from_dict({"genus": 0, "boundary": 2, "word": "t(d1)^5",
+                                    "label": label})
+    assert AbstractOpenBook.from_dict({"genus": 0, "boundary": 2, "label": "lens"}).label == "lens"
+
+
 def test_attached_config_classes_must_be_integers():
     for cls in ('"10"', "[1.7]", "[true]", "10", '"0001"'):
         text = attached('{"name":"x","kind":"boundary_parallel","class":' + cls + '}',
