@@ -70,6 +70,7 @@ bit length of D rather than by the growth of the transforms.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
 
 
@@ -118,14 +119,17 @@ class Value:
 
 
 class IntMatrix(Value):
-    """An immutable rows x cols integer matrix."""
+    """An immutable rows x cols matrix of ints (not bools); other entries raise ValueError."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows, cols, data):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        data = tuple(tuple(map(int, row)) for row in data)
+        data = tuple(map(tuple, data))
+        if not {int}.issuperset(map(type, chain.from_iterable(data))):
+            bad = next(x for x in chain.from_iterable(data) if type(x) is not int)
+            raise ValueError(f"matrix entries must be integers, got {bad!r}")
         if len(data) != rows or any(len(row) != cols for row in data):
             raise ValueError("entry grid does not match declared shape")
         self._set(rows, cols, data)
@@ -412,11 +416,14 @@ def _least_gcd_entry(a, d):
     """(i, j, g) for an entry a[i][j] whose g = gcd(a[i][j], d) is least.
 
     The first entry with g = 1 ends the search; None if every entry is 0.
+    All-zero rows, which the elimination leaves behind, are passed over whole.
     Entries lie in [0, d), so x % g is nonzero only for a nonzero x that
     is not a multiple of the best g so far, the only ones that can beat it.
     """
     best, g = None, d
     for i, row in enumerate(a):
+        if not any(row):
+            continue
         for j, x in enumerate(row):
             if x % g:
                 h = gcd(x, d)

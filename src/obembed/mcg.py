@@ -28,10 +28,12 @@ a single letter for the relation checks.
 from __future__ import annotations
 
 import re
+from operator import add, itemgetter, sub
 
 from .intlinalg import IntMatrix, Value
 
-_LETTER_RE = re.compile(r"^t\(([A-Za-z][A-Za-z0-9_]*)\)(?:\^(-?\d+))?$")
+# One scan: a letter fills the first two groups, any other token the third.
+_LETTERS_RE = re.compile(r"t\(([A-Za-z][A-Za-z0-9_]*)\)(?:\^(-?\d+))?(?!\S)|(\S+)")
 
 
 class WordSyntaxError(ValueError):
@@ -73,7 +75,7 @@ class TwistWord(Value):
         return TwistWord(tuple((name, -exp) for name, exp in reversed(self.letters)))
 
     def curve_names(self):
-        return tuple(dict.fromkeys(name for name, _ in self.letters))
+        return tuple(dict.fromkeys(map(itemgetter(0), self.letters)))
 
     def rename(self, mapping):
         return TwistWord(tuple((mapping.get(name, name), exp)
@@ -83,16 +85,14 @@ class TwistWord(Value):
 def parse_word(text):
     """Parse whitespace-separated letters like ``t(a1) t(b1)^-1``."""
     word = []
-    for token in text.split():
-        m = _LETTER_RE.match(token)
-        if not m:
-            raise WordSyntaxError(f"bad twist letter {token!r} "
+    for name, exp, bad in _LETTERS_RE.findall(text):
+        if bad:
+            raise WordSyntaxError(f"bad twist letter {bad!r} "
                                   "(expected t(<name>) with optional ^<int>)")
         try:
-            exp = int(m.group(2) or 1)
+            word.append((name, int(exp or 1)))
         except ValueError as exc:  # more digits than int() converts
-            raise WordSyntaxError(f"bad exponent of t({m.group(1)}): {exc}") from None
-        word.append((m.group(1), exp))
+            raise WordSyntaxError(f"bad exponent of t({name}): {exc}") from None
     return TwistWord(tuple(word))
 
 
@@ -128,7 +128,9 @@ def _transvect(rows, word, cfg, arcs):
     The rows stay independent (their leading block is invertible), so w
     is zero exactly for a letter with no pairing and no shift, which is
     skipped.  A shift alone touches only its columns; one pairing entry
-    (k, b) and no shift adds (e * c_i * b) * row k directly.
+    (k, b) and no shift adds (e * c_i * b) * row k directly.  The first
+    two pairing entries, all a chain curve has, are summed in one pass,
+    and a row whose factor is +-1 takes w by one map of add or sub.
     """
     twist = cfg.twist
     for name, exp in reversed(word.letters):
@@ -142,18 +144,24 @@ def _transvect(rows, word, cfg, arcs):
                     for col, s in shift:
                         row[col] += m * s
             continue
-        (k, b), *rest = pairing
-        if not rest and not shift:
+        k, b = pairing[0]
+        if len(pairing) == 1 and not shift:
             w, exp = rows[k], exp * b  # w = b * row k, with b folded into the factor
         else:
-            w = [b * y for y in rows[k]]
-            for k, b in rest:
+            k2, b2 = pairing[1] if len(pairing) > 1 else (k, 0)
+            w = [b * y + b2 * z for y, z in zip(rows[k], rows[k2])]
+            for k, b in pairing[2:]:
                 w = [x + b * y for x, y in zip(w, rows[k])]
             for col, s in shift or ():
                 w[col] += s
         for i, a in support:
             m = exp * a
-            rows[i] = [x + m * y for x, y in zip(rows[i], w)]
+            if m == 1:
+                rows[i] = list(map(add, rows[i], w))
+            elif m == -1:
+                rows[i] = list(map(sub, rows[i], w))
+            else:
+                rows[i] = [x + m * y for x, y in zip(rows[i], w)]
 
 
 def word_action(word, cfg, arcs=False):

@@ -58,7 +58,7 @@ class AbstractOpenBook(Value):
             raise ValueError("page must have boundary")
         if config.surface != page:
             raise ValueError("configuration belongs to a different surface")
-        for name, _ in word:
+        for name in word.curve_names():
             if not config.has_curve(name):
                 raise ValueError(f"monodromy letter {name!r} is not a configured curve")
         if label is not None and not isinstance(label, str):

@@ -6,7 +6,32 @@ the independent check that the SNF transforms are unimodular.
 
 from __future__ import annotations
 
-from obembed import AbstractOpenBook, IntMatrix, Surface, TwistWord, lickorish_system
+import re
+
+from obembed import (AbstractOpenBook, IntMatrix, Surface, TwistWord, WordSyntaxError,
+                     lickorish_system)
+
+_LETTER_RE = re.compile(r"^t\(([A-Za-z][A-Za-z0-9_]*)\)(?:\^(-?\d+))?$")
+
+
+def parse_word_by_tokens(text):
+    """The twist-word parser as one anchored match per whitespace-split token.
+
+    The oracle of ``parse_word``, which finds all tokens in one scan: the
+    same letters, or a WordSyntaxError with the same text.
+    """
+    word = []
+    for token in text.split():
+        m = _LETTER_RE.match(token)
+        if not m:
+            raise WordSyntaxError(f"bad twist letter {token!r} "
+                                  "(expected t(<name>) with optional ^<int>)")
+        try:
+            exp = int(m.group(2) or 1)
+        except ValueError as exc:  # more digits than int() converts
+            raise WordSyntaxError(f"bad exponent of t({m.group(1)}): {exc}") from None
+        word.append((m.group(1), exp))
+    return TwistWord(tuple(word))
 
 
 def det_bareiss(rows):

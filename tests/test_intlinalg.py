@@ -330,6 +330,17 @@ def test_cokernel_matches_snf_and_sympy(m):
         assert group == AbelianGroup(m.rows)
 
 
+@settings(max_examples=100)
+@given(relation_matrices(), st.lists(st.integers(0, 8), min_size=1, max_size=3))
+def test_zero_rows_add_free_summands_and_keep_torsion(m, positions):
+    rows = m.row_lists()
+    for p in positions:
+        rows.insert(min(p, len(rows)), [0] * m.cols)
+    group = cokernel(m)
+    padded = cokernel(IntMatrix(len(rows), m.cols, rows))
+    assert padded == AbelianGroup(group.free_rank + len(positions), group.torsion)
+
+
 def test_abelian_group_validation():
     with pytest.raises(ValueError):
         AbelianGroup(0, (1,))
@@ -366,6 +377,15 @@ def test_abelian_group_describe():
     assert AbelianGroup(0, (5,)).describe() == "Z/5"
     assert AbelianGroup(2, (2, 4)).describe() == "Z^2 + Z/2 + Z/4"
     assert AbelianGroup.from_dict({"free_rank": 1, "torsion": [3]}).describe() == "Z + Z/3"
+
+
+@pytest.mark.parametrize("entry", [2.9, 1.5, True, "7", None])
+def test_matrix_rejects_non_integer_entries(entry):
+    for grid in ([[entry]], [[1, 2], [3, entry]]):
+        with pytest.raises(ValueError, match="matrix entries must be integers, got "):
+            IntMatrix(len(grid), len(grid), grid)
+    with pytest.raises(ValueError, match="must be integers"):
+        IntMatrix.from_rows([[entry, 0]])
 
 
 def test_matrix_shape_errors():

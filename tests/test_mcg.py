@@ -11,12 +11,15 @@ x -> x + e<x,c>c in the basis (A1, B1) with <A1,B1> = 1:
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from obembed import (AbstractOpenBook, IntMatrix, JoinBoundaries, Surface, TwistWord,
-                     WordSyntaxError, arc_defect, format_word, lickorish_system, parse_word,
-                     relation_report, stabilize_positive, twist_matrix, word_action)
+from obembed import (AbstractOpenBook, ConfiguredCurve, CurveConfig, IntMatrix,
+                     JoinBoundaries, Surface, TwistWord, WordSyntaxError, arc_defect,
+                     format_word, lickorish_system, parse_word, relation_report,
+                     stabilize_positive, twist_matrix, word_action)
 
-from helpers import det_bareiss, mat_rows, pairing_matrix, random_word
+from helpers import det_bareiss, mat_rows, pairing_matrix, parse_word_by_tokens, random_word
 
 T_A1 = IntMatrix.from_rows([[1, -1], [0, 1]])
 T_B1 = IntMatrix.from_rows([[1, 0], [1, 1]])
@@ -43,6 +46,38 @@ def test_parse_rejects_garbage():
     for bad in ("a1", "t(a1", "t(a1)^", "t(a1)^x", "t()", "t(a1)t(b1)"):
         with pytest.raises(WordSyntaxError):
             parse_word(bad)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text).letters
+    except WordSyntaxError as exc:
+        return str(exc)
+
+
+# Letter-like pieces, near misses, Unicode letters and digits, joined by
+# separators that str.split() and the regex \s both take as whitespace
+# (\x1c, \x85, \xa0, \u3000) or neither does (the zero-width space \u200b).
+_pieces = st.sampled_from(["t(a1)", "t(b_2)^-3", "t(Zz9)^0", "t(a1)^+3", "t(a1)x", "t(a1)^",
+                           "t(a1)^-", "t()", "t(1a)", "t(aé)", "t(a٣)", "t(a1", "^2", "x",
+                           "-", "٣", "t(a1)^٣"])
+_separators = st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\x1c", "\x85", "\xa0",
+                               "\u3000", "\u200b", ""])
+word_texts = st.lists(st.tuples(_pieces | st.text(max_size=3), _separators), max_size=8).map(
+    lambda parts: "".join(piece + sep for piece, sep in parts))
+
+
+@settings(max_examples=500)
+@given(word_texts | st.text(max_size=20))
+@example("t(a1)x")
+@example("t(a1)^+3")
+@example("t(a1)^٣ \x1ct(b1)^-٣\x85t(c1)\xa0t(d1)\u3000 t(e1)")
+@example("t(a1)\u200bt(b1)")
+@example("t(a1)^" + "7" * 5000)
+@example("t(a1)^" + "7" * 5000 + " t(b1)x")
+@example("t(b1)x t(a1)^" + "7" * 5000)
+def test_parse_word_matches_token_by_token_oracle(text):
+    assert _parsed(parse_word, text) == _parsed(parse_word_by_tokens, text)
 
 
 def test_zero_exponents_dropped():
@@ -303,21 +338,35 @@ def test_arc_defect_cocycle_at_rank_60_plus():
 def test_arcs_action_on_letters_with_pairing_and_shift():
     # No standard system has a letter whose class has both handle and D
     # coordinates; JoinBoundaries(1, 3) on Sigma_{1,4} pushes e1, e2, e3 (and
-    # d3) to such classes on Sigma_{2,3}.  Every defect column of the one
-    # pass must match the twist-matrix recursion, and its leading block Phi.
+    # d3) to such classes on Sigma_{2,3}.  Four more curves, in the basis
+    # (A1, B1, A2, B2, D1, D2), pair with 2 and 3 basis classes, with and
+    # without an arc crossing.  Every defect column of the one pass must match
+    # the twist-matrix recursion, and its leading block Phi the matrix product.
     rng = random.Random(53)
     cfg, page = setup_surface(1, 4)
     ob = stabilize_positive(AbstractOpenBook(page, fixed_length_word(rng, cfg, 30), cfg),
                             JoinBoundaries(1, 3))
-    cfg, page = ob.config, ob.page
+    page = ob.page
+    extra = [("p2", (1, 0, 1, 0, 0, 0)), ("p2s", (1, 0, 1, 0, 1, 0)),
+             ("p3", (1, 1, 1, 0, 0, 0)), ("p3s", (1, 1, 1, 0, 0, -1))]
+    cfg = CurveConfig(page, ob.config.curves + tuple(ConfiguredCurve(name, "chain", c)
+                                                     for name, c in extra), standard=False)
     rank, arcs = page.h1_rank, page.boundary_count - 1
-    assert not cfg.standard and arcs == 2
+    assert arcs == 2
     both = {name for name in cfg.names() if cfg.twist(name)[1] and cfg.twist(name)[2]}
     assert {"e1", "e2", "e3"} <= both
-    for w in (ob.word, fixed_length_word(rng, cfg, 40), fixed_length_word(rng, cfg, 40)):
+    words = (ob.word, fixed_length_word(rng, cfg, 40), fixed_length_word(rng, cfg, 40))
+    # (pairing length, capped at 3, and whether there is an arc shift) of every letter
+    shapes = {(min(len(cfg.twist(name)[1]), 3), bool(cfg.twist(name)[2]))
+              for w in words for name, _ in w}
+    assert {(k, s) for k in (1, 2, 3) for s in (False, True)} <= shapes
+    for w in words:
         action = word_action(w, cfg, arcs=True)
         assert (action.rows, action.cols) == (rank, rank + arcs)
-        assert [r[:rank] for r in mat_rows(action)] == mat_rows(word_action(w, cfg))
+        phi = mat_rows(word_action(w, cfg))
+        assert [r[:rank] for r in mat_rows(action)] == phi
+        columns = [_action_by_twist_matrices(w, page.unit(j), cfg) for j in range(rank)]
+        assert phi == [list(row) for row in zip(*columns)]
         for i in range(1, arcs + 1):
             defect = tuple(r[rank + i - 1] for r in mat_rows(action))
             assert defect == _defect_by_twist_matrices(w, i, cfg)

@@ -40,6 +40,15 @@ def test_word_letters_must_be_configured():
         book(0, 1, "t(a1)")
 
 
+def test_first_unconfigured_name_in_word_order_is_reported():
+    # the check runs once per distinct name; repeats must not change which one it names
+    with pytest.raises(ValueError, match="^monodromy letter 'zz' is not a configured curve$"):
+        book(1, 1, "t(a1) t(zz)^2 t(a1) t(yy) t(zz) t(yy)^-1")
+    with pytest.raises(OpenBookParseError, match="^line 4: monodromy letter 'yy' "):
+        parse_openbook("openbook v1\ngenus 1\nboundary 1\n"
+                       "word t(yy) t(b1) t(zz) t(yy) t(zz)\n")
+
+
 # mapping torus
 
 def test_mapping_torus_trivial_monodromies():
