@@ -54,18 +54,40 @@ section 2.4):
    - Finish: each row left when no nonzero entry remains contributes Z/D.
 
    Every entry stays in [0, D) throughout.
+2a. Only part of D needs the elimination.  Let Delta' be the pivot
+   before the last (1 when rho = 1): up to sign the determinant of the
+   block A on the first rho - 1 pivot rows and columns.  Split
+   D = D' * D'', D' made of the primes that divide Delta'.  Take a prime
+   p of D''.  Over Z localized at p, A is invertible, so row and column
+   operations turn M into diag(A, S) with the Schur complement
+   S = M22 - M21 A^-1 M12, and the p-parts of the cokernels of M and S
+   agree.  By Sylvester's identity the eager Bareiss block T after
+   rho - 1 steps (the trailing rows, at level Delta') is Delta' * S, and
+   p does not divide Delta', so S and T have the same content at p.  T
+   has rank 1 and holds Delta at the last pivot, so T = a b^T / Delta
+   for its pivot column a and its pivot row b, and by Gauss's lemma its
+   content is c = content(a) * content(b) / |Delta|, a divisor of Delta.
+   The p-part of the cokernel is therefore cyclic of order p^v_p(c):
+   every p-part of D'' lies in the single factor Z/gcd(D'', c), carried
+   by d_rho alone, since d_1 * ... * d_(rho-1) divides the minor Delta'.
+   Step 2 runs modulo D' only, and not at all when D' = 1.  The defect
+   columns of an open book's relation matrix come first for this reason
+   (``openbook._relation_matrix``): last, they leave the handle block's
+   determinant in both Delta' and Delta (Sylvester), and D' is nearly D.
 3. Let d_1 | ... | d_rho be the nonzero invariant factors of M.  Their
    product is the gcd of the rho x rho minors, so it divides Delta, and
-   gcd(d_i, D) = d_i.  Hence Z^r / L' = Z/d_1 + ... + Z/d_rho + (Z/D)^(r - rho)
-   for L' = (column span of M) + D*Z^r: its invariant-factor chain of
-   length r ends in r - rho copies of D, and its first rho factors are
-   d_1..d_rho.  The cokernel is Z^(r - rho) plus those factors.
+   gcd(d_i, D') is the D'-part of d_i.  Hence Z^r / L' = Z/gcd(d_1, D') +
+   ... + Z/gcd(d_rho, D') + (Z/D')^(r - rho) for L' = (column span of M)
+   + D'*Z^r: its invariant-factor chain ends in r - rho copies of D', and
+   what comes before them is the D'-part of d_1..d_rho.  The last of
+   those, times gcd(D'', c), completes the chain (step 2a), and the
+   cokernel is Z^(r - rho) plus it.
 
 Each Bareiss step rewrites only the rows with a nonzero entry in its
 pivot column, so on the sparse relation matrices of open books most
-rows sit out most steps.  Each unit pivot mod D costs one row update per
-nonzero row of its column and no column work; the work is bounded by the
-bit length of D rather than by the growth of the transforms.
+rows sit out most steps.  Each unit pivot mod D' costs one row update
+per nonzero row of its column and no column work; the work is bounded by
+the bit length of D' rather than by the growth of the transforms.
 """
 
 from __future__ import annotations
@@ -356,10 +378,14 @@ def smith_normal_form(m):
 
 
 def _bareiss(a):
-    """Rank and last pivot of fraction-free elimination on the rows of a.
+    """(rank, last pivot, previous pivot, c) of fraction-free elimination on the rows of a.
 
-    The pivot is, up to sign, a nonzero rank x rank minor; it is 1 for
-    rank 0.  Consumes a.
+    The last pivot Delta is, up to sign, a nonzero rank x rank minor and
+    the previous one Delta' the (rank - 1) x (rank - 1) minor inside it;
+    c is the content of the last step's trailing block, which has rank 1:
+    the gcd of its pivot-column entries brought to level Delta', times
+    the gcd of the caught-up pivot row, over |Delta| (step 2a of the
+    module docstring).  Rank 0 gives (0, 1, 1, 1).  Consumes a.
 
     Scaling is deferred: a row is rewritten only at the steps where its
     entry in the pivot column is nonzero, and level[i] is the pivot it
@@ -375,7 +401,8 @@ def _bareiss(a):
     rows = len(a)
     cols = len(a[0]) if a else 0
     level = [1] * rows
-    rank, prev, col = 0, 1, 0
+    rank, prev, before, col = 0, 1, 1, 0
+    prow = xs = [1]
     while rank < rows and col < cols:
         p = next((i for i in range(rank, rows) if a[i][col] != 0), None)
         if p is None:
@@ -388,18 +415,20 @@ def _bareiss(a):
         if lp != prev:
             prow = [y * prev // lp for y in prow]
         piv = prow[0]
+        xs = [piv]  # the pivot column at level prev, for c
         for i in range(rank + 1, rows):
             ai = a[i]
             x = ai[col]
             if x:
                 # Entries left of col are zero in both rows.
                 li = level[i]
+                xs.append(x if li == prev else x * prev // li)
                 ai[col:] = [(y * piv - x * z) // li for y, z in zip(ai[col:], prow)]
                 level[i] = piv
-        prev = piv
+        before, prev = prev, piv
         rank += 1
         col += 1
-    return rank, prev
+    return rank, prev, before, gcd(*xs) * gcd(*prow) // abs(prev)
 
 
 def _xgcd_step(p, x):
@@ -495,18 +524,36 @@ def cokernel(m):
     """Structure of Z^rows / (column span of m) as an AbelianGroup.
 
     Determinant-modular, as laid out in the module docstring: Bareiss
-    gives the rank rho and a nonzero rho x rho minor Delta; elimination
-    over Z/D, D = |Delta|, then splits (Z/D)^rows / (column span of m)
-    into cyclic groups.  That group equals Z/d_1 + ... + Z/d_rho +
-    (Z/D)^(rows - rho), because the invariant factors d_i of m multiply
-    to a divisor of Delta and so gcd(d_i, D) = d_i.  The torsion is the
-    chain with its top rows - rho factors (each D) dropped.
+    gives the rank rho, a nonzero rho x rho minor Delta, the minor Delta'
+    before it and the content c of its last trailing block.  D = |Delta|
+    splits as D' * D'', D' made of the primes that divide Delta'.  The
+    primes of D'' divide only d_rho, and their part of it is gcd(D'', c)
+    (step 2a).  Elimination over Z/D' splits (Z/D')^rows / (column span
+    of m) into cyclic groups, Z/gcd(d_1, D') + ... + Z/gcd(d_rho, D') +
+    (Z/D')^(rows - rho), since the d_i multiply to a divisor of Delta.
+    Its chain with the top rows - rho factors (each D') dropped, the last
+    factor times gcd(D'', c), is the torsion.  When D' = 1 there is no
+    elimination at all.
     """
     rows = m.rows
-    rank, delta = _bareiss(m.row_lists())
+    rank, delta, before, content = _bareiss(m.row_lists())
     d = abs(delta)
     if rank == 0 or d == 1:
         return AbelianGroup(rows - rank)
-    orders = _cyclic_orders_mod([[x % d for x in row] for row in m.data], d)
-    chain = _invariant_factors(orders)
-    return AbelianGroup(rows - rank, tuple(chain[:len(chain) - (rows - rank)]))
+    # d2 = D'' is d with every prime of Delta' divided out, d1 = D'
+    d2, g = d, gcd(d, before)
+    while g > 1:
+        d2 //= g
+        g = gcd(d2, g * g)
+    d1 = d // d2
+    chain = []
+    if d1 > 1:
+        chain = _invariant_factors(_cyclic_orders_mod([[x % d1 for x in row] for row in m.data],
+                                                      d1))
+        chain = chain[:len(chain) - (rows - rank)]
+    top = gcd(d2, content)  # the D''-part of d_rho
+    if chain:
+        chain[-1] *= top
+    elif top > 1:
+        chain = [top]
+    return AbelianGroup(rows - rank, tuple(chain))

@@ -32,8 +32,7 @@ from operator import add, itemgetter, sub
 
 from .intlinalg import IntMatrix, Value
 
-# One scan: a letter fills the first two groups, any other token the third.
-_LETTERS_RE = re.compile(r"t\(([A-Za-z][A-Za-z0-9_]*)\)(?:\^(-?\d+))?(?!\S)|(\S+)")
+_LETTER = re.compile(r"t\(([A-Za-z][A-Za-z0-9_]*)\)(?:\^(-?\d+))?").fullmatch
 
 
 class WordSyntaxError(ValueError):
@@ -52,6 +51,7 @@ class TwistWord(Value):
     __slots__ = ("letters",)
 
     def __init__(self, letters=()):
+        letters = tuple(letters)
         for name, exp in letters:
             # bool is a subclass of int, so it is rejected by the exact type test
             if not isinstance(name, str) or type(exp) is not int:
@@ -83,17 +83,25 @@ class TwistWord(Value):
 
 
 def parse_word(text):
-    """Parse whitespace-separated letters like ``t(a1) t(b1)^-1``."""
-    word = []
-    for name, exp, bad in _LETTERS_RE.findall(text):
-        if bad:
-            raise WordSyntaxError(f"bad twist letter {bad!r} "
+    """Parse whitespace-separated letters like ``t(a1) t(b1)^-1``.
+
+    Each distinct token is read once, in the order of its first
+    occurrence, so the first bad token of the text is the one reported;
+    a long word repeats a few dozen tokens.
+    """
+    tokens = text.split()
+    letters = {}
+    for token in dict.fromkeys(tokens):
+        m = _LETTER(token)
+        if not m:
+            raise WordSyntaxError(f"bad twist letter {token!r} "
                                   "(expected t(<name>) with optional ^<int>)")
+        name, exp = m.groups()
         try:
-            word.append((name, int(exp or 1)))
+            letters[token] = (name, int(exp or 1))
         except ValueError as exc:  # more digits than int() converts
             raise WordSyntaxError(f"bad exponent of t({name}): {exc}") from None
-    return TwistWord(tuple(word))
+    return TwistWord(tuple(map(letters.__getitem__, tokens)))
 
 
 def format_word(word):
@@ -129,8 +137,10 @@ def _transvect(rows, word, cfg, arcs):
     is zero exactly for a letter with no pairing and no shift, which is
     skipped.  A shift alone touches only its columns; one pairing entry
     (k, b) and no shift adds (e * c_i * b) * row k directly.  The first
-    two pairing entries, all a chain curve has, are summed in one pass,
-    and a row whose factor is +-1 takes w by one map of add or sub.
+    two pairing entries, all a chain curve has, are summed in one pass;
+    when both are +-1 and there is no shift, as on a chain curve, that
+    pass is one map of add or sub and b goes into the factor the same
+    way.  A row whose factor is +-1 takes w by one map of add or sub.
     """
     twist = cfg.twist
     for name, exp in reversed(word.letters):
@@ -147,6 +157,10 @@ def _transvect(rows, word, cfg, arcs):
         k, b = pairing[0]
         if len(pairing) == 1 and not shift:
             w, exp = rows[k], exp * b  # w = b * row k, with b folded into the factor
+        elif len(pairing) == 2 and not shift and b * b == 1 == pairing[1][1] ** 2:
+            # a chain curve: w = b * (row k +- row k2), with b folded into the factor
+            k2, b2 = pairing[1]
+            w, exp = list(map(add if b == b2 else sub, rows[k], rows[k2])), exp * b
         else:
             k2, b2 = pairing[1] if len(pairing) > 1 else (k, 0)
             w = [b * y + b2 * z for y, z in zip(rows[k], rows[k2])]

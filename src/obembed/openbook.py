@@ -183,11 +183,20 @@ def write_openbook(ob, path):
 
 
 def _relation_matrix(action):
-    """A word action with I subtracted from its leading square block."""
-    rows = action.row_lists()
-    for i, row in enumerate(rows):
-        row[i] -= 1
-    return IntMatrix(action.rows, action.cols, rows)
+    """[delta_1 .. delta_{n-1} | Phi - I] from a word action [Phi | delta_1 .. delta_{n-1}].
+
+    The defect columns go first: with them last, the previous Bareiss
+    pivot shares the handle block's determinant with the last one, and
+    the cokernel's split by that pivot (intlinalg, step 2a) gains
+    nothing.  Column order does not change the cokernel.
+    """
+    rank = action.rows
+    rows = []
+    for i, row in enumerate(action.data):
+        row = list(row[rank:] + row[:rank])
+        row[action.cols - rank + i] -= 1
+        rows.append(row)
+    return IntMatrix(rank, action.cols, rows)
 
 
 def mapping_torus_h1(ob):

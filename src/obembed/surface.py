@@ -152,8 +152,8 @@ class ConfiguredCurve(Value):
         if kind not in CURVE_KINDS:
             raise ValueError(f"unknown curve kind {kind!r}")
         # bool is a subclass of int, so it is rejected by the exact type test
-        if not isinstance(homology_class, (list, tuple)) or any(
-                type(x) is not int for x in homology_class):
+        if not isinstance(homology_class, (list, tuple)) or not {int}.issuperset(
+                map(type, homology_class)):
             raise ValueError(f"curve {name}: class must be a list of integers")
         self._set(name, kind, tuple(homology_class))
 

@@ -6,6 +6,7 @@ the independent check that the SNF transforms are unimodular.
 
 from __future__ import annotations
 
+import math
 import re
 
 from obembed import (AbstractOpenBook, IntMatrix, Surface, TwistWord, WordSyntaxError,
@@ -60,15 +61,17 @@ def det_bareiss(rows):
 
 
 def bareiss_rank_minor(rows):
-    """(rank, signed last pivot) of eager fraction-free elimination.
+    """(rank, signed last pivot, signed previous pivot, c) of eager fraction-free elimination.
 
     The textbook rectangular sweep: the first nonzero entry of the
     column is the pivot, and every row below it is updated at every
-    step, rows with a zero in the pivot column included.
+    step, rows with a zero in the pivot column included.  c is the gcd
+    of every entry of the last step's trailing block (its pivot row and
+    the rows below, before the update); rank 0 gives (0, 1, 1, 1).
     """
     a = [list(r) for r in rows]
     nrows, ncols = len(a), len(a[0]) if a else 0
-    rank, prev = 0, 1
+    rank, prev, before, content = 0, 1, 1, 1
     for col in range(ncols):
         if rank == nrows:
             break
@@ -76,13 +79,14 @@ def bareiss_rank_minor(rows):
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
+        content = math.gcd(*(x for row in a[rank:] for x in row))
         for i in range(rank + 1, nrows):
             for j in range(col + 1, ncols):
                 a[i][j] = (a[i][j] * a[rank][col] - a[i][col] * a[rank][j]) // prev
             a[i][col] = 0
-        prev = a[rank][col]
+        before, prev = prev, a[rank][col]
         rank += 1
-    return rank, prev
+    return rank, prev, before, content
 
 
 def rank_mod_p(rows, p):

@@ -7,9 +7,10 @@ invariant factors are 2 and 8/2 = 4.
 """
 
 import random
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from obembed import AbelianGroup, IntMatrix, cokernel, smith_normal_form
@@ -144,7 +145,7 @@ def group_from_diagonal(rows, diag):
 def test_cokernel_top_factor_is_the_minor(rows, expected):
     # d_rho = |Delta|: nothing below the determinant is left to split off.
     m = IntMatrix.from_rows(rows)
-    rank, delta = _bareiss(m.row_lists())
+    rank, delta, _, _ = _bareiss(m.row_lists())
     assert rank == m.rows and abs(delta) == expected.torsion[-1]
     assert cokernel(m) == expected
 
@@ -339,6 +340,102 @@ def test_zero_rows_add_free_summands_and_keep_torsion(m, positions):
     group = cokernel(m)
     padded = cokernel(IntMatrix(len(rows), m.cols, rows))
     assert padded == AbelianGroup(group.free_rank + len(positions), group.torsion)
+
+
+def prime_split(m):
+    """(D, D') of cokernel's step 2a: D = |Delta|, D' its part at the primes of Delta'."""
+    _, delta, before, _ = _bareiss(m.row_lists())
+    d = d2 = abs(delta)
+    while (g := gcd(d2, before)) > 1:
+        d2 //= g
+    return d, d // d2
+
+
+@st.composite
+def split_matrices(draw):
+    """Matrices up to 6 x 7, many with torsion that is not cyclic at primes of Delta'.
+
+    Diagonal blocks whose entries are powers of one shared factor (2, 3,
+    5, 6, 10 or 12) times 1, 7, 11 or 49, mixed by unimodular row and
+    column moves; low-rank products; rank-1 outer products; and zero
+    matrices.
+    """
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    small = st.integers(-4, 4)
+    kind = draw(st.sampled_from(["diagonal", "low-rank", "rank-1", "zero"]))
+    if kind == "diagonal":
+        shared = draw(st.sampled_from([2, 3, 5, 6, 10, 12]))
+        a = [[0] * cols for _ in range(rows)]
+        for i in range(min(rows, cols)):
+            a[i][i] = (shared ** draw(st.integers(0, 3))
+                       * draw(st.sampled_from([1, 1, 7, 11, 49])))
+        for _ in range(draw(st.integers(0, 16))):
+            c = draw(small)
+            if rows >= 2 and draw(st.booleans()):
+                i, j = draw(st.permutations(range(rows)))[:2]
+                a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+            elif cols >= 2:
+                i, j = draw(st.permutations(range(cols)))[:2]
+                for row in a:
+                    row[i] += c * row[j]
+    elif kind == "low-rank":
+        inner = draw(st.integers(1, min(rows, cols)))
+        left = [[draw(small) for _ in range(inner)] for _ in range(rows)]
+        right = [[draw(small) * draw(st.sampled_from([1, 2, 3, 6])) for _ in range(cols)]
+                 for _ in range(inner)]
+        a = (IntMatrix(rows, inner, left) * IntMatrix(inner, cols, right)).row_lists()
+    elif kind == "rank-1":
+        scale = draw(st.sampled_from([1, 2, 4, 6, 9, 30]))
+        u = [draw(small) for _ in range(rows)]
+        v = [draw(small) for _ in range(cols)]
+        a = [[scale * x * y for y in v] for x in u]
+    else:
+        a = [[0] * cols for _ in range(rows)]
+    return IntMatrix(rows, cols, a)
+
+
+def split_kind(m):
+    d, d1 = prime_split(m)
+    if d == 1:
+        return "free"
+    return "D' = 1" if d1 == 1 else "D' = D" if d1 == d else "1 < D' < D"
+
+
+@settings(max_examples=300)
+@given(split_matrices())
+def test_cokernel_split_by_previous_pivot_matches_snf_and_sympy(m):
+    group = cokernel(m)
+    d, _, _ = smith_normal_form(m)
+    assert group == group_from_diagonal(m.rows, d.diagonal())
+    try:
+        import sympy
+        from sympy.matrices.normalforms import invariant_factors
+    except ImportError:
+        return
+    factors = invariant_factors(sympy.Matrix(mat_rows(m)), domain=sympy.ZZ)
+    assert group == group_from_diagonal(m.rows, [int(f) for f in factors])
+
+
+@pytest.mark.parametrize("kind", ["D' = 1", "D' = D", "1 < D' < D"])
+def test_split_matrices_reach_every_prime_split(kind):
+    m = find(split_matrices(), lambda m: split_kind(m) == kind,
+             settings=settings(database=None, max_examples=2000))
+    assert split_kind(m) == kind
+
+
+@pytest.mark.parametrize("rows, expected", [
+    # rank 1: Delta' = 1, so D' = 1 and the torsion is the content c alone
+    ([[6, 12], [4, 8], [10, 20]], (1, 6, 1, 2)),
+    # Delta = -8, Delta' = 2: D' = D = 8, and c is the content of [0, -8]
+    ([[2, 4], [6, 8]], (2, -8, 2, 8)),
+    # diag(2, 2, 15) mixed: D = 60 and D' = 4, so Z/15 = Z/gcd(D'', c) needs
+    # no elimination
+    ([[2, 2, 0], [0, 2, 0], [2, 2, 15]], (3, 60, 4, 60)),
+])
+def test_bareiss_previous_pivot_and_content(rows, expected):
+    assert _bareiss([list(r) for r in rows]) == bareiss_rank_minor(rows) == expected
+    m = IntMatrix.from_rows(rows)
+    assert cokernel(m) == group_from_diagonal(m.rows, smith_normal_form(m)[0].diagonal())
 
 
 def test_abelian_group_validation():

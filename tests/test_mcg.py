@@ -80,6 +80,26 @@ def test_parse_word_matches_token_by_token_oracle(text):
     assert _parsed(parse_word, text) == _parsed(parse_word_by_tokens, text)
 
 
+# Long words repeat a few distinct tokens, and parse_word reads each distinct
+# token once: a bad token first seen after repeated good ones, a bad token that
+# repeats, and two spellings of one letter must give the oracle's result.
+_alphabet = st.lists(st.sampled_from(["t(a1)", "t(a1)^1", "t(a1)^01", "t(b1)^-2", "t(c1)^0",
+                                      "t(a1)^" + "7" * 5000, "t(a1)x", "t(b1)^+1", "t()", "x"]),
+                     min_size=1, max_size=5, unique=True)
+repeated_words = _alphabet.flatmap(lambda tokens: st.lists(st.sampled_from(tokens),
+                                                           max_size=80)).map(" ".join)
+
+
+@settings(max_examples=300)
+@given(repeated_words)
+@example("t(a1) t(b1)^-2 t(a1) t(b1)^-2 t(a1) t(b1)x t(a1) t(b1)x")
+@example("t(a1)x t(a1) t(a1)x")
+@example("t(a1)^01 t(a1)^1 t(a1) t(a1)^01")
+@example("t(a1) t(a1) t(a1)^" + "7" * 5000 + " t(a1)x t(a1)^" + "7" * 5000)
+def test_parse_word_of_repeated_tokens_matches_oracle(text):
+    assert _parsed(parse_word, text) == _parsed(parse_word_by_tokens, text)
+
+
 def test_zero_exponents_dropped():
     w = TwistWord((("a1", 0), ("b1", 2)))
     assert w.letters == (("b1", 2),)
@@ -90,6 +110,20 @@ def test_zero_exponents_dropped():
 def test_twist_word_takes_string_names_and_int_exponents(letter):
     with pytest.raises(ValueError, match="string name and an integer exponent"):
         TwistWord((letter,))
+
+
+@pytest.mark.parametrize("letter", [("a1", 1, 2), ("a1",), ("a1", 2, "x")])
+def test_twist_word_rejects_letters_that_are_not_pairs(letter):
+    with pytest.raises(ValueError):
+        TwistWord((("b1", 1), letter))
+
+
+def test_twist_word_reads_a_generator_once():
+    letters = [("a1", 2), ("b1", -1), ("c1", 0), ("a1", 1)]
+    assert TwistWord(x for x in letters) == TwistWord(tuple(letters))
+    assert TwistWord(x for x in letters).letters == (("a1", 2), ("b1", -1), ("a1", 1))
+    with pytest.raises(ValueError, match="string name and an integer exponent"):
+        TwistWord(x for x in [("a1", 1), ("b1", True)])
 
 
 def test_twist_word_accepts_large_and_negative_ints():
@@ -340,15 +374,17 @@ def test_arcs_action_on_letters_with_pairing_and_shift():
     # coordinates; JoinBoundaries(1, 3) on Sigma_{1,4} pushes e1, e2, e3 (and
     # d3) to such classes on Sigma_{2,3}.  Four more curves, in the basis
     # (A1, B1, A2, B2, D1, D2), pair with 2 and 3 basis classes, with and
-    # without an arc crossing.  Every defect column of the one pass must match
-    # the twist-matrix recursion, and its leading block Phi the matrix product.
+    # without an arc crossing, and m2, a chain class, pairs with two classes of
+    # opposite signs.  Every defect column of the one pass must match the
+    # twist-matrix recursion, and its leading block Phi the matrix product.
     rng = random.Random(53)
     cfg, page = setup_surface(1, 4)
     ob = stabilize_positive(AbstractOpenBook(page, fixed_length_word(rng, cfg, 30), cfg),
                             JoinBoundaries(1, 3))
     page = ob.page
     extra = [("p2", (1, 0, 1, 0, 0, 0)), ("p2s", (1, 0, 1, 0, 1, 0)),
-             ("p3", (1, 1, 1, 0, 0, 0)), ("p3s", (1, 1, 1, 0, 0, -1))]
+             ("p3", (1, 1, 1, 0, 0, 0)), ("p3s", (1, 1, 1, 0, 0, -1)),
+             ("m2", (1, 0, -1, 0, 0, 0))]
     cfg = CurveConfig(page, ob.config.curves + tuple(ConfiguredCurve(name, "chain", c)
                                                      for name, c in extra), standard=False)
     rank, arcs = page.h1_rank, page.boundary_count - 1
@@ -360,6 +396,10 @@ def test_arcs_action_on_letters_with_pairing_and_shift():
     shapes = {(min(len(cfg.twist(name)[1]), 3), bool(cfg.twist(name)[2]))
               for w in words for name, _ in w}
     assert {(k, s) for k in (1, 2, 3) for s in (False, True)} <= shapes
+    # two-entry pairings without a shift, with equal (p2) and opposite (m2) signs
+    signs = {tuple(b for _, b in cfg.twist(name)[1]) for w in words for name, _ in w
+             if len(cfg.twist(name)[1]) == 2 and not cfg.twist(name)[2]}
+    assert {(-1, -1), (-1, 1)} <= signs
     for w in words:
         action = word_action(w, cfg, arcs=True)
         assert (action.rows, action.cols) == (rank, rank + arcs)

@@ -122,6 +122,21 @@ def test_one_boundary_closed_h1_equals_cokernel():
         assert closed_h1(ob) == cokernel(rel)
 
 
+def test_closed_h1_equals_cokernel_of_the_phi_first_layout():
+    # closed_h1 puts the defect columns first; the group of [Phi - I | delta] is the same
+    from obembed import IntMatrix, cokernel
+    rng = random.Random(43)
+    for _ in range(80):
+        page = Surface(rng.randint(0, 3), rng.randint(2, 4))
+        cfg = lickorish_system(page)
+        ob = AbstractOpenBook(page, random_word(rng, cfg, 16), cfg)
+        action = word_action(ob.word, cfg, arcs=True)
+        rel = IntMatrix(action.rows, action.cols,
+                        [[x - (i == j) for j, x in enumerate(action.row(i))]
+                         for i in range(action.rows)])
+        assert closed_h1(ob) == cokernel(rel)
+
+
 def test_torsion_order_equals_det_when_finite():
     from math import prod
     from helpers import det_bareiss, mat_rows

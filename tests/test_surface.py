@@ -305,6 +305,13 @@ def test_config_classes_must_be_integer_lists():
             config_from_dict({"curves": [{**good, field: value}]}, Surface(1, 1))
 
 
+@pytest.mark.parametrize("entries", [[1, True], [1.0, 0], [0, "1"], [None], (0, 2 ** 70, 0.5)])
+def test_curve_class_entries_must_be_ints(entries):
+    with pytest.raises(ValueError, match="^curve x: class must be a list of integers$"):
+        ConfiguredCurve("x", "chain", entries)
+    assert ConfiguredCurve("x", "chain", [0, 2 ** 70, -3]).homology_class == (0, 2 ** 70, -3)
+
+
 def test_load_override_rejects_non_integer_arc_entries():
     cfg = lickorish_system(Surface(0, 2))
     for rec in ({"index": "1", "intersections": {"d1": 1}},
