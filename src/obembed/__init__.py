@@ -15,7 +15,7 @@ from .mcg import (TwistWord, WordSyntaxError, arc_defect, format_word, parse_wor
 from .openbook import (AbstractOpenBook, JoinBoundaries, OpenBookParseError,
                        SameBoundary, closed_h1, identify_known, mapping_torus_h1,
                        parse_openbook, read_openbook, reduce_to_one_boundary,
-                       serialize_openbook, stabilize_positive, write_openbook)
+                       serialize_openbook, stabilize_positive)
 from . import embedder
 
 __version__ = "0.1.0"
@@ -29,6 +29,6 @@ __all__ = [
     "AbstractOpenBook", "JoinBoundaries", "OpenBookParseError", "SameBoundary",
     "closed_h1", "identify_known", "mapping_torus_h1", "parse_openbook",
     "read_openbook", "reduce_to_one_boundary", "serialize_openbook",
-    "stabilize_positive", "write_openbook",
+    "stabilize_positive",
     "embedder",
 ]

@@ -21,7 +21,9 @@ positive twist along a curve crossing the band once.  The output open
 book carries the pushforward of the input's curve classes through the
 inclusion of pages (an "attached" configuration); when those classes
 match default-system classes the result is renamed onto the default
-configuration.
+configuration.  The new page, the fresh class and the inclusion, a rule
+on coordinates, come from ``surface.split_boundary`` and
+``surface.join_boundaries``; this module never writes a page class.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ import json
 from .intlinalg import AbelianGroup, IntMatrix, Value, cokernel
 # arc_defect is unused here; bench/tracer.py wraps it under this module's name
 from .mcg import TwistWord, WordSyntaxError, arc_defect, format_word, parse_word, word_action
-from .surface import (ConfiguredCurve, CurveConfig, Surface, boundary_class,
-                      config_from_dict, config_to_dict, lickorish_system)
+from .surface import (ConfiguredCurve, CurveConfig, Surface, config_from_dict,
+                      config_to_dict, join_boundaries, lickorish_system, split_boundary)
 
 FORMAT_HEADER = "openbook v1"
 
@@ -177,11 +179,6 @@ def read_openbook(path):
         return parse_openbook(fh.read())
 
 
-def write_openbook(ob, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_openbook(ob))
-
-
 def _relation_matrix(action):
     """[delta_1 .. delta_{n-1} | Phi - I] from a word action [Phi | delta_1 .. delta_{n-1}].
 
@@ -228,62 +225,6 @@ class JoinBoundaries(Value):
         self._set(j, k)
 
 
-def _push_classes(images, vector):
-    """Apply a basis map given by per-coordinate image vectors."""
-    if not images:
-        return ()
-    out = [0] * len(images[0])
-    for coeff, img in zip(vector, images):
-        if coeff:
-            for idx, x in enumerate(img):
-                out[idx] += coeff * x
-    return tuple(out)
-
-
-def _attach(page, attachment):
-    """New page, basis image vectors and fresh class of a stabilization.
-
-    With d_m = boundary_class(page, m) and d'_m on the new page, the
-    inclusion of pages fixes the handle classes and acts on the basis
-    classes d_1 .. d_{n-1} by one rule:
-
-    same_boundary(j): the split-off piece of component j is the new last
-      puncture n, so d_j -> d'_j + d'_n, every other d_m -> d'_m, and
-      the fresh class is d'_n (the base keeps its role).
-    join_boundaries(j < k): the other components keep their order and
-      the merged one is the new base; d_j -> B'_{g+1} (the loop around
-      j), d_k -> d'_base - B'_{g+1}, and the fresh class is A'_{g+1},
-      the curve over the band.
-    """
-    g, n = page.genus, page.boundary_count
-    if isinstance(attachment, SameBoundary):
-        j = attachment.j
-        if not 1 <= j <= n:
-            raise ValueError(f"attachment index {j} out of range 1..{n}")
-        new_page = Surface(g, n + 1)
-        fresh = boundary_class(new_page, n)
-        bounds = {m: boundary_class(new_page, m) for m in range(1, n)}
-        if j < n:
-            bounds[j] = tuple(x + y for x, y in zip(bounds[j], fresh))
-    elif isinstance(attachment, JoinBoundaries):
-        j, k = attachment.j, attachment.k
-        if j == k:
-            raise ValueError("join requires two distinct boundary components")
-        if not (1 <= j <= n and 1 <= k <= n):
-            raise ValueError(f"attachment indices ({j},{k}) out of range 1..{n}")
-        j, k = min(j, k), max(j, k)
-        new_page = Surface(g + 1, n - 1)
-        fresh, b_new = new_page.unit(2 * g), new_page.unit(2 * g + 1)
-        others = [m for m in range(1, n + 1) if m not in (j, k)]
-        bounds = {m: boundary_class(new_page, i) for i, m in enumerate(others, start=1)}
-        bounds[j] = b_new
-        bounds[k] = tuple(x - y for x, y in zip(boundary_class(new_page, n - 1), b_new))
-    else:
-        raise TypeError(f"unknown attachment {attachment!r}")
-    images = [new_page.unit(i) for i in range(2 * g)] + [bounds[m] for m in range(1, n)]
-    return new_page, images, fresh
-
-
 def _fresh_name(taken):
     i = 1
     while f"s{i}" in taken:
@@ -303,12 +244,11 @@ def _canonicalize(page, curves):
         by_class.setdefault(d.homology_class, []).append(d.name)
     mapping = {}
     for c in curves:
-        for cls in (c.homology_class, tuple(-x for x in c.homology_class)):
-            if by_class.get(cls):
-                mapping[c.name] = by_class[cls].pop(0)
-                break
-        else:
+        names = (by_class.get(c.homology_class)
+                 or by_class.get(tuple(-x for x in c.homology_class)))
+        if not names:
             return None
+        mapping[c.name] = names.pop(0)
     return mapping
 
 
@@ -320,16 +260,20 @@ def stabilize_positive(ob, attachment):
     Sigma_{g+1,n-1}.  The new word is one positive twist along the
     fresh over-the-band curve followed by the old word.
     """
-    new_page, images, fresh_class = _attach(ob.page, attachment)
+    if isinstance(attachment, SameBoundary):
+        new_page, push, fresh_class = split_boundary(ob.page, attachment.j)
+        kind = "boundary_parallel"
+    elif isinstance(attachment, JoinBoundaries):
+        new_page, push, fresh_class = join_boundaries(ob.page, attachment.j, attachment.k)
+        kind = "handle_a"
+    else:
+        raise TypeError(f"unknown attachment {attachment!r}")
     kept_names = ob.word.curve_names()
     fresh = _fresh_name(set(kept_names))
-    pushed = [ConfiguredCurve(fresh, "boundary_parallel"
-                              if isinstance(attachment, SameBoundary) else "handle_a",
-                              fresh_class)]
+    pushed = [ConfiguredCurve(fresh, kind, fresh_class)]
     for name in kept_names:
         old = ob.config.curve(name)
-        pushed.append(ConfiguredCurve(name, old.kind,
-                                      _push_classes(images, old.homology_class)))
+        pushed.append(ConfiguredCurve(name, old.kind, push(old.homology_class)))
     new_word = TwistWord(((fresh, 1),) + ob.word.letters)
 
     mapping = _canonicalize(new_page, pushed)

@@ -2,8 +2,9 @@
 
 This module is the only one that knows how page classes are written;
 every other module goes through ``Surface.unit``, ``Surface.dual``,
-``Surface.crossing``, ``CurveConfig.twist``, ``boundary_class`` and the
-default curve table.
+``Surface.crossing``, ``CurveConfig.twist``, ``boundary_class``, the
+class maps of stabilization (``split_boundary``, ``join_boundaries``)
+and the default curve table.
 
 A page Sigma_{g,n} is drawn as g handles in a row followed by n-1
 punctures, all inside one outer boundary circle, which is boundary
@@ -139,6 +140,50 @@ def boundary_class(surface, m):
     if m < n:
         return surface.unit(2 * g + m - 1)
     return tuple(-1 if k >= 2 * g else 0 for k in range(surface.h1_rank))
+
+
+def split_boundary(surface, j):
+    """(new page, push, fresh class) of plumbing a band with both feet on component j.
+
+    push is the inclusion of pages on classes, a rule on coordinates
+    that builds one tuple per class.  The split-off piece of component
+    j is the new last puncture n and the base keeps its role, so a
+    class gains its D_j entry as its new D'_n entry (0 when j = n, the
+    base).  The fresh class is D'_n.
+    """
+    g, n = surface.genus, surface.boundary_count
+    if not 1 <= j <= n:
+        raise ValueError(f"attachment index {j} out of range 1..{n}")
+    new_page, at = Surface(g, n + 1), 2 * g + j - 1
+
+    def push(c):
+        return c + ((c[at],) if j < n else (0,))
+    return new_page, push, boundary_class(new_page, n)
+
+
+def join_boundaries(surface, j, k):
+    """(new page, push, fresh class) of plumbing a band joining components j and k.
+
+    The other components keep their order and the merged one is the new
+    base.  With x_m a class's D_m entry (x_n = 0) and j < k, push gives
+    A'_{g+1} 0, B'_{g+1} (the loop around j) x_j - x_k, and the D' entry
+    of every other m x_m - x_k.  The fresh class is A'_{g+1}, the curve
+    over the band.
+    """
+    g, n = surface.genus, surface.boundary_count
+    if j == k:
+        raise ValueError("join requires two distinct boundary components")
+    if not (1 <= j <= n and 1 <= k <= n):
+        raise ValueError(f"attachment indices ({j},{k}) out of range 1..{n}")
+    j, k = min(j, k), max(j, k)
+    new_page, h = Surface(g + 1, n - 1), 2 * g
+
+    def push(c):
+        x = c[h:] + (0,)
+        xk = x[k - 1]
+        rest = x[:j - 1] + x[j:k - 1] + x[k:]
+        return c[:h] + (0, x[j - 1] - xk) + (tuple(y - xk for y in rest) if xk else rest)
+    return new_page, push, new_page.unit(h)
 
 
 class ConfiguredCurve(Value):

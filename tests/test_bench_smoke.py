@@ -4,8 +4,9 @@ Runs ``bench/run.py --smoke`` in a subprocess, untraced and traced, and
 checks only the shape of its last-line JSON, that every output was
 correct and that no operation failed; there are no timing asserts.  The
 traced run catches a package change that breaks the outside tracer, or
-on the h1 workloads routes the word action or the cokernel around the
-names it wraps.  The full ``bench/selftest.py`` stays out of this suite.
+routes the word action, the cokernel (h1 workloads) or the boundary
+reduction (``h1-highrank``, ``cert-roundtrip``) around the names it
+wraps.  The full ``bench/selftest.py`` stays out of this suite.
 """
 
 import json
@@ -49,10 +50,14 @@ def test_bench_smoke_traced(workload):
     per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert set(report["metrics"]) == {m["name"] for m in per_layer}
     assert report["correct"] is True
+    # the tracer wraps each name where its callers look it up; a call that
+    # bypasses the name reads 0
+    values = {name: m["value"] for name, m in report["metrics"].items()}
     if workload in ("h1-batch", "h1-highrank"):
-        # the tracer wraps word_action and cokernel where closed_h1 and
-        # mapping_torus_h1 look them up; a call that bypasses those names reads 0
-        values = {name: m["value"] for name, m in report["metrics"].items()}
+        # word_action and cokernel, looked up by closed_h1 and mapping_torus_h1
         assert values["mcg.letters"] > 0
         assert values["mcg.word_action.ms"] > 0
         assert values["intlinalg.cokernel.calls"] > 0
+    if workload in ("h1-highrank", "cert-roundtrip"):
+        # reduce_to_one_boundary, looked up by cli and embedder
+        assert values["openbook.reduce_to_one_boundary.ms"] > 0

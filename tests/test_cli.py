@@ -161,6 +161,21 @@ def test_stabilize_bad_index(lens_file):
     assert "out of range" in err
 
 
+def test_stabilize_disk_with_attached_config(tmp_path):
+    # the disk's rank-0 class pushes to the annulus' zero class
+    p = tmp_path / "disk.ob"
+    p.write_text("openbook v1\ngenus 0\nboundary 1\nword t(x)^3\n"
+                 'config {"curves":[{"name":"x","kind":"handle_a","class":[]}]}\n')
+    code, out, err = go("stabilize", str(p), "--same", "1")
+    assert (code, err) == (0, "")
+    st = obembed.parse_openbook(out)
+    assert st.page == obembed.Surface(0, 2)
+    assert st.config.curve("x").homology_class == (0,)
+    out_path = tmp_path / "st.ob"
+    out_path.write_text(out)
+    assert go("h1", str(out_path)) == go("h1", str(p)) == (0, "H1 = 0\n", "")
+
+
 def test_reduce(lens_file, tmp_path):
     out_path = str(tmp_path / "red.ob")
     code, _, _ = go("reduce", lens_file, "--out", out_path)

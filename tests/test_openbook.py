@@ -10,6 +10,7 @@ Independent oracles frozen here:
 import hashlib
 import json
 import random
+from operator import add
 
 import pytest
 
@@ -299,6 +300,16 @@ def test_stabilize_same_boundary_splits_component():
     assert st.word.letters[0][1] == 1
 
 
+def test_stabilize_disk_with_attached_config():
+    # the disk has rank 0: its classes push to the zero class of the annulus
+    ob = parse_openbook("openbook v1\ngenus 0\nboundary 1\nword t(x)^3\n"
+                        'config {"curves":[{"name":"x","kind":"handle_a","class":[]}]}\n')
+    st = stabilize_positive(ob, SameBoundary(1))
+    assert st.page == Surface(0, 2)
+    assert st.config.curve("x").homology_class == (0,)
+    assert closed_h1(st) == closed_h1(ob) == trivial
+
+
 def test_stabilize_bad_indices():
     ob = book(1, 2)
     with pytest.raises(ValueError):
@@ -534,9 +545,10 @@ def _pushforward(g, n, attachment, classes):
     """Stabilize a book whose curves carry the given classes; returns
     (new page, fresh class, images of the classes)."""
     rank = 2 * g + n - 1
-    # the doubled class matches no default class, so no renaming happens
+    # the doubled class matches no default class, so no renaming happens;
+    # on the disk z is the zero class, which the annulus' system lacks too
     curves = [ConfiguredCurve(f"x{i}", "chain", c) for i, c in enumerate(classes)]
-    curves.append(ConfiguredCurve("z", "chain", (2,) + (0,) * (rank - 1)))
+    curves.append(ConfiguredCurve("z", "chain", (2,) + (0,) * (rank - 1) if rank else ()))
     word = TwistWord(tuple((c.name, 1) for c in curves))
     ob = AbstractOpenBook(Surface(g, n), word, CurveConfig(Surface(g, n), curves, False))
     st = stabilize_positive(ob, attachment)
@@ -547,8 +559,6 @@ def _pushforward(g, n, attachment, classes):
 def test_stabilization_preserves_the_pairing():
     for g in range(5):
         for n in range(1, 7):
-            if 2 * g + n - 1 == 0:
-                continue
             rank = 2 * g + n - 1
             units = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
             for att in _attachments(n):
@@ -561,8 +571,6 @@ def test_stabilization_preserves_the_pairing():
 def test_stabilization_rule_on_boundary_classes():
     for g in range(5):
         for n in range(1, 7):
-            if 2 * g + n - 1 == 0:
-                continue
             bounds = [_boundary(g, n, m) for m in range(1, n + 1)]
             for att in _attachments(n):
                 page, fresh, images = _pushforward(g, n, att, bounds)
@@ -584,6 +592,26 @@ def test_stabilization_rule_on_boundary_classes():
                     want[j] = b
                     want[k] = tuple(x - y for x, y in zip(new[n2], b))
                 assert images == [want[m] for m in range(1, n + 1)], (g, n, att)
+
+
+def test_stabilization_push_is_additive():
+    # with the handle classes fixed and the rule on boundary classes above,
+    # additivity pins the whole map
+    rng = random.Random(67)
+    for g in range(4):
+        for n in range(1, 6):
+            rank = 2 * g + n - 1
+            handles = [tuple(int(i == j) for i in range(rank)) for j in range(2 * g)]
+            xs = [tuple(rng.randint(-9, 9) for _ in range(rank)) for _ in range(4)]
+            sums = [tuple(map(add, x, y)) for x, y in zip(xs, xs[1:])]
+            for att in _attachments(n):
+                _, _, images = _pushforward(g, n, att, handles + xs + sums)
+                # both attachments raise the rank by one and fix the handle classes
+                for j in range(2 * g):
+                    assert images[j] == handles[j] + (0,), (g, n, att)
+                pushed = images[2 * g:]
+                for i in range(3):
+                    assert pushed[4 + i] == tuple(map(add, pushed[i], pushed[i + 1])), (g, n, att)
 
 
 def test_oversized_pages_are_rejected_before_anything_is_built():
