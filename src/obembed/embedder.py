@@ -15,6 +15,11 @@ normalization (both recomputed), collar levels in (0, 1/2), the
 realization of the word in action order, and the completeness of the
 avoidance checklist.
 
+``input.openbook`` carries a ``config`` exactly when the book's
+configuration is not the page's default system, and ``config_kind`` is
+"default" by the same rule (``surface.is_default``).  Only
+``surface.load_config_override`` applies the kind rule.
+
 Certificate wire format (JSON): top-level keys are exactly
 {kind, version, input, scene, schedule, checks}, version 1.
 """
@@ -25,7 +30,7 @@ import json
 
 from .openbook import (AbstractOpenBook, closed_h1, core_twist_total,
                        reduce_to_one_boundary)
-from .surface import Surface, lickorish_system
+from .surface import Surface, is_default, lickorish_system
 
 VERSION = 1
 
@@ -94,17 +99,10 @@ def _total_space(framing):
 
 
 def _schedule_for(curve_names):
-    total = len(curve_names)
-    entries = []
-    for idx, name in enumerate(curve_names, start=1):
-        entries.append({
-            "curve": name,
-            "order": idx,
-            "level": _ratio(idx, 2 * (total + 1)),
-            "band_sum_curve": "C#bCH",
-            "isotopy": ["push", "twist", "return"],
-        })
-    return entries
+    den = 2 * (len(curve_names) + 1)
+    return [{"curve": name, "order": idx, "level": _ratio(idx, den), "band_sum_curve": "C#bCH",
+             "isotopy": ["push", "twist", "return"]}
+            for idx, name in enumerate(curve_names, start=1)]
 
 
 def _realization(word):
@@ -122,7 +120,7 @@ def _flexible_input(page, framing, cfg):
     return {"page": {"genus": page.genus, "boundary": page.boundary_count},
             "framing": framing,
             "curves": list(cfg.names()),
-            "config_kind": "default" if cfg.standard else "attached"}
+            "config_kind": "default" if is_default(cfg) else "attached"}
 
 
 def _flexible_spec(g, n, names):

@@ -261,6 +261,8 @@ class AbelianGroup(Value):
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict) or not {"free_rank", "torsion"} <= d.keys():
+            raise ValueError("abelian group needs an object with free_rank and torsion")
         return cls(d["free_rank"], d["torsion"])
 
     def __str__(self):

@@ -16,6 +16,10 @@ delta_i = [phi(r_i) - r_i] of the arc r_i, so
 
     H1(closed manifold) = Z^{2g+n-1} / (im(Phi - I) + <delta_1..delta_{n-1}>).
 
+A book's text form and ``to_dict`` carry a ``config`` exactly when its
+configuration is not the page's default system (``surface.is_default``).
+Only ``surface.load_config_override`` applies the kind rule.
+
 Positive stabilization plumbs a band onto the page and prepends one
 positive twist along a curve crossing the band once.  The output open
 book carries the pushforward of the input's curve classes through the
@@ -33,8 +37,8 @@ import json
 from .intlinalg import AbelianGroup, IntMatrix, Value, cokernel
 # arc_defect is unused here; bench/tracer.py wraps it under this module's name
 from .mcg import TwistWord, WordSyntaxError, arc_defect, format_word, parse_word, word_action
-from .surface import (ConfiguredCurve, CurveConfig, Surface, config_from_dict,
-                      config_to_dict, join_boundaries, lickorish_system, split_boundary)
+from .surface import (ConfiguredCurve, CurveConfig, Surface, config_from_dict, config_to_dict,
+                      is_default, join_boundaries, lickorish_system, split_boundary)
 
 FORMAT_HEADER = "openbook v1"
 
@@ -75,7 +79,7 @@ class AbstractOpenBook(Value):
         d = {"genus": self.page.genus,
              "boundary": self.page.boundary_count,
              "word": format_word(self.word)}
-        if not self.config.standard:
+        if not is_default(self.config):
             d["config"] = config_to_dict(self.config)
         if self.label:
             d["label"] = self.label
@@ -101,7 +105,7 @@ def parse_openbook(text):
     """Parse the open-book text format.
 
     Four fixed lines (header, genus, boundary, word) and one optional
-    ``config <json>`` line carrying an attached configuration.
+    ``config <json>`` line carrying a configuration other than the default.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != FORMAT_HEADER:
@@ -115,21 +119,18 @@ def parse_openbook(text):
             raise OpenBookParseError(idx + 1, f"expected {key!r} line, got {line!r}")
         return line[len(key):].strip()
 
-    g_text = field_line(1, "genus")
-    try:
-        genus = int(g_text)
-        if genus < 0:
-            raise ValueError
-    except ValueError:
-        raise OpenBookParseError(2, f"genus must be a nonnegative integer, got {g_text!r}")
+    def count_line(idx, key, least, what):
+        text = field_line(idx, key)
+        try:
+            value = int(text)
+            if value < least:
+                raise ValueError
+        except ValueError:
+            raise OpenBookParseError(idx + 1, f"{key} must be a {what} integer, got {text!r}")
+        return value
 
-    n_text = field_line(2, "boundary")
-    try:
-        boundary = int(n_text)
-        if boundary < 1:
-            raise ValueError
-    except ValueError:
-        raise OpenBookParseError(3, f"boundary must be a positive integer, got {n_text!r}")
+    genus = count_line(1, "genus", 0, "nonnegative")
+    boundary = count_line(2, "boundary", 1, "positive")
     try:
         page = Surface(genus, boundary)
     except ValueError as exc:
@@ -163,14 +164,10 @@ def parse_openbook(text):
 
 
 def serialize_openbook(ob):
-    lines = [FORMAT_HEADER,
-             f"genus {ob.page.genus}",
-             f"boundary {ob.page.boundary_count}",
-             ("word " + format_word(ob.word)).rstrip()]
-    if not ob.config.standard:
-        payload = json.dumps(config_to_dict(ob.config),
-                             sort_keys=True, separators=(",", ":"))
-        lines.append("config " + payload)
+    d = ob.to_dict()
+    lines = [FORMAT_HEADER] + [f"{key} {d[key]}".rstrip() for key in ("genus", "boundary", "word")]
+    if "config" in d:
+        lines.append("config " + json.dumps(d["config"], sort_keys=True, separators=(",", ":")))
     return "\n".join(lines) + "\n"
 
 
@@ -213,6 +210,9 @@ class SameBoundary(Value):
     __slots__ = ("j",)
 
     def __init__(self, j):
+        # bool is a subclass of int, so it is rejected by the exact type test
+        if type(j) is not int:
+            raise ValueError(f"attachment index must be an integer, got {j!r}")
         self._set(j)
 
 
@@ -222,6 +222,8 @@ class JoinBoundaries(Value):
     __slots__ = ("j", "k")
 
     def __init__(self, j, k):
+        if type(j) is not int or type(k) is not int:
+            raise ValueError(f"attachment indices must be integers, got {j!r}, {k!r}")
         self._set(j, k)
 
 
@@ -278,7 +280,7 @@ def stabilize_positive(ob, attachment):
 
     mapping = _canonicalize(new_page, pushed)
     if mapping is None:
-        cfg = CurveConfig(new_page, pushed, standard=False)
+        cfg = CurveConfig(new_page, pushed)
     else:
         new_word, cfg = new_word.rename(mapping), lickorish_system(new_page)
     return AbstractOpenBook(new_page, new_word, cfg, ob.label)

@@ -29,19 +29,21 @@ The default twist-generating system (``_default_table``) is
     e_j           boundary_class(j) + boundary_class(j+1)
                                              (boundary_pair, j = 1..n-1)
 
-A standard configuration may give a curve of each kind only the classes
-this table gives that kind.  ``lickorish_system`` drops the members
-that are null on a planar page: d_1 on the disk and e_1 on the annulus
-bound disks and twist trivially.
+``lickorish_system`` drops the members that are null on a planar page:
+d_1 on the disk and e_1 on the annulus bound disks and twist trivially.
+A configuration is the page's default exactly when it equals
+``lickorish_system(page)`` (``is_default``); an open book carries a
+``config`` line exactly when its configuration is not the default.
 
 Pages, curves and configurations are immutable values (``Value``, from
 ``intlinalg``: equality, hash and repr by field), valid by
 construction.  ``Surface`` rejects a genus or boundary count that is
-not a nonnegative int, and ``CurveConfig`` rejects duplicate names,
-classes of the wrong dimension and, when standard, classes outside the
-table; each raises one ValueError.  ``config_from_dict`` and
-``load_config_override`` (JSON text, with an optional arc table) raise
-nothing else on malformed input.
+not a nonnegative int, and ``CurveConfig`` rejects duplicate names and
+classes of the wrong dimension; each raises one ValueError.  Only
+``load_config_override`` (JSON text, with an optional arc table)
+applies the kind rule: a curve of each kind may carry only the classes
+this table gives that kind.  It and ``config_from_dict`` raise nothing
+else on malformed input.
 
 Arcs r_1 .. r_{n-1} run from the base component to each puncture.  The
 algebraic crossing number of an arc with a curve depends only on the
@@ -206,16 +208,12 @@ class ConfiguredCurve(Value):
 class CurveConfig(Value):
     """An ordered system of named curves on a fixed surface.
 
-    standard=True marks the default (or a user-supplied standard)
-    system, for which the kind of each curve pins its class shape.
-    Configurations produced by stabilization are not standard: their
-    classes are pushforwards and leave the default patterns.  An invalid
-    system raises one ValueError listing every violation.
+    An invalid system raises one ValueError listing every violation.
     """
 
-    __slots__ = ("surface", "curves", "standard", "_index", "_twists")
+    __slots__ = ("surface", "curves", "_index", "_twists")
 
-    def __init__(self, surface, curves, standard=True):
+    def __init__(self, surface, curves):
         curves = tuple(curves)
         rank = surface.h1_rank
         index, out = {}, []
@@ -226,15 +224,9 @@ class CurveConfig(Value):
             if len(c.homology_class) != rank:
                 out.append(f"curve {c.name}: class has dimension {len(c.homology_class)}, "
                            f"expected {rank}")
-        if standard:
-            allowed = {(kind, c) for _, kind, c in _default_table(surface)}
-            out += [f"{c.kind} curve {c.name}: class {list(c.homology_class)} "
-                    f"is not a default {c.kind} class" for c in curves
-                    if len(c.homology_class) == rank
-                    and (c.kind, c.homology_class) not in allowed]
         if out:
             raise ValueError("; ".join(out))
-        self._set(surface, curves, standard, index, {})
+        self._set(surface, curves, index, {})
 
     def curve(self, name):
         try:
@@ -311,7 +303,7 @@ def lickorish_system(surface):
     # on a planar page a null class bounds a disk: the disk's d1, the annulus' e1
     curves = [ConfiguredCurve(*row) for row in _default_table(surface)
               if surface.genus or any(row[2])]
-    cfg = _systems[surface] = CurveConfig(surface, curves, standard=True)
+    cfg = _systems[surface] = CurveConfig(surface, curves)
     total = sum(s.h1_rank for s in _systems)
     while total > SYSTEM_CACHE_RANK:
         evicted, _ = _systems.popitem(last=False)
@@ -319,12 +311,17 @@ def lickorish_system(surface):
     return cfg
 
 
+def is_default(cfg):
+    """Whether cfg is its page's default system, ``lickorish_system(page)``."""
+    return cfg.surface.boundary_count > 0 and cfg == lickorish_system(cfg.surface)
+
+
 def config_to_dict(cfg):
     return {"curves": [{"name": c.name, "kind": c.kind,
                         "class": list(c.homology_class)} for c in cfg.curves]}
 
 
-def config_from_dict(data, surface, standard=False):
+def config_from_dict(data, surface):
     """The CurveConfig of {"curves": [{"name", "kind", "class"}, ...]}."""
     curves = data.get("curves") if isinstance(data, dict) else None
     if not isinstance(curves, list) or not all(
@@ -332,24 +329,28 @@ def config_from_dict(data, surface, standard=False):
         raise ValueError("configuration needs a list of curves, each with name, kind "
                          "and class")
     return CurveConfig(surface, [ConfiguredCurve(c["name"], c["kind"], c["class"])
-                                 for c in curves], standard=standard)
+                                 for c in curves])
 
 
 def load_config_override(text, surface):
-    """Load a standard configuration from JSON text; returns the CurveConfig.
+    """Load a configuration from JSON text; returns the CurveConfig.
 
-    The format carries curves and, optionally, an explicit arc table
-    that must agree with the crossing numbers the classes force:
+    The format carries curves, each kind with only the classes the
+    default table gives it, and, optionally, an explicit arc table that
+    must agree with the crossing numbers the classes force:
     {"curves": [{"name", "class", "kind"}, ...],
      "arcs": [{"index": i, "intersections": {"name": value, ...}}, ...]}
     Class entries, arc indices and values must be JSON integers.
     """
     data = json.loads(text)
-    cfg = config_from_dict(data, surface, standard=True)
+    cfg = config_from_dict(data, surface)
     arcs = data.get("arcs") or []
     if not isinstance(arcs, list) or not all(isinstance(rec, dict) for rec in arcs):
         raise ValueError("arcs must be a list of objects")
-    out = []
+    allowed = {(kind, c) for _, kind, c in _default_table(surface)}
+    out = [f"{c.kind} curve {c.name}: class {list(c.homology_class)} "
+           f"is not a default {c.kind} class" for c in cfg
+           if (c.kind, c.homology_class) not in allowed]
     for rec in arcs:
         index, values = rec.get("index"), rec.get("intersections", {})
         if (type(index) is not int or not isinstance(values, dict)

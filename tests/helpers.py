@@ -6,11 +6,12 @@ the independent check that the SNF transforms are unimodular.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 
 from obembed import (AbstractOpenBook, IntMatrix, Surface, TwistWord, WordSyntaxError,
-                     lickorish_system)
+                     lickorish_system, load_config_override)
 
 _LETTER_RE = re.compile(r"^t\(([A-Za-z][A-Za-z0-9_]*)\)(?:\^(-?\d+))?$")
 
@@ -149,6 +150,15 @@ def random_word(rng, cfg, max_len=10, max_exp=3):
     letters = tuple((rng.choice(names), rng.choice(exps))
                     for _ in range(rng.randint(0, max_len)))
     return TwistWord(letters)
+
+
+def override_book(ob, prefix="u"):
+    """ob, a book over the default system, with its curves renamed as a user override."""
+    curves = [{"name": prefix + c.name, "kind": c.kind, "class": list(c.homology_class)}
+              for c in ob.config]
+    cfg = load_config_override(json.dumps({"curves": curves}), ob.page)
+    word = ob.word.rename({name: prefix + name for name in ob.config.names()})
+    return AbstractOpenBook(ob.page, word, cfg, ob.label)
 
 
 def random_open_book(rng, max_genus=3, max_boundary=3, max_len=10):

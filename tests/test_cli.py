@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,7 +144,7 @@ def test_stabilize_round_trip(lens_file, tmp_path):
     out_path = str(tmp_path / "st.ob")
     code, _, _ = go("stabilize", lens_file, "--join", "1", "2", "--out", out_path)
     assert code == 0
-    text = open(out_path).read()
+    text = Path(out_path).read_text()
     assert text.startswith("openbook v1\n")
     code, out, _ = go("h1", out_path)
     assert (code, out) == (0, "H1 = Z/5\n")
@@ -182,7 +183,7 @@ def test_reduce(lens_file, tmp_path):
     assert code == 0
     code, out, _ = go("h1", out_path)
     assert (code, out) == (0, "H1 = Z/5\n")
-    assert "boundary 1\n" in open(out_path).read()
+    assert "boundary 1\n" in Path(out_path).read_text()
 
 
 def test_embed_and_validate(lens_file, tmp_path):
@@ -280,7 +281,7 @@ def test_identical_invocations_identical_bytes(lens_file, tmp_path):
     for tag in ("x", "y"):
         cert = str(tmp_path / f"{tag}.json")
         go("embed", lens_file, "--framing", "-2", "--out", cert)
-        runs.append(open(cert, "rb").read())
+        runs.append(Path(cert).read_bytes())
     assert runs[0] == runs[1]
     a = go("h1", lens_file, "--json")
     b = go("h1", lens_file, "--json")

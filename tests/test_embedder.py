@@ -6,12 +6,13 @@ import random
 import pytest
 
 from obembed import AbstractOpenBook, Surface, parse_word
+from obembed.surface import is_default
 from obembed.embedder import (TARGET_EVEN, TARGET_ODD, build_annulus_s5,
                               build_flexible_embedding, build_openbook_embedding,
                               build_s5_plan, certificate_to_json,
                               validate_certificate)
 
-from helpers import random_open_book
+from helpers import override_book, random_open_book
 
 
 def book(g, n, word_text=""):
@@ -129,8 +130,7 @@ def test_annulus_rejects_wrong_page():
 def test_annulus_rejects_non_core_letters():
     from obembed import ConfiguredCurve, CurveConfig, TwistWord
     page = Surface(0, 2)
-    cfg = CurveConfig(page, [ConfiguredCurve("z", "boundary_parallel", (0,))],
-                      standard=False)
+    cfg = CurveConfig(page, [ConfiguredCurve("z", "boundary_parallel", (0,))])
     ob = AbstractOpenBook(page, TwistWord((("z", 1),)), cfg)
     with pytest.raises(ValueError, match="core"):
         build_annulus_s5(ob)
@@ -253,8 +253,7 @@ def test_validator_rejects_unknown_kind():
 def test_validator_reports_non_integer_config_classes():
     from obembed import ConfiguredCurve, CurveConfig
     page = Surface(1, 3)
-    cfg = CurveConfig(page, [ConfiguredCurve("x", "boundary_parallel", (0, 0, 1, 0))],
-                      standard=False)
+    cfg = CurveConfig(page, [ConfiguredCurve("x", "boundary_parallel", (0, 0, 1, 0))])
     cert = build_openbook_embedding(AbstractOpenBook(page, parse_word("t(x)^2"), cfg), 1)
     assert validate_certificate(cert) == []
     for cls in ("0010", [0.0, 0, 1.0, 0], [False, False, True, False]):
@@ -276,6 +275,10 @@ def test_builder_validator_closure_fuzz():
         m = rng.randint(-3, 3)
         assert validate_certificate(build_openbook_embedding(ob, m)) == []
         assert validate_certificate(build_s5_plan(ob)) == []
+        # the same book over a user configuration, as load_config_override returns it
+        user = override_book(ob)
+        assert validate_certificate(build_openbook_embedding(user, m)) == []
+        assert validate_certificate(build_s5_plan(user)) == []
 
 
 def test_certificates_over_attached_configs():
@@ -285,7 +288,7 @@ def test_certificates_over_attached_configs():
     while tested < 10:
         ob = random_open_book(rng)
         st = stabilize_positive(ob, SameBoundary(1))
-        if st.config.standard:
+        if is_default(st.config):
             continue   # canonicalized; the attached path is the interesting one
         tested += 1
         assert validate_certificate(build_openbook_embedding(st, 1)) == []

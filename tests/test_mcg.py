@@ -190,7 +190,7 @@ def test_wrong_class_dimension_rejected():
     from obembed import ConfiguredCurve, CurveConfig
     page = Surface(1, 1)
     with pytest.raises(ValueError, match="dimension"):
-        CurveConfig(page, [ConfiguredCurve("x", "handle_a", (1, 0, 0))], standard=False)
+        CurveConfig(page, [ConfiguredCurve("x", "handle_a", (1, 0, 0))])
 
 
 def test_empty_word_is_identity():
@@ -386,7 +386,7 @@ def test_arcs_action_on_letters_with_pairing_and_shift():
              ("p3", (1, 1, 1, 0, 0, 0)), ("p3s", (1, 1, 1, 0, 0, -1)),
              ("m2", (1, 0, -1, 0, 0, 0))]
     cfg = CurveConfig(page, ob.config.curves + tuple(ConfiguredCurve(name, "chain", c)
-                                                     for name, c in extra), standard=False)
+                                                     for name, c in extra))
     rank, arcs = page.h1_rank, page.boundary_count - 1
     assert arcs == 2
     both = {name for name in cfg.names() if cfg.twist(name)[1] and cfg.twist(name)[2]}

@@ -17,9 +17,10 @@ import pytest
 from obembed import (AbelianGroup, AbstractOpenBook, ConfiguredCurve, CurveConfig,
                      JoinBoundaries, OpenBookParseError, SameBoundary, Surface, TwistWord,
                      arc_defect, closed_h1, format_word, identify_known, lickorish_system,
-                     mapping_torus_h1, parse_openbook, parse_word,
+                     load_config_override, mapping_torus_h1, parse_openbook, parse_word,
                      reduce_to_one_boundary, serialize_openbook,
                      stabilize_positive, word_action)
+from obembed.surface import config_to_dict
 
 from helpers import random_open_book, random_word
 
@@ -263,8 +264,7 @@ def test_identify_rejects_null_class_annulus_letters():
     from obembed import ConfiguredCurve, CurveConfig
     page = Surface(0, 2)
     cfg = CurveConfig(page, [ConfiguredCurve("d1", "boundary_parallel", (1,)),
-                             ConfiguredCurve("z", "boundary_parallel", (0,))],
-                      standard=False)
+                             ConfiguredCurve("z", "boundary_parallel", (0,))])
     assert identify_known(AbstractOpenBook(page, parse_word("t(d1)^3"), cfg)) == "L(3,1)"
     assert identify_known(AbstractOpenBook(page, parse_word("t(d1)^3 t(z)"), cfg)) is None
 
@@ -275,7 +275,7 @@ def test_stabilize_disk_gives_hopf_band_book():
     st = stabilize_positive(book(0, 1), SameBoundary(1))
     assert st.page == Surface(0, 2)
     assert format_word(st.word) == "t(d1)"
-    assert st.config.standard
+    assert st.config is lickorish_system(st.page)
     assert closed_h1(st) == trivial
     assert identify_known(st) == "S3"
 
@@ -318,6 +318,11 @@ def test_stabilize_bad_indices():
         stabilize_positive(ob, JoinBoundaries(2, 2))
     with pytest.raises(ValueError):
         stabilize_positive(ob, JoinBoundaries(1, 5))
+    # indices are ints, not bools or floats, checked when the attachment is built
+    for attachment, indices in ((SameBoundary, (1.5,)), (SameBoundary, (True,)),
+                                (JoinBoundaries, (1.0, 2)), (JoinBoundaries, (1, False))):
+        with pytest.raises(ValueError, match="integer"):
+            attachment(*indices)
 
 
 def test_stabilize_euler_characteristic_drops_by_one():
@@ -397,6 +402,16 @@ def test_parse_serialize_round_trip():
     assert back.page == ob.page
     assert back.word == ob.word
     assert serialize_openbook(back) == text
+    # a user configuration is written out unless it equals the page's default system
+    page = Surface(1, 1)
+    for curves, line in (('[{"name": "x", "kind": "handle_a", "class": [1, 0]}]',
+                          'config {"curves":[{"class":[1,0],"kind":"handle_a","name":"x"}]}\n'),
+                         (json.dumps(config_to_dict(lickorish_system(page))["curves"]), "")):
+        cfg = load_config_override(f'{{"curves": {curves}}}', page)
+        ob = AbstractOpenBook(page, TwistWord(), cfg)
+        text = serialize_openbook(ob)
+        assert text == "openbook v1\ngenus 1\nboundary 1\nword\n" + line
+        assert parse_openbook(text) == ob == AbstractOpenBook.from_dict(ob.to_dict())
 
 
 def test_serialize_empty_word():
@@ -550,7 +565,7 @@ def _pushforward(g, n, attachment, classes):
     curves = [ConfiguredCurve(f"x{i}", "chain", c) for i, c in enumerate(classes)]
     curves.append(ConfiguredCurve("z", "chain", (2,) + (0,) * (rank - 1) if rank else ()))
     word = TwistWord(tuple((c.name, 1) for c in curves))
-    ob = AbstractOpenBook(Surface(g, n), word, CurveConfig(Surface(g, n), curves, False))
+    ob = AbstractOpenBook(Surface(g, n), word, CurveConfig(Surface(g, n), curves))
     st = stabilize_positive(ob, attachment)
     classes = [st.config.curve(name).homology_class for name, _ in st.word.letters]
     return st.page, classes[0], classes[1:-1]

@@ -1,7 +1,8 @@
 """Hypothesis property tests of the text format and the validator.
 
-- Any open book, including the attached configurations that
-  stabilization produces, survives serialize -> parse unchanged.
+- Any open book, including user configurations loaded as overrides and
+  the attached configurations that stabilization produces, survives
+  serialize -> parse unchanged.
 - ``validate_certificate`` is total: with any JSON value set at any
   field of a valid certificate it returns a list of violations; it
   raises ValueError only for a non-object.
@@ -16,12 +17,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from obembed import (AbstractOpenBook, JoinBoundaries, SameBoundary, Surface, TwistWord,
-                     lickorish_system, load_config_override, parse_openbook, parse_word,
-                     serialize_openbook, stabilize_positive)
+from obembed import (AbelianGroup, AbstractOpenBook, JoinBoundaries, SameBoundary, Surface,
+                     TwistWord, lickorish_system, load_config_override, parse_openbook,
+                     parse_word, serialize_openbook, stabilize_positive)
 from obembed.surface import CURVE_KINDS, config_from_dict
 from obembed.embedder import (build_annulus_s5, build_flexible_embedding,
                               build_openbook_embedding, build_s5_plan, validate_certificate)
+
+from helpers import override_book
 
 
 @st.composite
@@ -31,6 +34,8 @@ def open_books(draw):
     letters = draw(st.lists(st.tuples(st.sampled_from(cfg.names()), st.integers(-3, 3)),
                             max_size=8)) if len(cfg) else []
     ob = AbstractOpenBook(page, TwistWord(tuple(letters)), cfg)
+    if draw(st.booleans()):
+        ob = override_book(ob)
     for _ in range(draw(st.integers(0, 2))):
         n = ob.page.boundary_count
         if n >= 2 and draw(st.booleans()):
@@ -120,14 +125,18 @@ configs = _objects({
 books = _objects({"genus": st.integers(0, 2), "boundary": st.integers(0, 3),
                   "word": st.sampled_from(["", "t(x)", "t(d1)^2"]), "config": configs,
                   "label": st.text(max_size=3)})
+groups = _objects({"free_rank": st.integers(-1, 2),
+                   "torsion": st.lists(st.integers(-1, 6), max_size=3)})
 
 
 @settings(max_examples=300)
-@given(books | configs | json_values, st.sampled_from([Surface(0, 2), Surface(1, 1)]))
+@given(books | configs | groups | json_values,
+       st.sampled_from([Surface(0, 2), Surface(1, 1)]))
 @example({"genus": 0, "boundary": 2, "config": {"curves": [[1]]}}, Surface(0, 2))
+@example({"torsion": []}, Surface(0, 2))
 def test_json_loaders_raise_only_value_error(value, page):
     loaders = (AbstractOpenBook.from_dict, lambda v: config_from_dict(v, page),
-               lambda v: load_config_override(json.dumps(v), page))
+               lambda v: load_config_override(json.dumps(v), page), AbelianGroup.from_dict)
     for load in loaders:
         try:
             load(value)

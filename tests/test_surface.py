@@ -8,7 +8,7 @@ import pytest
 from obembed import (ConfiguredCurve, CurveConfig, Surface, cokernel, lickorish_system,
                      load_config_override)
 from obembed import surface as surface_module
-from obembed.surface import MAX_PAGE_RANK, config_from_dict, config_to_dict
+from obembed.surface import MAX_PAGE_RANK, config_from_dict, config_to_dict, is_default
 
 from helpers import pairing_matrix
 
@@ -108,15 +108,18 @@ def test_default_system_validates():
     for g in range(6):
         for n in range(1, 6):
             cfg = lickorish_system(Surface(g, n))
-            assert CurveConfig(cfg.surface, cfg.curves, standard=True) == cfg
+            assert CurveConfig(cfg.surface, cfg.curves) == cfg
+            assert is_default(CurveConfig(cfg.surface, cfg.curves))
+            if len(cfg):
+                assert not is_default(CurveConfig(cfg.surface, cfg.curves[:-1]))
+    assert not is_default(CurveConfig(Surface(1, 0), []))
 
 
 def test_duplicate_name_reported():
     s = Surface(1, 1)
     cfg = lickorish_system(s)
     with pytest.raises(ValueError, match="duplicate curve name 'a1'"):
-        CurveConfig(s, list(cfg.curves) + [ConfiguredCurve("a1", "handle_a", (1, 0))],
-                    standard=True)
+        CurveConfig(s, list(cfg.curves) + [ConfiguredCurve("a1", "handle_a", (1, 0))])
 
 
 def test_wrong_dimension_reported():
@@ -131,17 +134,22 @@ def test_violations_are_reported_together():
         CurveConfig(s, [ConfiguredCurve("a1", "chain", (1, 0)),
                         ConfiguredCurve("a1", "handle_a", (1,))])
     assert str(exc.value) == ("duplicate curve name 'a1'; "
-                              "curve a1: class has dimension 1, expected 2; "
-                              "chain curve a1: class [1, 0] is not a default chain class")
+                              "curve a1: class has dimension 1, expected 2")
 
 
 def test_kind_class_rules_for_standard_configs():
+    # only load_config_override applies the kind rule, in one list with the arc table
     s = Surface(1, 2)
-    with pytest.raises(ValueError, match=r"chain curve x: class \[1, 1, 0\] is not a "
-                                         "default chain class"):
-        CurveConfig(s, [ConfiguredCurve("x", "chain", (1, 1, 0))], standard=True)
-    # the same class is fine in a non-standard (pushforward) config
-    cfg2 = CurveConfig(s, [ConfiguredCurve("x", "chain", (1, 1, 0))], standard=False)
+    data = {"curves": [{"name": "x", "kind": "chain", "class": [1, 1, 0]}],
+            "arcs": [{"index": 1, "intersections": {"x": 1}}]}
+    with pytest.raises(ValueError) as exc:
+        load_config_override(json.dumps(data), s)
+    assert str(exc.value) == (
+        "invalid configuration override: chain curve x: class [1, 1, 0] is not a default "
+        "chain class; arc table entry <r1,x> = 1 is inconsistent with the curve class "
+        "(forced value 0)")
+    # the same class is fine in a pushforward config
+    cfg2 = CurveConfig(s, [ConfiguredCurve("x", "chain", (1, 1, 0))])
     assert cfg2.names() == ("x",)
 
 
@@ -168,7 +176,7 @@ def test_pairing_values():
 def test_config_json_round_trip():
     cfg = lickorish_system(Surface(2, 2))
     data = config_to_dict(cfg)
-    back = config_from_dict(data, Surface(2, 2), standard=True)
+    back = config_from_dict(data, Surface(2, 2))
     assert back.names() == cfg.names()
     assert all(back.curve(n).homology_class == cfg.curve(n).homology_class
                for n in cfg.names())
@@ -235,9 +243,10 @@ def test_pairing_matrix_is_the_fixed_symplectic_form():
 
 
 def _standard(page, *curves):
-    """The violations of a standard configuration; empty when it is valid."""
+    """The violations of a configuration loaded as an override; empty when it is valid."""
+    data = {"curves": [{"name": name, "kind": kind, "class": list(c)} for name, kind, c in curves]}
     try:
-        CurveConfig(page, [ConfiguredCurve(*c) for c in curves])
+        load_config_override(json.dumps(data), page)
     except ValueError as exc:
         return str(exc)
     return ""
@@ -267,8 +276,7 @@ def test_default_classes_are_rejected_under_other_kinds():
 
 
 def test_closed_surface_has_no_boundary_parallel_class():
-    with pytest.raises(ValueError, match="boundary_parallel"):
-        CurveConfig(Surface(1, 0), [ConfiguredCurve("d1", "boundary_parallel", (0, 0))])
+    assert "boundary_parallel" in _standard(Surface(1, 0), ("d1", "boundary_parallel", (0, 0)))
 
 
 def _override(page, *arcs):

@@ -23,7 +23,7 @@ ANNULUS = Surface(0, 2)
 ANNULUS_TEXT = "Surface(genus=0, boundary_count=2)"
 ANNULUS_CURVES = ("(ConfiguredCurve(name='d1', kind='boundary_parallel', homology_class=(1,)), "
                   "ConfiguredCurve(name='d2', kind='boundary_parallel', homology_class=(-1,)))")
-ANNULUS_CONFIG = f"CurveConfig(surface={ANNULUS_TEXT}, curves={ANNULUS_CURVES}, standard=True)"
+ANNULUS_CONFIG = f"CurveConfig(surface={ANNULUS_TEXT}, curves={ANNULUS_CURVES})"
 
 
 def lens5():
@@ -36,7 +36,7 @@ def samples():
     return [
         (Surface(1, 2), Surface(2, 1)),
         (ConfiguredCurve("a1", "handle_a", [1, 0]), ConfiguredCurve("b1", "handle_b", [0, 1])),
-        (cfg, CurveConfig(Surface(1, 2), cfg.curves, standard=False)),
+        (cfg, CurveConfig(Surface(1, 2), cfg.curves[1:])),
         (TwistWord((("a1", 2), ("b1", -1))), TwistWord((("a1", 2),))),
         (RelationCheck("braid(a1,b1)", "braid", True), RelationCheck("braid(a1,b1)", "braid", False)),
         (relation_report(cfg), RelationReport(cfg.surface, ())),
@@ -91,7 +91,7 @@ def test_defaults():
     assert TwistWord() == TwistWord(()) and TwistWord().letters == ()
     assert AbelianGroup(0) == AbelianGroup(0, ()) and AbelianGroup(0).torsion == ()
     cfg = CurveConfig(ANNULUS, lickorish_system(ANNULUS).curves)
-    assert cfg.standard is True and cfg == lickorish_system(ANNULUS)
+    assert cfg == lickorish_system(ANNULUS)
     ob = AbstractOpenBook(ANNULUS, TwistWord(), cfg)
     assert ob.label is None
     assert AbstractOpenBook.with_default_config(ANNULUS) == ob
