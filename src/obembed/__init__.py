@@ -11,7 +11,7 @@ from .intlinalg import AbelianGroup, IntMatrix, cokernel, smith_normal_form
 from .surface import (ConfiguredCurve, CurveConfig, Surface, lickorish_system,
                       load_config_override)
 from .mcg import (TwistWord, WordSyntaxError, arc_defect, format_word, parse_word,
-                  relation_report, twist_matrix, word_action)
+                  relation_report, word_action)
 from .openbook import (AbstractOpenBook, JoinBoundaries, OpenBookParseError,
                        SameBoundary, closed_h1, identify_known, mapping_torus_h1,
                        parse_openbook, read_openbook, reduce_to_one_boundary,
@@ -25,7 +25,7 @@ __all__ = [
     "ConfiguredCurve", "CurveConfig", "Surface",
     "lickorish_system", "load_config_override",
     "TwistWord", "WordSyntaxError", "arc_defect", "format_word", "parse_word",
-    "relation_report", "twist_matrix", "word_action",
+    "relation_report", "word_action",
     "AbstractOpenBook", "JoinBoundaries", "OpenBookParseError", "SameBoundary",
     "closed_h1", "identify_known", "mapping_torus_h1", "parse_openbook",
     "read_openbook", "reduce_to_one_boundary", "serialize_openbook",

@@ -157,18 +157,8 @@ class IntMatrix(Value):
         self._set(rows, cols, data)
 
     @classmethod
-    def from_rows(cls, rows):
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        return cls(len(rows), ncols, rows)
-
-    @classmethod
     def identity(cls, n):
         return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
 
     def entry(self, i, j):
         return self.data[i][j]
@@ -179,42 +169,8 @@ class IntMatrix(Value):
     def row_lists(self):
         return [list(r) for r in self.data]
 
-    def diagonal(self):
-        return tuple(self.data[i][i] for i in range(min(self.rows, self.cols)))
-
-    def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         [[self.data[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
-
-    def __mul__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            srow = self.data[i]
-            orow = []
-            for j in range(other.cols):
-                orow.append(sum(srow[k] * other.data[k][j] for k in range(self.cols)))
-            out.append(orow)
-        return IntMatrix(self.rows, other.cols, out)
-
-    def apply(self, vec):
-        """Matrix times column vector, returned as a tuple."""
-        vec = tuple(vec)
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum(row[k] * vec[k] for k in range(self.cols)) for row in self.data)
-
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, {list(map(list, self.data))!r})"
-
-    def is_identity(self):
-        return self.rows == self.cols and all(
-            self.data[i][j] == (1 if i == j else 0)
-            for i in range(self.rows) for j in range(self.cols))
 
 
 class AbelianGroup(Value):

@@ -290,8 +290,10 @@ def reduce_to_one_boundary(ob):
     """Join boundary components until a single one remains.
 
     Each step is a positive stabilization, so the closed manifold and
-    its homology are unchanged.
+    its homology are unchanged.  The reduced page Sigma_{g+n-1,1} is
+    built first, so a page past the rank cap fails before the first join.
     """
+    Surface(ob.page.genus + ob.page.boundary_count - 1, 1)
     while ob.page.boundary_count > 1:
         n = ob.page.boundary_count
         ob = stabilize_positive(ob, JoinBoundaries(n - 1, n))

@@ -119,13 +119,6 @@ class Surface(Value):
         out[1:h:2] = [-a for a in c[0:h:2]]
         return tuple(out)
 
-    def pair(self, x, y):
-        """Intersection pairing <x, y> of two class vectors."""
-        x, y = tuple(x), tuple(y)
-        if len(x) != self.h1_rank or len(y) != self.h1_rank:
-            raise ValueError("class vector has wrong dimension")
-        return sum(a * b for a, b in zip(x, self.dual(y)))
-
     def crossing(self, i, c):
         """Crossing number <r_i, c> of arc r_i (1-based) with a curve of class c."""
         count = max(self.boundary_count - 1, 0)

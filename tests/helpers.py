@@ -1,7 +1,10 @@
 """Shared test utilities: independent oracles and random generators.
 
 The determinant here is deliberately not part of the package; it is
-the independent check that the SNF transforms are unimodular.
+the independent check that the SNF transforms are unimodular.  So is
+the dense matrix algebra (products, transposes, the closed-form twist
+matrix and the relation checks by matrix products): the package acts by
+the transvection rule alone, and these are its oracles.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import re
 
 from obembed import (AbstractOpenBook, IntMatrix, Surface, TwistWord, WordSyntaxError,
                      lickorish_system, load_config_override)
+from obembed.mcg import RelationCheck, RelationReport
 
 _LETTER_RE = re.compile(r"^t\(([A-Za-z][A-Za-z0-9_]*)\)(?:\^(-?\d+))?$")
 
@@ -111,6 +115,86 @@ def rank_mod_p(rows, p):
 
 def mat_rows(m):
     return [list(m.row(i)) for i in range(m.rows)]
+
+
+def from_rows(rows):
+    rows = [list(r) for r in rows]
+    return IntMatrix(len(rows), len(rows[0]) if rows else 0, rows)
+
+
+def zeros(rows, cols):
+    return IntMatrix(rows, cols, [[0] * cols for _ in range(rows)])
+
+
+def diagonal(m):
+    return tuple(m.data[i][i] for i in range(min(m.rows, m.cols)))
+
+
+def transpose(m):
+    return IntMatrix(m.cols, m.rows, [[row[j] for row in m.data] for j in range(m.cols)])
+
+
+def is_identity(m):
+    return m.rows == m.cols and m == IntMatrix.identity(m.rows)
+
+
+def mat_mul(*factors):
+    """The product of the matrices, left to right, by the textbook sums."""
+    out = factors[0]
+    for b in factors[1:]:
+        if out.cols != b.rows:
+            raise ValueError(f"shape mismatch: {out.rows}x{out.cols} * {b.rows}x{b.cols}")
+        out = IntMatrix(out.rows, b.cols,
+                        [[sum(row[k] * b.data[k][j] for k in range(out.cols))
+                          for j in range(b.cols)] for row in out.data])
+    return out
+
+
+def apply(m, vec):
+    """Matrix times column vector, returned as a tuple."""
+    return tuple(sum(x * y for x, y in zip(row, vec)) for row in m.data)
+
+
+def pair(page, x, y):
+    """Intersection pairing <x, y> = x . J y of two class vectors."""
+    return sum(a * b for a, b in zip(x, page.dual(y)))
+
+
+def twist_matrix(curve, sign, page):
+    """Transvection matrix of a twist power along a configured curve, in closed form.
+
+    With c the curve's class and J the pairing, this is
+    I + sign * c (Jc)^T; it is unimodular and preserves the pairing.
+    """
+    rank = page.h1_rank
+    c = curve.homology_class
+    jc = page.dual(c)
+    return IntMatrix(rank, rank, [[e + sign * c[i] * jc[k] for k, e in enumerate(page.unit(i))]
+                                  for i in range(rank)])
+
+
+def relation_report_by_matrices(cfg):
+    """``relation_report`` by products of dense twist matrices (about rank^5 in all)."""
+    page = cfg.surface
+    checks = []
+    curves = list(cfg.curves)
+    mats = {c.name: twist_matrix(c, 1, page) for c in curves}
+    for idx, c in enumerate(curves):
+        for d in curves[idx + 1:]:
+            p = pair(page, c.homology_class, d.homology_class)
+            tc, td = mats[c.name], mats[d.name]
+            if p == 0:
+                ok = mat_mul(tc, td) == mat_mul(td, tc)
+                checks.append(RelationCheck(f"commute({c.name},{d.name})",
+                                            "commutation", ok))
+            elif p in (1, -1):
+                ok = mat_mul(tc, td, tc) == mat_mul(td, tc, td)
+                checks.append(RelationCheck(f"braid({c.name},{d.name})", "braid", ok))
+    if page.genus >= 1 and cfg.has_curve("a1") and cfg.has_curve("b1"):
+        prod = mat_mul(mats["a1"], mats["b1"])
+        power = mat_mul(*[prod] * 6)
+        checks.append(RelationCheck("order6(a1,b1)", "order6", is_identity(power)))
+    return RelationReport(page, tuple(checks))
 
 
 def pairing_matrix(page):

@@ -1,5 +1,6 @@
 """Command-line interface tests."""
 
+import hashlib
 import io
 import json
 import os
@@ -83,6 +84,11 @@ def test_oversized_page_exits_2(field, tmp_path):
     code, _, err = go("h1", str(p))
     assert code == 2
     assert "line 3" in err and "exceeds the limit" in err
+    # Sigma_{497,5} has rank 998; reduce names its reduced page Sigma_{501,1}
+    p.write_text("openbook v1\ngenus 497\nboundary 5\nword\n")
+    code, out, err = go("reduce", str(p))
+    assert (code, out) == (1, "")
+    assert err == "error: page rank 1002 exceeds the limit 1000\n"
 
 
 def test_non_integer_config_class_exits_2(tmp_path):
@@ -229,6 +235,18 @@ def test_relations_json():
     assert code == 0
     payload = json.loads(out)
     assert payload["all_pass"] is True
+
+
+def test_relations_json_is_pinned_on_every_page_up_to_rank_24():
+    # the concatenated --json output of all 169 pages, as the dense matrix
+    # products computed it
+    out = io.StringIO()
+    pages = [(g, n) for g in range(13) for n in range(1, 26) if 2 * g + n - 1 <= 24]
+    for g, n in pages:
+        run(["relations", "--genus", str(g), "--boundary", str(n), "--json"], out, io.StringIO())
+    assert len(pages) == 169
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "d38c2da507ca0d8d4f88312751b28a4d20ef99eb266c704dcce6c719c3f99724")
 
 
 def test_relations_on_closed_surface_is_usage_error():

@@ -203,7 +203,7 @@ def test_s5_plan_tamper_normalization(normalized):
 def test_s5_plan_validation_is_total_past_the_rank_cap():
     plan = build_s5_plan(book(0, 2, "t(d1)^5"))
     plan["input"]["openbook"] = {"genus": 0, "boundary": 1001, "word": ""}
-    assert "input.openbook: page rank 1001 exceeds the limit 1000" in validate_certificate(plan)
+    assert "input.openbook: page rank 2000 exceeds the limit 1000" in validate_certificate(plan)
 
 
 def test_s5_plan_tamper_reason_code():

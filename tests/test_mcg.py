@@ -15,14 +15,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obembed import (AbstractOpenBook, ConfiguredCurve, CurveConfig, IntMatrix,
-                     JoinBoundaries, Surface, TwistWord, WordSyntaxError, arc_defect,
-                     format_word, lickorish_system, parse_word, relation_report,
-                     stabilize_positive, twist_matrix, word_action)
+                     JoinBoundaries, SameBoundary, Surface, TwistWord, WordSyntaxError,
+                     arc_defect, format_word, lickorish_system, parse_word, relation_report,
+                     stabilize_positive, word_action)
 
-from helpers import det_bareiss, mat_rows, pairing_matrix, parse_word_by_tokens, random_word
+from obembed.mcg import RelationCheck
 
-T_A1 = IntMatrix.from_rows([[1, -1], [0, 1]])
-T_B1 = IntMatrix.from_rows([[1, 0], [1, 1]])
+from helpers import (apply, det_bareiss, from_rows, is_identity, mat_mul, mat_rows,
+                     pairing_matrix, parse_word_by_tokens, random_word,
+                     relation_report_by_matrices, transpose, twist_matrix)
+
+T_A1 = from_rows([[1, -1], [0, 1]])
+T_B1 = from_rows([[1, 0], [1, 1]])
 
 
 def setup_surface(g, n):
@@ -133,7 +137,7 @@ def test_twist_word_accepts_large_and_negative_ints():
 
 def test_radical_class_twists_trivially_on_h1():
     cfg, page = setup_surface(0, 2)
-    assert twist_matrix(cfg.curve("d1"), 1, page).is_identity()
+    assert is_identity(twist_matrix(cfg.curve("d1"), 1, page))
 
 
 def test_twist_matrix_frozen_values():
@@ -147,7 +151,7 @@ def test_twist_and_inverse_cancel():
     for name in cfg.names():
         m = twist_matrix(cfg.curve(name), 1, page)
         minv = twist_matrix(cfg.curve(name), -1, page)
-        assert (m * minv).is_identity()
+        assert is_identity(mat_mul(m, minv))
 
 
 def test_twist_power_matches_repeated_product():
@@ -155,7 +159,7 @@ def test_twist_power_matches_repeated_product():
     for name in cfg.names():
         cubed = twist_matrix(cfg.curve(name), 3, page)
         single = twist_matrix(cfg.curve(name), 1, page)
-        assert cubed == single * single * single
+        assert cubed == mat_mul(single, single, single)
 
 
 def test_unknown_curve_rejected():
@@ -167,11 +171,11 @@ def test_unknown_curve_rejected():
 def test_word_action_frozen_example():
     cfg, _ = setup_surface(1, 1)
     phi = word_action(parse_word("t(a1) t(b1)"), cfg)
-    assert phi == T_A1 * T_B1
-    assert phi == IntMatrix.from_rows([[0, -1], [1, 1]])
+    assert phi == mat_mul(T_A1, T_B1)
+    assert phi == from_rows([[0, -1], [1, 1]])
     # column images: A1 -> B1, B1 -> B1 - A1
-    assert phi.apply((1, 0)) == (0, 1)
-    assert phi.apply((0, 1)) == (-1, 1)
+    assert apply(phi, (1, 0)) == (0, 1)
+    assert apply(phi, (0, 1)) == (-1, 1)
 
 
 def test_word_action_matches_product_of_twist_matrices():
@@ -182,7 +186,7 @@ def test_word_action_matches_product_of_twist_matrices():
             w = random_word(rng, cfg, 12)
             product = IntMatrix.identity(page.h1_rank)
             for name, exp in w:
-                product = product * twist_matrix(cfg.curve(name), exp, page)
+                product = mat_mul(product, twist_matrix(cfg.curve(name), exp, page))
             assert word_action(w, cfg) == product
 
 
@@ -195,7 +199,7 @@ def test_wrong_class_dimension_rejected():
 
 def test_empty_word_is_identity():
     cfg, _ = setup_surface(2, 2)
-    assert word_action(TwistWord(), cfg).is_identity()
+    assert is_identity(word_action(TwistWord(), cfg))
 
 
 def test_word_inverse_property():
@@ -204,7 +208,7 @@ def test_word_inverse_property():
     for _ in range(100):
         w = random_word(rng, cfg, 8)
         m = word_action(w.concat(w.inverse()), cfg)
-        assert m.is_identity()
+        assert is_identity(m)
 
 
 def test_word_action_is_a_homomorphism():
@@ -213,7 +217,7 @@ def test_word_action_is_a_homomorphism():
     for _ in range(60):
         w1, w2 = random_word(rng, cfg, 6), random_word(rng, cfg, 6)
         lhs = word_action(w1.concat(w2), cfg)
-        rhs = word_action(w1, cfg) * word_action(w2, cfg)
+        rhs = mat_mul(word_action(w1, cfg), word_action(w2, cfg))
         assert lhs == rhs
 
 
@@ -225,7 +229,7 @@ def test_twists_preserve_pairing_and_are_unimodular():
         for _ in range(40):
             w = random_word(rng, cfg, 6)
             m = word_action(w, cfg)
-            assert m.transpose() * j * m == j
+            assert mat_mul(transpose(m), j, m) == j
             assert det_bareiss(mat_rows(m)) == 1
 
 
@@ -264,7 +268,7 @@ def test_arc_defect_cocycle_property():
         for i in (1, 2):
             lhs = arc_defect(w1.concat(w2), i, cfg)
             d2 = arc_defect(w2, i, cfg)
-            pushed = word_action(w1, cfg).apply(d2)
+            pushed = apply(word_action(w1, cfg), d2)
             d1 = arc_defect(w1, i, cfg)
             assert lhs == tuple(a + b for a, b in zip(d1, pushed))
 
@@ -289,16 +293,64 @@ def test_relation_report_commutation():
 
 def test_order_six_by_repeated_multiplication():
     # independent of relation_report: multiply the frozen matrices
-    prod = T_A1 * T_B1
+    prod = mat_mul(T_A1, T_B1)
     power = IntMatrix.identity(2)
     for _ in range(6):
-        power = power * prod
-    assert power.is_identity()
+        power = mat_mul(power, prod)
+    assert is_identity(power)
     # and no smaller power works
     power = IntMatrix.identity(2)
     for i in range(1, 6):
-        power = power * prod
-        assert not power.is_identity()
+        power = mat_mul(power, prod)
+        assert not is_identity(power)
+
+
+# a1 = A1 and b1 = 2 B1 pair to 2: no braid, and T_a1 T_b1 has infinite order
+DOUBLED_B1 = CurveConfig(Surface(1, 1), [ConfiguredCurve("a1", "handle_a", (1, 0)),
+                                         ConfiguredCurve("b1", "handle_b", (0, 2))])
+
+
+def test_relation_report_reports_a_failing_order6():
+    report = relation_report(DOUBLED_B1)
+    assert report.checks == (RelationCheck("order6(a1,b1)", "order6", False),)
+    assert not report.all_pass
+
+
+@st.composite
+def relation_configs(draw):
+    """Default systems up to rank 12, or the configuration one stabilization leaves."""
+    g = draw(st.integers(0, 4))
+    page = Surface(g, draw(st.integers(1, 13 - 2 * g)))
+    cfg = lickorish_system(page)
+    if not len(cfg) or draw(st.booleans()):
+        return cfg
+    letters = draw(st.lists(st.tuples(st.sampled_from(cfg.names()), st.integers(-2, 2)),
+                            max_size=6))
+    ob = AbstractOpenBook(page, TwistWord(tuple(letters)), cfg)
+    n = page.boundary_count
+    if n >= 2 and draw(st.booleans()):
+        j, k = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        return stabilize_positive(ob, JoinBoundaries(j, k)).config
+    return stabilize_positive(ob, SameBoundary(draw(st.integers(1, n)))).config
+
+
+def _attached_config():
+    # JoinBoundaries(1, 3) pushes e1 on Sigma_{1,4} off every default class
+    cfg = lickorish_system(Surface(1, 4))
+    ob = AbstractOpenBook(cfg.surface, parse_word("t(e1) t(a1) t(d3)"), cfg)
+    return stabilize_positive(ob, JoinBoundaries(1, 3)).config
+
+
+@settings(max_examples=100)
+@given(relation_configs())
+@example(DOUBLED_B1)
+@example(_attached_config())
+def test_relation_report_matches_dense_matrix_products(cfg):
+    assert relation_report(cfg) == relation_report_by_matrices(cfg)
+
+
+def test_attached_config_example_has_fresh_names():
+    assert "s1" in _attached_config().names()
 
 
 def test_relation_report_passes_small_sweep():
@@ -325,8 +377,8 @@ def test_word_action_is_symplectic_and_unimodular_at_rank_100_plus(g, n):
     rng = random.Random(1000 * g + n)
     j = pairing_matrix(page)
     phi = word_action(fixed_length_word(rng, cfg, 200), cfg)
-    assert not phi.is_identity()
-    assert phi.transpose() * j * phi == j
+    assert not is_identity(phi)
+    assert mat_mul(transpose(phi), j, phi) == j
     assert det_bareiss(mat_rows(phi)) == 1
 
 
@@ -338,14 +390,14 @@ def _defect_by_twist_matrices(word, i, cfg):
         curve = cfg.curve(name)
         c = curve.homology_class
         t = exp * page.crossing(i, c)
-        v = tuple(x + t * a for x, a in zip(twist_matrix(curve, exp, page).apply(v), c))
+        v = tuple(x + t * a for x, a in zip(apply(twist_matrix(curve, exp, page), v), c))
     return v
 
 
 def _action_by_twist_matrices(word, vector, cfg):
     page = cfg.surface
     for name, exp in reversed(word.letters):
-        vector = twist_matrix(cfg.curve(name), exp, page).apply(vector)
+        vector = apply(twist_matrix(cfg.curve(name), exp, page), vector)
     return vector
 
 
@@ -421,5 +473,5 @@ def test_word_action_matches_twist_matrix_product_at_rank_30():
         w = fixed_length_word(rng, cfg, 12)
         product = IntMatrix.identity(page.h1_rank)
         for name, exp in w:
-            product = product * twist_matrix(cfg.curve(name), exp, page)
+            product = mat_mul(product, twist_matrix(cfg.curve(name), exp, page))
         assert word_action(w, cfg) == product

@@ -19,6 +19,8 @@ from obembed import (AbelianGroup, AbstractOpenBook, ConfiguredCurve, CurveConfi
                      parse_word, relation_report)
 from obembed.mcg import RelationCheck, RelationReport
 
+from helpers import from_rows, transpose
+
 ANNULUS = Surface(0, 2)
 ANNULUS_TEXT = "Surface(genus=0, boundary_count=2)"
 ANNULUS_CURVES = ("(ConfiguredCurve(name='d1', kind='boundary_parallel', homology_class=(1,)), "
@@ -137,10 +139,10 @@ def test_copied_config_keeps_working():
 
 
 def test_matrix_is_an_immutable_value():
-    m = IntMatrix.from_rows([[1, 2], [3, 4]])
+    m = from_rows([[1, 2], [3, 4]])
     assert repr(m) == "IntMatrix(2x2, [[1, 2], [3, 4]])"
     assert m == IntMatrix(2, 2, [[1, 2], [3, 4]]) and hash(m) == hash(IntMatrix(2, 2, m.row_lists()))
-    assert m != m.transpose() and m != IntMatrix(1, 4, [[1, 2, 3, 4]])
+    assert m != transpose(m) and m != IntMatrix(1, 4, [[1, 2, 3, 4]])
     assert m.__eq__(((1, 2), (3, 4))) is NotImplemented
     for back in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
         assert back == m and repr(back) == repr(m)
@@ -169,3 +171,25 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+PUBLIC_API = [
+    "AbelianGroup", "IntMatrix", "cokernel", "smith_normal_form",
+    "ConfiguredCurve", "CurveConfig", "Surface",
+    "lickorish_system", "load_config_override",
+    "TwistWord", "WordSyntaxError", "arc_defect", "format_word", "parse_word",
+    "relation_report", "word_action",
+    "AbstractOpenBook", "JoinBoundaries", "OpenBookParseError", "SameBoundary",
+    "closed_h1", "identify_known", "mapping_torus_h1", "parse_openbook",
+    "read_openbook", "reduce_to_one_boundary", "serialize_openbook",
+    "stabilize_positive",
+    "embedder",
+]
+
+
+def test_public_api_is_pinned():
+    # dropping or adding an export is an edit of this list
+    import obembed
+    assert obembed.__all__ == PUBLIC_API
+    for name in obembed.__all__:
+        assert getattr(obembed, name) is not None
