@@ -157,6 +157,13 @@ class IntMatrix(Value):
         self._set(rows, cols, data)
 
     @classmethod
+    def _of(cls, rows, cols, data):
+        """The matrix of a tuple of ``rows`` tuples of ``cols`` ints, taken unchecked."""
+        m = object.__new__(cls)
+        m._set(rows, cols, data)
+        return m
+
+    @classmethod
     def identity(cls, n):
         return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 

@@ -15,13 +15,34 @@ far.  The defect of a word along arc i is the class of (word(r_i) -
 r_i), the quantity the boundary filling of an open book kills.
 
 Both are computed in one pass over the augmented matrix [I | 0]
-(rank x (rank + n - 1)), held as rows: each letter multiplies it on the
-left by I + e * c (Jc)^T, with the arcs' crossing numbers <r_i, c> added
-to the defect columns, and only the rows in the support of c change.
-The result is [Phi | delta_1 .. delta_{n-1}]; without arcs the pass
-starts from I alone and yields Phi.  The per-curve data (the supports of
-c and Jc and the sparse crossing shift) come from ``CurveConfig.twist``,
-built once per configuration.
+(rank x (rank + n - 1)): each letter multiplies it on the left by
+I + e * c (Jc)^T, with the arcs' crossing numbers <r_i, c> added to the
+defect columns, giving [Phi | delta_1 .. delta_{n-1}]; without arcs the
+pass starts from I alone and yields Phi.
+
+Each row is one Python int, sum_j x_j * 2^(B j): column j is a signed
+lane of B bits, B = 64 at first.  A letter costs |supp c| + |supp Jc|
+big-int additions: w = sum b * row_k over the entries b of Jc plus the
+packed arc shift s, then row_i += m * w, m = e * a, over the entries a
+of c.  The sums are exact; a row reads back while its lanes lie below
+2^(B-1), so row i keeps a bound, |lanes| < 2^bnd[i] <= 2^(B-1).  With
+bits(x) = ceil(log2 |x|),
+
+    |row_i + m * w| < 2^(max(bnd[i], bits(w) + bits(m)) + 1),
+
+bits(w) being the largest bnd[k] over the pairing plus bits(sum |b|),
+and with a shift max(that, bits(max |s|)) + 1 (``CurveConfig.twist``
+holds each curve's growths).  A letter that would push a bound past
+B - 1 is undone, exactly, and each row it involves is checked in O(1)
+big-int operations: with bias 2^(B-H) and high the bits B-H+1 .. B-1,
+both in every lane, y = row + bias has y >= 0 and y & high == 0 exactly
+when every lane lies in [-2^(B-H), 2^(B-H)), as no lane is yet at
+2^(B-1) (a borrow would set bit B-1 of the lane below); the bound drops
+to B - H + 1.  If the letter still does not fit, every row is decoded,
+its bound made exact, and re-encoded at the multiple of 64 bits above
+twice the letter's largest bound.  Decoding adds half, 2^(B-1) in every lane, with no borrow
+between lanes; ^ half leaves each lane's two's complement for one
+cached ``struct.Struct(f"<{width}q")``.
 
 The relation checks use the same rule on a few rows.  T_c fixes every
 basis class e_j with j outside supp(Jc), so two words in the twists
@@ -35,7 +56,9 @@ columns U, which has at most four members on default curves.
 from __future__ import annotations
 
 import re
-from operator import add, itemgetter, sub
+import struct
+from functools import lru_cache
+from operator import itemgetter
 
 from .intlinalg import IntMatrix, Value
 
@@ -118,57 +141,113 @@ def format_word(word):
     return " ".join(parts)
 
 
-def _transvect(rows, letters, cfg, arcs):
-    """Apply a word's letters to a matrix given by its rows (updated in place).
+_HEAD = 16  # H of the module docstring: a checked row's bound drops to lane - H + 1
 
-    rows may be a list or a dict keyed by row index; it needs every row
-    index the letters read or write (the supports of Jc and of c).
-    Letters act rightmost first, each as T = I + e * c (Jc)^T on the
-    left: w = (Jc)^T . rows + s, then row i += e * c_i * w for each i in
-    the support of c; s is the letter's arc shift if ``arcs`` is set.
-    A letter with no pairing and no shift has w = 0 and is skipped; on
-    the full rows, whose leading block is invertible, it is the only
-    such letter.  A shift alone touches only its columns; one pairing entry
-    (k, b) and no shift adds (e * c_i * b) * row k directly.  The first
-    two pairing entries, all a chain curve has, are summed in one pass;
-    when both are +-1 and there is no shift, as on a chain curve, that
-    pass is one map of add or sub and b goes into the factor the same
-    way.  A row whose factor is +-1 takes w by one map of add or sub.
+
+@lru_cache(maxsize=64)
+def _lanes(lane, width):
+    """(half, bias, high, unpack) of ``width`` lanes of ``lane`` bits (the module docstring)."""
+    size = lane // 8
+    unit = int.from_bytes((b"\1" + bytes(size - 1)) * width, "little")
+    if lane == 64:
+        unpack = struct.Struct(f"<{width}q").unpack
+    else:
+        def unpack(data):
+            return tuple(int.from_bytes(data[j:j + size], "little", signed=True)
+                         for j in range(0, len(data), size))
+    return (unit << lane - 1, unit << lane - _HEAD,
+            unit * ((1 << lane) - (1 << lane - _HEAD + 1)), unpack)
+
+
+def _decode(packed, lane, width):
+    """The lanes of each packed row, as a tuple of ints."""
+    half, _, _, unpack = _lanes(lane, width)
+    size = lane // 8 * width
+    return [unpack(((x + half) ^ half).to_bytes(size, "little")) for x in packed]
+
+
+def _room(rows, bound, lane, width, involved, hi, checked):
+    """Check the rows of a letter whose bounds reach ``hi``, else widen all; return the lane."""
+    if not checked:
+        _, bias, high, _ = _lanes(lane, width)
+        floor = lane - _HEAD + 1
+        dropped = False
+        for r, _ in involved:
+            if bound[r] > floor:
+                y = rows[r] + bias
+                if y >= 0 and not y & high:
+                    bound[r], dropped = floor, True
+        if dropped:
+            return lane
+    wide = 2 * hi // 64 * 64 + 64
+    half, size = _lanes(wide, width)[0], wide // 8
+    keys = list(rows) if type(rows) is dict else range(len(rows))
+    for r, row in zip(keys, _decode([rows[r] for r in keys], lane, width)):
+        bound[r] = max(map(abs, row), default=0).bit_length()
+        packed = b"".join(v.to_bytes(size, "little", signed=True) for v in row)
+        rows[r] = (int.from_bytes(packed, "little") ^ half) - half
+    return wide
+
+
+def _transvect(rows, letters, cfg, arcs, width):
+    """Apply a word's letters to packed rows, in place; return the rows decoded, in order.
+
+    rows is a list, or a dict keyed by row index, of rows of ``width``
+    64-bit lanes holding 0 or +-1, with every row index the letters read
+    or write.  A letter with no pairing and no shift has w = 0: skipped.
     """
     twist = cfg.twist
+    lane = 64
+    bound = dict.fromkeys(rows, 1) if type(rows) is dict else [1] * len(rows)
+    shifts = {}  # the packed arc shifts of this call, at the current lane width
     for name, exp in reversed(letters):
-        support, pairing, shift = twist(name)
-        if not arcs:
-            shift = None
-        if not pairing:
-            if shift:
-                for i, a in support:
-                    row, m = rows[i], exp * a
-                    for col, s in shift:
-                        row[col] += m * s
+        support, pairing, shift, grow, shift_grow = twist(name)
+        shift = arcs and shift
+        if not pairing and not shift:
             continue
-        k, b = pairing[0]
-        if len(pairing) == 1 and not shift:
-            w, exp = rows[k], exp * b  # w = b * row k, with b folded into the factor
-        elif len(pairing) == 2 and not shift and b * b == 1 == pairing[1][1] ** 2:
-            # a chain curve: w = b * (row k +- row k2), with b folded into the factor
-            k2, b2 = pairing[1]
-            w, exp = list(map(add if b == b2 else sub, rows[k], rows[k2])), exp * b
-        else:
-            k2, b2 = pairing[1] if len(pairing) > 1 else (k, 0)
-            w = [b * y + b2 * z for y, z in zip(rows[k], rows[k2])]
-            for k, b in pairing[2:]:
-                w = [x + b * y for x, y in zip(w, rows[k])]
-            for col, s in shift or ():
-                w[col] += s
-        for i, a in support:
-            m = exp * a
-            if m == 1:
-                rows[i] = list(map(add, rows[i], w))
-            elif m == -1:
-                rows[i] = list(map(sub, rows[i], w))
-            else:
-                rows[i] = [x + m * y for x, y in zip(rows[i], w)]
+        e_bits = (exp - 1 if exp > 0 else ~exp).bit_length()  # ceil(log2 |exp|)
+        checked = False
+        while True:
+            top, w = 0, shifts.get(name) if shift else 0
+            if w is None:
+                w = 0
+                for col, s in shift:
+                    w += s << lane * col
+                shifts[name] = w
+            for k, b in pairing:
+                if (t := bound[k]) > top:
+                    top = t
+                if b == 1:
+                    w += rows[k]
+                elif b == -1:
+                    w -= rows[k]
+                else:
+                    w += b * rows[k]
+            top += grow
+            if shift:
+                top = (top if top > shift_grow else shift_grow) + 1
+            top += e_bits
+            hi = top
+            for i, a in support:
+                if (t := bound[i]) > hi:
+                    hi = t
+                bound[i] = (t if t > top else top) + 1
+                a *= exp
+                if a == 1:
+                    rows[i] += w
+                elif a == -1:
+                    rows[i] -= w
+                else:
+                    rows[i] += a * w
+            if hi < lane - 1:
+                break
+            for i, a in support:  # undo the letter; only the lanes overflowed
+                rows[i] -= a * exp * w
+            wide, checked = _room(rows, bound, lane, width, pairing + support, hi, checked), True
+            if wide != lane:
+                lane = wide
+                shifts.clear()
+    return _decode(rows.values() if type(rows) is dict else rows, lane, width)
 
 
 def word_action(word, cfg, arcs=False):
@@ -176,14 +255,14 @@ def word_action(word, cfg, arcs=False):
 
     Column j is the image of the j-th basis class.  With ``arcs`` the
     matrix is [Phi | delta_1 .. delta_{n-1}]: column rank + i - 1 holds
-    the defect class of arc i.
+    the defect class of arc i.  Row i starts as the int 2^(64 i); lanes,
+    bounds and decoding are in the module docstring.
     """
     page = cfg.surface
     rank = page.h1_rank
     width = rank + max(page.boundary_count - 1, 0) if arcs else rank
-    rows = [[0] * i + [1] + [0] * (width - i - 1) for i in range(rank)]
-    _transvect(rows, word.letters, cfg, arcs)
-    return IntMatrix(rank, width, rows)
+    rows = [1 << 64 * i for i in range(rank)]
+    return IntMatrix._of(rank, width, tuple(_transvect(rows, word.letters, cfg, arcs, width)))
 
 
 def arc_defect(word, arc_index, cfg):
@@ -224,19 +303,14 @@ class RelationReport(Value):
 
 
 def _same_action(cfg, left, right):
-    """Whether two tuples of letters act alike on H1.
-
-    Each runs through ``_transvect`` from the identity on the rows it
-    can change, cut down to the columns U (the module docstring).
-    """
+    """Whether two tuples of letters act alike on H1, on the rows and columns of the docstring."""
     tables = [cfg.twist(name) for name in {name for name, _ in left + right}]
-    cols = sorted({k for _, pairing, _ in tables for k, _ in pairing})
-    rows = set(cols).union(*((i for i, _ in support) for support, _, _ in tables))
+    cols = {k: j for j, k in enumerate(sorted({k for t in tables for k, _ in t[1]}))}
+    rows = set(cols).union(*((i for i, _ in t[0]) for t in tables))
 
     def image(letters):
-        m = {i: [int(i == j) for j in cols] for i in rows}
-        _transvect(m, letters, cfg, False)
-        return m
+        start = {i: 1 << 64 * cols[i] if i in cols else 0 for i in rows}
+        return _transvect(start, letters, cfg, False, len(cols))
     return image(left) == image(right)
 
 

@@ -228,22 +228,31 @@ class CurveConfig(Value):
             raise KeyError(f"unknown curve name {name!r}") from None
 
     def twist(self, name):
-        """(support of c, support of Jc, arc shift) of curve ``name``, built once.
+        """(support of c, support of Jc, arc shift, growth, shift growth) of ``name``, built once.
 
-        Each is a tuple of nonzero (index, entry) pairs; the shift holds
-        <r_i, c> at column rank + i - 1 of [Phi | delta_1 .. delta_{n-1}],
-        or is None when c crosses no arc.  It is sparse: a dense shift
-        row per curve would cost rank^2 on planar pages.
+        The supports and the shift are tuples of nonzero (index, entry)
+        pairs; the shift holds <r_i, c> at column rank + i - 1 of
+        [Phi | delta_1 .. delta_{n-1}], or is None when c crosses no arc.
+        It is sparse: a dense shift row per curve would cost rank^2 on
+        planar pages.  The growths of the lane bounds (``mcg``) are bits(sum |Jc|)
+        + bits(max |c|) and, with a shift, 2 bits(max |c|), bits = ceil(log2).
         """
         data = self._twists.get(name)
         if data is None:
             page, c = self.surface, self.curve(name).homology_class
             rank = page.h1_rank
+            jc = page.dual(c)
             shift = tuple((rank + i - 1, x) for i in range(1, page.boundary_count)
                           if (x := page.crossing(i, c)))
-            data = self._twists[name] = (tuple((i, a) for i, a in enumerate(c) if a),
-                                         tuple((k, b) for k, b in enumerate(page.dual(c)) if b),
-                                         shift or None)
+            # bits(x) is (x - 1).bit_length(), 0 for x = 0; the crossings are entries of c,
+            # so 2 bits(max |c|) >= bits(max |s|) + bits(max |c|)
+            a_bits = (max(map(abs, c + (1,))) - 1).bit_length()
+            data = self._twists[name] = (
+                tuple((i, a) for i, a in enumerate(c) if a),
+                tuple((k, b) for k, b in enumerate(jc) if b),
+                shift or None,
+                ((sum(map(abs, jc)) or 1) - 1).bit_length() + a_bits,
+                2 * a_bits if shift else 0)
         return data
 
     def has_curve(self, name):

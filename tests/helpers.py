@@ -4,7 +4,9 @@ The determinant here is deliberately not part of the package; it is
 the independent check that the SNF transforms are unimodular.  So is
 the dense matrix algebra (products, transposes, the closed-form twist
 matrix and the relation checks by matrix products): the package acts by
-the transvection rule alone, and these are its oracles.
+the transvection rule alone, and these are its oracles.  The rule itself
+on list rows, one letter at a time, is the oracle of the package's
+packed rows.
 """
 
 from __future__ import annotations
@@ -173,28 +175,72 @@ def twist_matrix(curve, sign, page):
                                   for i in range(rank)])
 
 
-def relation_report_by_matrices(cfg):
-    """``relation_report`` by products of dense twist matrices (about rank^5 in all)."""
+def transvect_rows(rows, letters, cfg, arcs):
+    """The transvection rule on a list of list rows, one letter at a time (in place).
+
+    Letters act rightmost first, each as T = I + e * c (Jc)^T on the
+    left: w = (Jc)^T . rows + s, then row i += e * c_i * w for each i in
+    the support of c; s is the letter's arc shift if ``arcs`` is set.
+    """
+    width = len(rows[0]) if rows else 0
+    for name, exp in reversed(letters):
+        support, pairing, shift = cfg.twist(name)[:3]
+        w = [0] * width
+        for k, b in pairing:
+            w = [x + b * y for x, y in zip(w, rows[k])]
+        for col, s in (shift or ()) if arcs else ():
+            w[col] += s
+        for i, a in support:
+            rows[i] = [x + exp * a * y for x, y in zip(rows[i], w)]
+
+
+def word_action_by_rows(word, cfg, arcs=False):
+    """``word_action`` by ``transvect_rows`` from the identity rows."""
+    page = cfg.surface
+    rank = page.h1_rank
+    width = rank + max(page.boundary_count - 1, 0) if arcs else rank
+    rows = [[int(i == j) for j in range(width)] for i in range(rank)]
+    transvect_rows(rows, word.letters, cfg, arcs)
+    return IntMatrix(rank, width, rows)
+
+
+def relation_report_by(cfg, action):
+    """``relation_report`` with each check comparing ``action(letters)`` of its two sides.
+
+    The pairs, names and kinds follow ``relation_report``; the sides are
+    tuples of (name, 1) letters, the order-six one against ().
+    """
     page = cfg.surface
     checks = []
     curves = list(cfg.curves)
-    mats = {c.name: twist_matrix(c, 1, page) for c in curves}
     for idx, c in enumerate(curves):
         for d in curves[idx + 1:]:
             p = pair(page, c.homology_class, d.homology_class)
-            tc, td = mats[c.name], mats[d.name]
+            cd, dc = ((c.name, 1), (d.name, 1)), ((d.name, 1), (c.name, 1))
             if p == 0:
-                ok = mat_mul(tc, td) == mat_mul(td, tc)
-                checks.append(RelationCheck(f"commute({c.name},{d.name})",
-                                            "commutation", ok))
+                checks.append(RelationCheck(f"commute({c.name},{d.name})", "commutation",
+                                            action(cd) == action(dc)))
             elif p in (1, -1):
-                ok = mat_mul(tc, td, tc) == mat_mul(td, tc, td)
-                checks.append(RelationCheck(f"braid({c.name},{d.name})", "braid", ok))
+                checks.append(RelationCheck(f"braid({c.name},{d.name})", "braid",
+                                            action(cd + cd[:1]) == action(dc + dc[:1])))
     if page.genus >= 1 and cfg.has_curve("a1") and cfg.has_curve("b1"):
-        prod = mat_mul(mats["a1"], mats["b1"])
-        power = mat_mul(*[prod] * 6)
-        checks.append(RelationCheck("order6(a1,b1)", "order6", is_identity(power)))
+        ok = action((("a1", 1), ("b1", 1)) * 6) == action(())
+        checks.append(RelationCheck("order6(a1,b1)", "order6", ok))
     return RelationReport(page, tuple(checks))
+
+
+def relation_report_by_matrices(cfg):
+    """``relation_report`` by products of dense twist matrices (about rank^5 in all)."""
+    page = cfg.surface
+    mats = {c.name: twist_matrix(c, 1, page) for c in cfg.curves}
+    identity = IntMatrix.identity(page.h1_rank)
+    return relation_report_by(cfg, lambda letters: mat_mul(*(mats[n] for n, _ in letters))
+                              if letters else identity)
+
+
+def relation_report_by_rows(cfg):
+    """``relation_report`` by whole word actions on list rows (``transvect_rows``)."""
+    return relation_report_by(cfg, lambda letters: word_action_by_rows(TwistWord(letters), cfg))
 
 
 def pairing_matrix(page):

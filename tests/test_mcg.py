@@ -19,11 +19,13 @@ from obembed import (AbstractOpenBook, ConfiguredCurve, CurveConfig, IntMatrix,
                      arc_defect, format_word, lickorish_system, parse_word, relation_report,
                      stabilize_positive, word_action)
 
+from obembed import mcg
 from obembed.mcg import RelationCheck
 
 from helpers import (apply, det_bareiss, from_rows, is_identity, mat_mul, mat_rows,
                      pairing_matrix, parse_word_by_tokens, random_word,
-                     relation_report_by_matrices, transpose, twist_matrix)
+                     relation_report_by_matrices, relation_report_by_rows, transpose,
+                     twist_matrix, word_action_by_rows)
 
 T_A1 = from_rows([[1, -1], [0, 1]])
 T_B1 = from_rows([[1, 0], [1, 1]])
@@ -358,6 +360,94 @@ def test_relation_report_passes_small_sweep():
         for n in range(1, 3):
             cfg, _ = setup_surface(g, n)
             assert relation_report(cfg).all_pass
+
+
+# The packed rows of the word action against the rule on list rows
+# (helpers.transvect_rows), and the lane bounds at their edges.
+
+@st.composite
+def oracle_books(draw):
+    """(configuration, word): a configuration of ``relation_configs``, the disk, the
+    annulus or a planar page with many arcs, sometimes with a null-class curve, and a
+    word with exponents up to 10^40."""
+    shape = draw(st.sampled_from(("relation", "disk or annulus", "planar")))
+    if shape == "relation":
+        cfg = draw(relation_configs())
+    else:
+        n = draw(st.integers(1, 2) if shape == "disk or annulus" else st.integers(10, 30))
+        cfg = lickorish_system(Surface(0, n))
+    if draw(st.booleans()):
+        null = ConfiguredCurve("z0", "chain", (0,) * cfg.surface.h1_rank)
+        cfg = CurveConfig(cfg.surface, cfg.curves + (null,))
+    if not len(cfg):
+        return cfg, TwistWord()
+    exps = st.one_of(st.integers(-3, 3), st.integers(-10 ** 40, 10 ** 40))
+    return cfg, TwistWord(tuple(draw(st.lists(st.tuples(st.sampled_from(cfg.names()), exps),
+                                              max_size=40))))
+
+
+@settings(max_examples=150)
+@given(oracle_books())
+@example((lickorish_system(Surface(0, 1)), TwistWord()))
+@example((lickorish_system(Surface(0, 2)), TwistWord()))
+@example((_attached_config(), parse_word("t(s1)^-3 t(e1) t(a1)^" + "7" * 40)))
+def test_word_action_and_relations_match_list_rows(book):
+    cfg, word = book
+    for arcs in (False, True):
+        assert word_action(word, cfg, arcs=arcs) == word_action_by_rows(word, cfg, arcs=arcs)
+    if cfg.surface.h1_rank <= 12:
+        assert relation_report(cfg) == relation_report_by_rows(cfg)
+
+
+def _spy_on_room(monkeypatch):
+    """Record (lane before, involved rows' lanes before, lane after) of each mcg._room call."""
+    calls, room = [], mcg._room
+
+    def spy(rows, bound, lane, width, involved, hi, checked):
+        lanes = {r: mcg._decode([rows[r]], lane, width)[0] for r, _ in involved}
+        out = room(rows, bound, lane, width, involved, hi, checked)
+        calls.append((lane, lanes, out))
+        return out
+    monkeypatch.setattr(mcg, "_room", spy)
+    return calls
+
+
+def test_lane_check_at_exactly_two_to_the_lane_minus_head(monkeypatch):
+    # t(a1)^e puts -e at row 0, column 1 of Sigma_{1,2}; the +-1 letters then raise
+    # row 0's bound to the check while moving that entry by at most one.  The check
+    # passes for entries in [-2^(64-H), 2^(64-H)) and widens the lanes otherwise.
+    calls = _spy_on_room(monkeypatch)
+    cfg = lickorish_system(Surface(1, 2))
+    edge = 1 << 64 - mcg._HEAD
+    outcome = {}
+    for extra in ((), (("a1", 1),), (("a1", -1),)):
+        for big in (edge + d for d in range(-3, 4)):
+            for e in (big, -big + 1):
+                word = TwistWord((("a1", 1), ("a1", -1)) * 8 + extra + (("a1", e),))
+                calls.clear()
+                for arcs in (False, True):
+                    assert word_action(word, cfg, arcs=arcs) == word_action_by_rows(word, cfg,
+                                                                                     arcs=arcs)
+                lane, lanes, out = calls[0]
+                outcome[lanes[0][1]] = "widen" if out > lane else "pass"
+    assert {v: outcome[v] for v in (-edge - 1, -edge, edge - 1, edge)} == {
+        -edge - 1: "widen", -edge: "pass", edge - 1: "pass", edge: "widen"}
+
+
+@pytest.mark.parametrize("word", [
+    "t(a1)^-1 t(b1) " * 70,
+    "t(a1)^-1 t(a1)^-1 t(b1) t(b1) " * 35,
+    "t(d1) t(a1)^4611686018427387904 t(b1)^4611686018427387904 t(d2)^-3",
+], ids=["one-row-at-a-time", "each-row-twice", "2^62-twice"])
+def test_entries_crossing_two_to_the_63_widen_the_lanes(word, monkeypatch):
+    calls = _spy_on_room(monkeypatch)
+    cfg = lickorish_system(Surface(1, 2))
+    word = parse_word(word)
+    for arcs in (False, True):
+        action = word_action(word, cfg, arcs=arcs)
+        assert action == word_action_by_rows(word, cfg, arcs=arcs)
+        assert max(abs(x) for row in action.data for x in row) >= 1 << 63
+    assert any(out > lane for lane, _, out in calls)
 
 
 # Oracles for the transvection rule at large rank.  Each compares the

@@ -352,8 +352,15 @@ def test_twist_table_is_sparse_and_lazy():
 def test_twist_table_entries():
     page = Surface(1, 3)
     cfg = lickorish_system(page)
-    assert cfg.twist("a1") == (((0, 1),), ((1, -1),), None)
-    assert cfg.twist("d1") == (((2, 1),), (), ((4, 1),))
-    assert cfg.twist("d3") == (((2, -1), (3, -1)), (), ((4, -1), (5, -1)))
+    assert cfg.twist("a1") == (((0, 1),), ((1, -1),), None, 0, 0)
+    assert cfg.twist("d1") == (((2, 1),), (), ((4, 1),), 0, 0)
+    assert cfg.twist("d3") == (((2, -1), (3, -1)), (), ((4, -1), (5, -1)), 0, 0)
     with pytest.raises(KeyError):
         cfg.twist("zz")
+    # growths: bits(sum |Jc|) + bits(max |c|), and 2 bits(max |c|) with a shift
+    assert lickorish_system(Surface(2, 1)).twist("c1")[3:] == (1, 0)
+    odd = CurveConfig(page, [ConfiguredCurve("x", "chain", (5, -2, 3, 0)),
+                             ConfiguredCurve("y", "chain", (0, 0, 0, 0))])
+    assert odd.twist("x") == (((0, 5), (1, -2), (2, 3)), ((0, -2), (1, -5)), ((4, 3),),
+                              3 + 3, 3 + 3)
+    assert odd.twist("y") == ((), (), None, 0, 0)
