@@ -53,7 +53,11 @@ section 2.4):
      clean step.
    - Finish: each row left when no nonzero entry remains contributes Z/D.
 
-   Every entry stays in [0, D) throughout.
+   Each row is a dict {column: residue} of its nonzero residues in
+   [1, D), and "first" means in row order, then in dict order.  A row
+   combine writes the union of its rows' keys, a column combine only rows
+   holding either column, and a clean only rows holding the pivot column,
+   at the pivot row's keys; a residue that becomes 0 loses its key.
 2a. Only part of D needs the elimination.  Let Delta' be the pivot
    before the last (1 when rho = 1): up to sign the determinant of the
    block A on the first rho - 1 pivot rows and columns.  Split
@@ -85,9 +89,11 @@ section 2.4):
 
 Each Bareiss step rewrites only the rows with a nonzero entry in its
 pivot column, so on the sparse relation matrices of open books most
-rows sit out most steps.  Each unit pivot mod D' costs one row update
-per nonzero row of its column and no column work; the work is bounded by
-the bit length of D' rather than by the growth of the transforms.
+rows sit out most steps; its rows stay dense lists, as they fill in.
+Step 2 visits only stored residues, each below D': a search costs one
+visit per residue, a unit pivot one update per row holding its column
+at the pivot row's keys.  On the benchmark's rank 16-24 books a sixth
+of the entries are nonzero mod D', and a matrix sees about 34 row updates.
 """
 
 from __future__ import annotations
@@ -409,16 +415,14 @@ def _xgcd_step(p, x):
 def _least_gcd_entry(a, d):
     """(i, j, g) for an entry a[i][j] whose g = gcd(a[i][j], d) is least.
 
-    The first entry with g = 1 ends the search; None if every entry is 0.
-    All-zero rows, which the elimination leaves behind, are passed over whole.
-    Entries lie in [0, d), so x % g is nonzero only for a nonzero x that
-    is not a multiple of the best g so far, the only ones that can beat it.
+    It visits the stored residues of the dict rows alone, passing over an
+    all-zero row, which is empty; the first entry with g = 1 ends it, and
+    None means no row holds one.  x % g is nonzero only for an x that is
+    not a multiple of the best g so far, the only ones that can beat it.
     """
     best, g = None, d
     for i, row in enumerate(a):
-        if not any(row):
-            continue
-        for j, x in enumerate(row):
+        for j, x in row.items():
             if x % g:
                 h = gcd(x, d)
                 if h < g:
@@ -432,7 +436,8 @@ def _cyclic_orders_mod(a, d):
     """Orders of the cyclic summands of (Z/d)^rows / (column span of a).
 
     Gaussian elimination over the ring Z/d, step 2 of the module
-    docstring; a holds entries in [0, d) and is consumed.
+    docstring, consuming a, whose rows are dicts {column: residue} of
+    their nonzero residues; a step touches only rows and keys it may change.
     """
     orders = []
     while (piv := _least_gcd_entry(a, d)) is not None:
@@ -442,20 +447,22 @@ def _cyclic_orders_mod(a, d):
             # not divide goes into the pivot by one unimodular 2 x 2 step,
             # which leaves gcd(p, x) there and 0 in place of x.
             p = a[i][j]
-            k = next((k for k, row in enumerate(a) if row[j] % g), None)
+            k = next((k for k, row in enumerate(a) if row.get(j, 0) % g), None)
             if k is not None:
                 h, s, t, u, v = _xgcd_step(p, a[k][j])
                 ri, rk = a[i], a[k]
-                a[i] = [(s * y + t * z) % d for y, z in zip(ri, rk)]
-                a[k] = [(v * z - u * y) % d for y, z in zip(ri, rk)]
+                a[i] = {c: x for c in ri | rk if (x := (s * ri.get(c, 0) + t * rk.get(c, 0)) % d)}
+                a[k] = {c: x for c in ri | rk if (x := (v * rk.get(c, 0) - u * ri.get(c, 0)) % d)}
             else:
-                k = next((k for k, y in enumerate(a[i]) if y % g), None)
+                k = next((k for k, y in a[i].items() if y % g), None)
                 if k is None:
                     break
                 h, s, t, u, v = _xgcd_step(p, a[i][k])
                 for row in a:
-                    y, z = row[j], row[k]
-                    row[j], row[k] = (s * y + t * z) % d, (v * z - u * y) % d
+                    if j in row or k in row:
+                        y, z = row.pop(j, 0), row.pop(k, 0)
+                        new = (j, (s * y + t * z) % d), (k, (v * z - u * y) % d)
+                        row.update((c, x) for c, x in new if x)
             g = gcd(h, d)
         # Clean: q * p = x (mod d) clears each entry x of the pivot column.
         # The pivot row and column then split off Z/g and are dropped.
@@ -463,10 +470,13 @@ def _cyclic_orders_mod(a, d):
         dg = d // g
         inv = pow(prow.pop(j) // g, -1, dg)
         for row in a:
-            x = row.pop(j)
-            if x:
-                q = x // g * inv % dg
-                row[:] = [(y - q * z) % d for y, z in zip(row, prow)]
+            if j in row:
+                q = row.pop(j) // g * inv % dg
+                for c, z in prow.items():
+                    if y := (row.get(c, 0) - q * z) % d:
+                        row[c] = y
+                    elif c in row:
+                        del row[c]
         orders.append(g)
     return orders + [d] * len(a)
 
@@ -513,8 +523,8 @@ def cokernel(m):
     d1 = d // d2
     chain = []
     if d1 > 1:
-        chain = _invariant_factors(_cyclic_orders_mod([[x % d1 for x in row] for row in m.data],
-                                                      d1))
+        rows_mod = [{j: y for j, x in enumerate(row) if x and (y := x % d1)} for row in m.data]
+        chain = _invariant_factors(_cyclic_orders_mod(rows_mod, d1))
         chain = chain[:len(chain) - (rows - rank)]
     top = gcd(d2, content)  # the D''-part of d_rho
     if chain:

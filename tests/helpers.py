@@ -6,7 +6,8 @@ the dense matrix algebra (products, transposes, the closed-form twist
 matrix and the relation checks by matrix products): the package acts by
 the transvection rule alone, and these are its oracles.  The rule itself
 on list rows, one letter at a time, is the oracle of the package's
-packed rows.
+packed rows.  The elimination over Z/D on dense list rows is the oracle
+of the package's dict rows.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import re
 
 from obembed import (AbstractOpenBook, IntMatrix, Surface, TwistWord, WordSyntaxError,
                      lickorish_system, load_config_override)
+from obembed.intlinalg import _xgcd_step
 from obembed.mcg import RelationCheck, RelationReport
 
 _LETTER_RE = re.compile(r"^t\(([A-Za-z][A-Za-z0-9_]*)\)(?:\^(-?\d+))?$")
@@ -113,6 +115,67 @@ def rank_mod_p(rows, p):
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], prow)]
         rank += 1
     return rank
+
+
+def least_gcd_entry_by_lists(a, d):
+    """(i, j, g) for an entry a[i][j] of list rows whose g = gcd(a[i][j], d) is least.
+
+    The first entry with g = 1 ends the search; None if every entry is 0.
+    All-zero rows are passed over whole.  Entries lie in [0, d), so x % g
+    is nonzero only for a nonzero x that is not a multiple of the best g
+    so far, the only ones that can beat it.
+    """
+    best, g = None, d
+    for i, row in enumerate(a):
+        if not any(row):
+            continue
+        for j, x in enumerate(row):
+            if x % g:
+                h = math.gcd(x, d)
+                if h < g:
+                    best, g = (i, j), h
+                    if g == 1:
+                        return i, j, 1
+    return None if best is None else (*best, g)
+
+
+def cyclic_orders_mod_by_lists(a, d):
+    """Orders of the cyclic summands of (Z/d)^rows / (column span of a), on dense list rows.
+
+    The oracle of ``intlinalg._cyclic_orders_mod``: the same pivot rule,
+    combines and cleans, with every row a full list of entries in [0, d)
+    and every step rewriting whole rows (or whole columns).  Consumes a.
+    """
+    orders = []
+    while (piv := least_gcd_entry_by_lists(a, d)) is not None:
+        i, j, g = piv
+        while g > 1:
+            p = a[i][j]
+            k = next((k for k, row in enumerate(a) if row[j] % g), None)
+            if k is not None:
+                h, s, t, u, v = _xgcd_step(p, a[k][j])
+                ri, rk = a[i], a[k]
+                a[i] = [(s * y + t * z) % d for y, z in zip(ri, rk)]
+                a[k] = [(v * z - u * y) % d for y, z in zip(ri, rk)]
+            else:
+                k = next((k for k, y in enumerate(a[i]) if y % g), None)
+                if k is None:
+                    break
+                h, s, t, u, v = _xgcd_step(p, a[i][k])
+                for row in a:
+                    y, z = row[j], row[k]
+                    row[j], row[k] = (s * y + t * z) % d, (v * z - u * y) % d
+            g = math.gcd(h, d)
+        prow = a.pop(i)
+        dg = d // g
+        inv = pow(prow.pop(j) // g, -1, dg)
+        for row in a:
+            x = row.pop(j)
+            if x:
+                q = x // g * inv % dg
+                row[:] = [(y - q * z) % d for y, z in zip(row, prow)]
+        orders.append(g)
+    return orders + [d] * len(a)
 
 
 def mat_rows(m):

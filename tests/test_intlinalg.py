@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from obembed import AbelianGroup, IntMatrix, cokernel, smith_normal_form
 from obembed.intlinalg import _bareiss, _cyclic_orders_mod, _invariant_factors
 
-from helpers import (bareiss_rank_minor, det_bareiss, diagonal, from_rows, is_identity,
-                     mat_mul, mat_rows, random_int_matrix, random_unimodular, transpose,
-                     zeros)
+from helpers import (bareiss_rank_minor, cyclic_orders_mod_by_lists, det_bareiss, diagonal,
+                     from_rows, is_identity, mat_mul, mat_rows, random_int_matrix,
+                     random_unimodular, transpose, zeros)
 
 
 def snf_is_consistent(m):
@@ -245,31 +245,48 @@ def test_elimination_steps_match_snf(rows):
 
 
 @pytest.mark.parametrize("rows, d", [
-    ([[3, 1], [1, 3]], 8),
-    ([[6, 2], [2, 6]], 32),
-    ([[6, 9], [10, 0]], 90),
-    ([[15, 0, 6], [10, 6, 0]], 90),
-    ([[2, 3], [3, 0]], 6),          # D need not be the determinant here
-    ([[4, 0, 6], [0, 0, 0]], 8),    # a row with no pivot contributes Z/D
+    ([{0: 3, 1: 1}, {0: 1, 1: 3}], 8),
+    ([{0: 6, 1: 2}, {0: 2, 1: 6}], 32),
+    ([{0: 6, 1: 9}, {0: 10}], 90),
+    ([{0: 15, 2: 6}, {0: 10, 1: 6}], 90),
+    ([{0: 2, 1: 3}, {0: 3}], 6),        # D need not be the determinant here
+    ([{0: 4, 2: 6}, {}], 8),            # a row with no pivot contributes Z/D
+    # One case per branch of the dict-row steps.  Pivot 6 (g = 6), and 10
+    # below it: the row combine must write column 1, which only the other
+    # row holds.
+    pytest.param([{0: 6}, {0: 10, 1: 15}], 90, id="row-combine-over-union-of-keys"),
+    # Pivot 2 (g = 2), and 3 beside it: the column combine must write the
+    # second row, which holds column 1 but not the pivot column 0.
+    pytest.param([{0: 2, 1: 3}, {1: 5}], 90, id="column-combine-row-without-pivot-column"),
+    # The unit pivot 1 clears the second row, whose column-1 residue
+    # 2 - 1 * 2 becomes 0 and must lose its key.
+    pytest.param([{0: 1, 1: 2}, {0: 1, 1: 2}], 6, id="clean-zeroes-a-residue"),
+    # Pivot 2 (g = 2) clears 4 below it, which leaves the second row empty;
+    # it still contributes Z/8.
+    pytest.param([{0: 2}, {0: 4}], 8, id="row-empties-and-counts-as-z-mod-d"),
 ])
 def test_cyclic_orders_mod_is_the_quotient_by_d(rows, d):
     # (Z/d)^r / span(M) is the cokernel of [M | d*I] over Z.
-    r = len(rows)
-    m = from_rows([row + [d * (i == j) for j in range(r)]
-                             for i, row in enumerate(rows)])
-    orders = _cyclic_orders_mod([list(row) for row in rows], d)
+    r, cols = len(rows), 1 + max((j for row in rows for j in row), default=-1)
+    m = from_rows([[row.get(j, 0) for j in range(cols)] + [d * (i == j) for j in range(r)]
+                   for i, row in enumerate(rows)])
+    orders = _cyclic_orders_mod([dict(row) for row in rows], d)
     assert len(orders) == r
     diag, _, _ = smith_normal_form(m)
     group = AbelianGroup(0, tuple(_invariant_factors(orders)))
     assert group == group_from_diagonal(r, diagonal(diag))
 
 
+RELATION_KINDS = ("dense", "low-rank", "diagonal", "shared-factor")
+
+
 @st.composite
-def relation_matrices(draw):
+def relation_matrices(draw, kinds=RELATION_KINDS):
     """Rectangular matrices up to 8 x 10: dense, low-rank, a scrambled diagonal,
     or with every entry sharing a factor with the determinant D.
 
     Entries are small or at least 60 bits; some rows and columns are zeroed.
+    ``kinds`` limits the draw to some of the four.
     """
     rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 10))
     small = st.integers(-9, 9)
@@ -279,7 +296,7 @@ def relation_matrices(draw):
     def grid(r, c, values=small):
         return [[draw(values) for _ in range(c)] for _ in range(r)]
 
-    kind = draw(st.sampled_from(["dense", "low-rank", "diagonal", "shared-factor"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "dense":
         a = grid(rows, cols, entry)
     elif kind == "shared-factor":
@@ -415,6 +432,20 @@ def test_cokernel_split_by_previous_pivot_matches_snf_and_sympy(m):
         return
     factors = invariant_factors(sympy.Matrix(mat_rows(m)), domain=sympy.ZZ)
     assert group == group_from_diagonal(m.rows, [int(f) for f in factors])
+
+
+@pytest.mark.parametrize("kind", RELATION_KINDS)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_dict_row_elimination_matches_dense_oracle(kind, data):
+    # At the D' that cokernel eliminates modulo, and at fixed composite moduli
+    # of which some entries are units and some are not.
+    m = data.draw(relation_matrices(kinds=(kind,)))
+    for d in {prime_split(m)[1], 6, 90, 2 ** 5 * 3 ** 3 * 5} - {1}:
+        lists = [[x % d for x in row] for row in m.data]
+        rows = [{j: x for j, x in enumerate(row) if x} for row in lists]
+        assert (_invariant_factors(_cyclic_orders_mod(rows, d))
+                == _invariant_factors(cyclic_orders_mod_by_lists(lists, d))), d
 
 
 @pytest.mark.parametrize("kind", ["D' = 1", "D' = D", "1 < D' < D"])
