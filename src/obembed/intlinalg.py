@@ -132,6 +132,13 @@ class Value:
                f"    return hash({self_key})\n", namespace)
         cls._set, cls.__eq__, cls.__hash__ = (namespace[f] for f in ("_set", "__eq__", "__hash__"))
 
+    @classmethod
+    def _of(cls, *fields):
+        """The value of fields already valid (every slot, in order), taken unchecked."""
+        value = object.__new__(cls)
+        value._set(*fields)
+        return value
+
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
@@ -161,13 +168,6 @@ class IntMatrix(Value):
         if len(data) != rows or any(len(row) != cols for row in data):
             raise ValueError("entry grid does not match declared shape")
         self._set(rows, cols, data)
-
-    @classmethod
-    def _of(cls, rows, cols, data):
-        """The matrix of a tuple of ``rows`` tuples of ``cols`` ints, taken unchecked."""
-        m = object.__new__(cls)
-        m._set(rows, cols, data)
-        return m
 
     @classmethod
     def identity(cls, n):

@@ -117,7 +117,8 @@ def parse_word(text):
 
     Each distinct token is read once, in the order of its first
     occurrence, so the first bad token of the text is the one reported;
-    a long word repeats a few dozen tokens.
+    a long word repeats a few dozen tokens.  The match types the letters,
+    so the word is built once, unchecked, with zero powers dropped.
     """
     tokens = text.split()
     letters = {}
@@ -131,7 +132,7 @@ def parse_word(text):
             letters[token] = (name, int(exp or 1))
         except ValueError as exc:  # more digits than int() converts
             raise WordSyntaxError(f"bad exponent of t({name}): {exc}") from None
-    return TwistWord(tuple(map(letters.__getitem__, tokens)))
+    return TwistWord._of(tuple(filter(itemgetter(1), map(letters.__getitem__, tokens))))
 
 
 def format_word(word):

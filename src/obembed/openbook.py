@@ -26,19 +26,25 @@ book carries the pushforward of the input's curve classes through the
 inclusion of pages (an "attached" configuration); when those classes
 match default-system classes the result is renamed onto the default
 configuration.  The new page, the fresh class and the inclusion, a rule
-on coordinates, come from ``surface.split_boundary`` and
-``surface.join_boundaries``; this module never writes a page class.
+on class supports, come from ``surface.split_boundary`` and
+``surface.join_boundaries``, and the default names from
+``surface.default_curve``; this module never writes a page class.  The
+boundary reduction is one pass of n-1 joins of the last two components,
+each a pure move of coordinates, that builds the word and one
+configuration at the end: the final page's system or the pushforward.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import count
 
 from .intlinalg import AbelianGroup, IntMatrix, Value, cokernel
 # arc_defect is unused here; bench/tracer.py wraps it under this module's name
 from .mcg import TwistWord, WordSyntaxError, arc_defect, format_word, parse_word, word_action
 from .surface import (ConfiguredCurve, CurveConfig, Surface, config_from_dict, config_to_dict,
-                      is_default, join_boundaries, lickorish_system, split_boundary)
+                      default_curve, is_default, join_boundaries, lickorish_system,
+                      split_boundary)
 
 FORMAT_HEADER = "openbook v1"
 
@@ -182,15 +188,16 @@ def _relation_matrix(action):
     The defect columns go first: with them last, the previous Bareiss
     pivot shares the handle block's determinant with the last one, and
     the cokernel's split by that pivot (intlinalg, step 2a) gains
-    nothing.  Column order does not change the cokernel.
+    nothing.  Column order does not change the cokernel.  The action's
+    ints need no second check.
     """
-    rank = action.rows
+    rank, cols = action.rows, action.cols
     rows = []
     for i, row in enumerate(action.data):
         row = list(row[rank:] + row[:rank])
-        row[action.cols - rank + i] -= 1
-        rows.append(row)
-    return IntMatrix(rank, action.cols, rows)
+        row[cols - rank + i] -= 1
+        rows.append(tuple(row))
+    return IntMatrix._of(rank, cols, tuple(rows))
 
 
 def mapping_torus_h1(ob):
@@ -227,31 +234,57 @@ class JoinBoundaries(Value):
         self._set(j, k)
 
 
-def _fresh_name(taken):
-    i = 1
-    while f"s{i}" in taken:
-        i += 1
-    return f"s{i}"
+def _canonicalize(page, classes):
+    """(name, kind, matched class) of the default curve of each pushforward support, or None.
 
-
-def _canonicalize(page, curves):
-    """Renaming of pushforward curves onto the default configuration.
-
-    Each class goes to the first unused default curve, in table order,
-    with that class, or failing that with its negative (a twist cannot
-    see the curve's orientation); returns None when one has no match.
+    A class goes to the default curve of that class, else of its negative (a
+    twist cannot see orientation), unless an earlier class took it.
     """
-    by_class = {}
-    for d in lickorish_system(page):
-        by_class.setdefault(d.homology_class, []).append(d.name)
-    mapping = {}
-    for c in curves:
-        names = (by_class.get(c.homology_class)
-                 or by_class.get(tuple(-x for x in c.homology_class)))
-        if not names:
-            return None
-        mapping[c.name] = names.pop(0)
-    return mapping
+    out, taken = [], set()
+    for c in classes:
+        found = default_curve(page, c)
+        if found is None or found in taken:
+            c = {i: -a for i, a in c.items()}
+            found = default_curve(page, c)
+            if found is None or found in taken:
+                return None
+        taken.add(found)
+        out.append((*found, c))
+    return out
+
+
+def _stabilize(ob, attachments):
+    """ob after one positive stabilization along each attachment in turn.
+
+    Each step pushes the word's curves as supports, prepends the fresh one, and
+    renames them all when ``_canonicalize`` matches; the word and config come at the end.
+    """
+    page, names = ob.page, ob.word.curve_names()
+    curves = [(name, ob.config.curve(name).kind, dict(ob.config.twist(name)[0]))
+              for name in names]
+    found = None
+    for attachment in attachments:
+        if isinstance(attachment, SameBoundary):
+            step, kind = split_boundary(page, attachment.j), "boundary_parallel"
+        elif isinstance(attachment, JoinBoundaries):
+            step, kind = join_boundaries(page, attachment.j, attachment.k), "handle_a"
+        else:
+            raise TypeError(f"unknown attachment {attachment!r}")
+        page, push, fresh_class = step
+        taken = {name for name, _, _ in curves}
+        fresh = next(f"s{i}" for i in count(1) if f"s{i}" not in taken)
+        curves = [(fresh, kind, fresh_class)] + [(name, k, push(c)) for name, k, c in curves]
+        found = _canonicalize(page, [c for _, _, c in curves])
+        curves = found or curves
+    steps = len(curves) - len(names)
+    rename = dict(zip(names, (name for name, _, _ in curves[steps:])))
+    word = TwistWord._of(tuple((name, 1) for name, _, _ in curves[:steps])
+                         + tuple((rename[name], e) for name, e in ob.word.letters))
+    rank = page.h1_rank
+    cfg = lickorish_system(page) if found else CurveConfig(page, [
+        ConfiguredCurve._of(name, kind, tuple(map(c.get, range(rank), (0,) * rank)))
+        for name, kind, c in curves])
+    return AbstractOpenBook(page, word, cfg, ob.label)
 
 
 def stabilize_positive(ob, attachment):
@@ -262,42 +295,20 @@ def stabilize_positive(ob, attachment):
     Sigma_{g+1,n-1}.  The new word is one positive twist along the
     fresh over-the-band curve followed by the old word.
     """
-    if isinstance(attachment, SameBoundary):
-        new_page, push, fresh_class = split_boundary(ob.page, attachment.j)
-        kind = "boundary_parallel"
-    elif isinstance(attachment, JoinBoundaries):
-        new_page, push, fresh_class = join_boundaries(ob.page, attachment.j, attachment.k)
-        kind = "handle_a"
-    else:
-        raise TypeError(f"unknown attachment {attachment!r}")
-    kept_names = ob.word.curve_names()
-    fresh = _fresh_name(set(kept_names))
-    pushed = [ConfiguredCurve(fresh, kind, fresh_class)]
-    for name in kept_names:
-        old = ob.config.curve(name)
-        pushed.append(ConfiguredCurve(name, old.kind, push(old.homology_class)))
-    new_word = TwistWord(((fresh, 1),) + ob.word.letters)
-
-    mapping = _canonicalize(new_page, pushed)
-    if mapping is None:
-        cfg = CurveConfig(new_page, pushed)
-    else:
-        new_word, cfg = new_word.rename(mapping), lickorish_system(new_page)
-    return AbstractOpenBook(new_page, new_word, cfg, ob.label)
+    return _stabilize(ob, (attachment,))
 
 
 def reduce_to_one_boundary(ob):
     """Join boundary components until a single one remains.
 
-    Each step is a positive stabilization, so the closed manifold and
-    its homology are unchanged.  The reduced page Sigma_{g+n-1,1} is
-    built first, so a page past the rank cap fails before the first join.
+    Each step is a positive stabilization joining the last two
+    components, so the closed manifold and its homology are unchanged.
+    The reduced page Sigma_{g+n-1,1} is built first, so a page past the
+    rank cap fails before the first join.
     """
-    Surface(ob.page.genus + ob.page.boundary_count - 1, 1)
-    while ob.page.boundary_count > 1:
-        n = ob.page.boundary_count
-        ob = stabilize_positive(ob, JoinBoundaries(n - 1, n))
-    return ob
+    n = ob.page.boundary_count
+    Surface(ob.page.genus + n - 1, 1)
+    return _stabilize(ob, [JoinBoundaries(m - 1, m) for m in range(n, 1, -1)]) if n > 1 else ob
 
 
 def core_twist_total(ob):

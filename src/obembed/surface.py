@@ -1,10 +1,10 @@
 """Surfaces with boundary, their homology, and configured curve systems.
 
 This module is the only one that knows how page classes are written;
-every other module goes through ``Surface.unit``, ``Surface.dual``,
-``Surface.crossing``, ``CurveConfig.twist``, ``boundary_class``, the
-class maps of stabilization (``split_boundary``, ``join_boundaries``)
-and the default curve table.
+every other module goes through ``Surface.unit``, ``Surface.crossing``,
+``CurveConfig.twist``, ``boundary_class``, the class maps of
+stabilization (``split_boundary``, ``join_boundaries``), the default
+curve table and its lookup ``default_curve``.
 
 A page Sigma_{g,n} is drawn as g handles in a row followed by n-1
 punctures, all inside one outer boundary circle, which is boundary
@@ -13,9 +13,9 @@ component number n (the base).  The first homology basis is ordered
     A1, B1, A2, B2, ..., Ag, Bg, D1, ..., D_{n-1}
 
 Pairing rule: <Ai,Bi> = +1 = -<Bi,Ai>, all other pairings of basis
-classes are 0, so the Dj lie in the radical.  ``Surface.dual(c)`` is
-J c with <x, c> = x . J c: it carries c's Bi entry to place Ai and
-minus its Ai entry to place Bi.
+classes are 0, so the Dj lie in the radical.  J c, with <x, c> =
+x . J c, carries c's Bi entry to place Ai and minus its Ai entry to
+place Bi.
 
 Boundary classes: ``boundary_class(surface, m)`` is Dm for m <= n-1;
 the base m = n is the dependent class -(D1 + ... + D_{n-1}).
@@ -31,6 +31,12 @@ The default twist-generating system (``_default_table``) is
 
 ``lickorish_system`` drops the members that are null on a planar page:
 d_1 on the disk and e_1 on the annulus bound disks and twist trivially.
+No two members share a class, so ``default_curve`` reads a name off the
+support of a class, the dict {index: entry} of its nonzero entries: a
+unit at Ai, at Bi or at Dj, Ai - A_{i+1}, Dj + D_{j+1}, or
+-(D1 + ... + Dm) with m = n-1 (d_n) or n-2 (e_{n-1}).  Stabilization
+pushes supports, so no system is built for a page on the way, and
+``CurveConfig.twist`` reads a curve's tables off its support as well.
 A configuration is the page's default exactly when it equals
 ``lickorish_system(page)`` (``is_default``); an open book carries a
 ``config`` line exactly when its configuration is not the default.
@@ -61,7 +67,9 @@ above.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import OrderedDict
+from itertools import compress
 
 from .intlinalg import Value
 
@@ -111,14 +119,6 @@ class Surface(Value):
         """The index-th basis class (0-based, in the order above)."""
         return (0,) * index + (1,) + (0,) * (self.h1_rank - index - 1)
 
-    def dual(self, c):
-        """J c, so that <x, c> = x . J c (the pairing rule)."""
-        h = 2 * self.genus
-        out = [0] * self.h1_rank
-        out[0:h:2] = c[1:h:2]
-        out[1:h:2] = [-a for a in c[0:h:2]]
-        return tuple(out)
-
     def crossing(self, i, c):
         """Crossing number <r_i, c> of arc r_i (1-based) with a curve of class c."""
         count = max(self.boundary_count - 1, 0)
@@ -140,20 +140,19 @@ def boundary_class(surface, m):
 def split_boundary(surface, j):
     """(new page, push, fresh class) of plumbing a band with both feet on component j.
 
-    push is the inclusion of pages on classes, a rule on coordinates
-    that builds one tuple per class.  The split-off piece of component
-    j is the new last puncture n and the base keeps its role, so a
-    class gains its D_j entry as its new D'_n entry (0 when j = n, the
-    base).  The fresh class is D'_n.
+    push is the inclusion of pages on classes, a rule on supports.  The
+    split-off piece of component j is the new last puncture n and the
+    base keeps its role, so a class gains its D_j entry as its new D'_n
+    entry (0 when j = n, the base).  The fresh class is D'_n.
     """
     g, n = surface.genus, surface.boundary_count
     if not 1 <= j <= n:
         raise ValueError(f"attachment index {j} out of range 1..{n}")
-    new_page, at = Surface(g, n + 1), 2 * g + j - 1
+    at, new = 2 * g + j - 1, 2 * g + n - 1  # at = new, past the rank, for the base j = n
 
     def push(c):
-        return c + ((c[at],) if j < n else (0,))
-    return new_page, push, boundary_class(new_page, n)
+        return {**c, new: x} if (x := c.get(at)) else c
+    return Surface(g, n + 1), push, {new: 1}
 
 
 def join_boundaries(surface, j, k):
@@ -162,8 +161,8 @@ def join_boundaries(surface, j, k):
     The other components keep their order and the merged one is the new
     base.  With x_m a class's D_m entry (x_n = 0) and j < k, push gives
     A'_{g+1} 0, B'_{g+1} (the loop around j) x_j - x_k, and the D' entry
-    of every other m x_m - x_k.  The fresh class is A'_{g+1}, the curve
-    over the band.
+    of every other m x_m - x_k.  When x_k = 0, as for k = n, it only moves
+    coordinates.  The fresh class is A'_{g+1}, the curve over the band.
     """
     g, n = surface.genus, surface.boundary_count
     if j == k:
@@ -171,14 +170,17 @@ def join_boundaries(surface, j, k):
     if not (1 <= j <= n and 1 <= k <= n):
         raise ValueError(f"attachment indices ({j},{k}) out of range 1..{n}")
     j, k = min(j, k), max(j, k)
-    new_page, h = Surface(g + 1, n - 1), 2 * g
+    h, at, kt = 2 * g, 2 * g + j - 1, 2 * g + k - 1  # kt past the rank for k = n: x_n = 0
 
     def push(c):
-        x = c[h:] + (0,)
-        xk = x[k - 1]
-        rest = x[:j - 1] + x[j:k - 1] + x[k:]
-        return c[:h] + (0, x[j - 1] - xk) + (tuple(y - xk for y in rest) if xk else rest)
-    return new_page, push, new_page.unit(h)
+        if xk := c.get(kt, 0):  # x_m - x_k at every m, the base's at index h + n - 1
+            c = {i: a for i, a in c.items() if i < h} | {
+                i: y for i in range(h, h + n) if (y := c.get(i, 0) - xk)}
+        elif max(c, default=0) < h:  # no D entry: unchanged
+            return c
+        return {i if i < h else h + 1 if i == at else i + 2 - (i > at) - (i > kt): a
+                for i, a in c.items()}
+    return Surface(g + 1, n - 1), push, {h: 1}
 
 
 class ConfiguredCurve(Value):
@@ -230,28 +232,28 @@ class CurveConfig(Value):
     def twist(self, name):
         """(support of c, support of Jc, arc shift, growth, shift growth) of ``name``, built once.
 
-        The supports and the shift are tuples of nonzero (index, entry)
-        pairs; the shift holds <r_i, c> at column rank + i - 1 of
-        [Phi | delta_1 .. delta_{n-1}], or is None when c crosses no arc.
-        It is sparse: a dense shift row per curve would cost rank^2 on
-        planar pages.  The growths of the lane bounds (``mcg``) are bits(sum |Jc|)
-        + bits(max |c|) and, with a shift, 2 bits(max |c|), bits = ceil(log2).
+        Each is read off the support of c as (index, entry) pairs: Jc moves
+        an Ai or Bi entry to index i ^ 1 (negated from Ai), and the shift
+        holds <r_i, c>, c's D_i entry, at column rank + i - 1 of [Phi |
+        delta_1 .. delta_{n-1}], or is None when c crosses no arc.  The
+        growths of the lane bounds (``mcg``) are bits(sum |Jc|) + bits(max
+        |c|) and, with a shift, 2 bits(max |c|), bits = ceil(log2).
         """
         data = self._twists.get(name)
         if data is None:
-            page, c = self.surface, self.curve(name).homology_class
-            rank = page.h1_rank
-            jc = page.dual(c)
-            shift = tuple((rank + i - 1, x) for i in range(1, page.boundary_count)
-                          if (x := page.crossing(i, c)))
+            c = self.curve(name).homology_class
+            h, rank = 2 * self.surface.genus, len(c)
+            entries = tuple(filter(None, c))
+            cs = tuple(zip(compress(range(rank), c), entries))
+            cut = bisect_left(cs, (h,))  # the handle entries come first
+            jc = tuple(sorted((i ^ 1, a if i & 1 else -a) for i, a in cs[:cut]))
+            shift = tuple((rank - h + i, a) for i, a in cs[cut:])
             # bits(x) is (x - 1).bit_length(), 0 for x = 0; the crossings are entries of c,
             # so 2 bits(max |c|) >= bits(max |s|) + bits(max |c|)
-            a_bits = (max(map(abs, c + (1,))) - 1).bit_length()
+            a_bits = (max(map(abs, entries), default=1) - 1).bit_length()
             data = self._twists[name] = (
-                tuple((i, a) for i, a in enumerate(c) if a),
-                tuple((k, b) for k, b in enumerate(jc) if b),
-                shift or None,
-                ((sum(map(abs, jc)) or 1) - 1).bit_length() + a_bits,
+                cs, jc, shift or None,
+                ((sum(map(abs, entries[:cut])) or 1) - 1).bit_length() + a_bits,
                 2 * a_bits if shift else 0)
         return data
 
@@ -284,6 +286,35 @@ def _default_table(surface):
     rows += [(f"e{j + 1}", "boundary_pair", tuple(x + y for x, y in zip(d[j], d[j + 1])))
              for j in range(n - 1)]
     return rows
+
+
+_KINDS = {"a": "handle_a", "b": "handle_b", "c": "chain", "d": "boundary_parallel",
+          "e": "boundary_pair"}
+
+
+def default_curve(surface, c):
+    """(name, kind) of the curve of ``lickorish_system(surface)`` whose class has support c.
+
+    None when there is none; the patterns are in the module docstring.
+    """
+    g, n = surface.genus, surface.boundary_count
+    h, size, name = 2 * g, len(c), None
+    if size == 1:
+        (i, a), = c.items()
+        if a == 1:
+            name = f"d{i - h + 1}" if i >= h else f"{'ab'[i % 2]}{i // 2 + 1}"
+    elif size == 2:
+        (i, a), (k, b) = sorted(c.items())
+        if (a, b) == (1, -1) and k == i + 2 < h and not i % 2:
+            name = f"c{i // 2 + 1}"
+        elif a == b == 1 and k == i + 1 and i >= h:
+            name = f"e{i - h + 1}"
+    elif not size:  # null: d1 on Sigma_{g,1}, e1 on Sigma_{g,2}, both dropped when planar
+        name = {1: "d1", 2: "e1"}.get(n) if g else None
+    if name is None and size in (n - 1, n - 2) and set(c.values()) == {-1} and (
+            min(c) == h and max(c) == h + size - 1):  # -(D1 + ... + D_size)
+        name = f"d{n}" if size == n - 1 else f"e{n - 1}"
+    return name and (name, _KINDS[name[0]])
 
 
 _systems = OrderedDict()  # Surface -> CurveConfig, least recently used first

@@ -16,10 +16,12 @@ import json
 import math
 import re
 
-from obembed import (AbstractOpenBook, IntMatrix, Surface, TwistWord, WordSyntaxError,
-                     lickorish_system, load_config_override)
+from obembed import (AbstractOpenBook, ConfiguredCurve, CurveConfig, IntMatrix, JoinBoundaries,
+                     SameBoundary, Surface, TwistWord, WordSyntaxError, lickorish_system,
+                     load_config_override)
 from obembed.intlinalg import _xgcd_step
 from obembed.mcg import RelationCheck, RelationReport
+from obembed.surface import boundary_class
 
 _LETTER_RE = re.compile(r"^t\(([A-Za-z][A-Za-z0-9_]*)\)(?:\^(-?\d+))?$")
 
@@ -220,9 +222,18 @@ def apply(m, vec):
     return tuple(sum(x * y for x, y in zip(row, vec)) for row in m.data)
 
 
+def dual(page, c):
+    """J c, so that <x, c> = x . J c (the pairing rule of the ``surface`` docstring)."""
+    h = 2 * page.genus
+    out = [0] * page.h1_rank
+    out[0:h:2] = c[1:h:2]
+    out[1:h:2] = [-a for a in c[0:h:2]]
+    return tuple(out)
+
+
 def pair(page, x, y):
     """Intersection pairing <x, y> = x . J y of two class vectors."""
-    return sum(a * b for a, b in zip(x, page.dual(y)))
+    return sum(a * b for a, b in zip(x, dual(page, y)))
 
 
 def twist_matrix(curve, sign, page):
@@ -233,7 +244,7 @@ def twist_matrix(curve, sign, page):
     """
     rank = page.h1_rank
     c = curve.homology_class
-    jc = page.dual(c)
+    jc = dual(page, c)
     return IntMatrix(rank, rank, [[e + sign * c[i] * jc[k] for k, e in enumerate(page.unit(i))]
                                   for i in range(rank)])
 
@@ -309,7 +320,7 @@ def relation_report_by_rows(cfg):
 def pairing_matrix(page):
     """The pairing matrix J of a page; column j is J of the j-th basis class."""
     rank = page.h1_rank
-    return IntMatrix(rank, rank, zip(*(page.dual(page.unit(j)) for j in range(rank))))
+    return IntMatrix(rank, rank, zip(*(dual(page, page.unit(j)) for j in range(rank))))
 
 
 def random_int_matrix(rng, rows, cols, lo=-20, hi=20):
@@ -345,16 +356,99 @@ def random_word(rng, cfg, max_len=10, max_exp=3):
     return TwistWord(letters)
 
 
-def override_book(ob, prefix="u"):
-    """ob, a book over the default system, with its curves renamed as a user override."""
-    curves = [{"name": prefix + c.name, "kind": c.kind, "class": list(c.homology_class)}
+def override_book(ob, prefix="u", numbered=False):
+    """ob, a book over the default system, with its curves renamed as a user override.
+
+    The new names are the old ones after ``prefix``, or with ``numbered``
+    s1, s2, ... in table order, the names stabilization gives fresh curves.
+    """
+    names = {name: f"s{i}" if numbered else prefix + name
+             for i, name in enumerate(ob.config.names(), 1)}
+    curves = [{"name": names[c.name], "kind": c.kind, "class": list(c.homology_class)}
               for c in ob.config]
     cfg = load_config_override(json.dumps({"curves": curves}), ob.page)
-    word = ob.word.rename({name: prefix + name for name in ob.config.names()})
-    return AbstractOpenBook(ob.page, word, cfg, ob.label)
+    return AbstractOpenBook(ob.page, ob.word.rename(names), cfg, ob.label)
 
 
 def random_open_book(rng, max_genus=3, max_boundary=3, max_len=10):
     page = Surface(rng.randint(0, max_genus), rng.randint(1, max_boundary))
     cfg = lickorish_system(page)
     return AbstractOpenBook(page, random_word(rng, cfg, max_len), cfg)
+
+
+def twist_table_dense(cfg, name):
+    """``CurveConfig.twist`` by rank-length passes: ``dual`` and one crossing per arc."""
+    page, c = cfg.surface, cfg.curve(name).homology_class
+    rank = page.h1_rank
+    jc = dual(page, c)
+    shift = tuple((rank + i - 1, x) for i in range(1, page.boundary_count)
+                  if (x := page.crossing(i, c)))
+    a_bits = (max(map(abs, c + (1,))) - 1).bit_length()
+    return (tuple((i, a) for i, a in enumerate(c) if a),
+            tuple((k, b) for k, b in enumerate(jc) if b),
+            shift or None,
+            ((sum(map(abs, jc)) or 1) - 1).bit_length() + a_bits,
+            2 * a_bits if shift else 0)
+
+
+def _dense_attachment(page, attachment):
+    """(new page, push on class tuples, fresh class, kind) of a stabilization."""
+    g, n, h = page.genus, page.boundary_count, 2 * page.genus
+    if isinstance(attachment, SameBoundary):
+        j = attachment.j
+        if not 1 <= j <= n:
+            raise ValueError(f"attachment index {j} out of range 1..{n}")
+        new_page = Surface(g, n + 1)
+        return (new_page, lambda c: c + ((c[h + j - 1],) if j < n else (0,)),
+                boundary_class(new_page, n), "boundary_parallel")
+    j, k = sorted((attachment.j, attachment.k))
+    if j == k or not (1 <= j <= n and 1 <= k <= n):
+        raise ValueError(f"bad join ({j},{k}) on {n} components")
+    new_page = Surface(g + 1, n - 1)
+
+    def push(c):
+        x = c[h:] + (0,)
+        rest = x[:j - 1] + x[j:k - 1] + x[k:]
+        return c[:h] + (0, x[j - 1] - x[k - 1]) + tuple(y - x[k - 1] for y in rest)
+    return new_page, push, new_page.unit(h), "handle_a"
+
+
+def stabilize_by_system(ob, attachment):
+    """``stabilize_positive`` on dense classes, renamed by a lookup in ``lickorish_system``.
+
+    Each pushed class goes to the first unused default curve, in table
+    order, with that class, or failing that with its negative.
+    """
+    new_page, push, fresh_class, kind = _dense_attachment(ob.page, attachment)
+    kept = ob.word.curve_names()
+    fresh = next(f"s{i}" for i in range(1, len(kept) + 2) if f"s{i}" not in kept)
+    pushed = [ConfiguredCurve(fresh, kind, fresh_class)] + [
+        ConfiguredCurve(name, ob.config.curve(name).kind,
+                        push(ob.config.curve(name).homology_class)) for name in kept]
+    word = TwistWord(((fresh, 1),) + ob.word.letters)
+    by_class = {}
+    for d in lickorish_system(new_page):
+        by_class.setdefault(d.homology_class, []).append(d.name)
+    mapping = {}
+    for c in pushed:
+        names = (by_class.get(c.homology_class)
+                 or by_class.get(tuple(-x for x in c.homology_class)))
+        if not names:
+            return AbstractOpenBook(new_page, word, CurveConfig(new_page, pushed), ob.label)
+        mapping[c.name] = names.pop(0)
+    return AbstractOpenBook(new_page, word.rename(mapping), lickorish_system(new_page), ob.label)
+
+
+def reduce_by_joins(ob):
+    """``reduce_to_one_boundary`` as one ``stabilize_by_system`` per join (n-1, n).
+
+    Returns the reduced book and, per join, whether its book is on the
+    default system.
+    """
+    Surface(ob.page.genus + ob.page.boundary_count - 1, 1)
+    steps = []
+    while ob.page.boundary_count > 1:
+        n = ob.page.boundary_count
+        ob = stabilize_by_system(ob, JoinBoundaries(n - 1, n))
+        steps.append(ob.config == lickorish_system(ob.page))
+    return ob, steps

@@ -106,6 +106,21 @@ def test_parse_word_of_repeated_tokens_matches_oracle(text):
     assert _parsed(parse_word, text) == _parsed(parse_word_by_tokens, text)
 
 
+# Letters of any name and power, ^0 and ^1 and a bare letter included
+_letters = st.tuples(st.sampled_from(["a1", "b1", "e12", "x_y", "Z9"]),
+                     st.sampled_from(["", "^0", "^-0", "^1", "^-1", "^2", "^-7", "^01",
+                                      "^" + "9" * 30]))
+
+
+@settings(max_examples=300)
+@given(st.lists(_letters, max_size=12), _separators.filter(str.isspace))
+def test_parse_word_equals_the_checked_constructor(letters, sep):
+    text = sep.join(f"t({name}){exp}" for name, exp in letters)
+    word = parse_word(text)
+    assert word == TwistWord([(name, int(exp[1:] or 1)) for name, exp in letters])
+    assert all(exp for _, exp in word.letters)
+
+
 def test_zero_exponents_dropped():
     w = TwistWord((("a1", 0), ("b1", 2)))
     assert w.letters == (("b1", 2),)

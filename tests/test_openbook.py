@@ -13,6 +13,8 @@ import random
 from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obembed import (AbelianGroup, AbstractOpenBook, ConfiguredCurve, CurveConfig,
                      JoinBoundaries, OpenBookParseError, SameBoundary, Surface, TwistWord,
@@ -20,9 +22,11 @@ from obembed import (AbelianGroup, AbstractOpenBook, ConfiguredCurve, CurveConfi
                      load_config_override, mapping_torus_h1, parse_openbook, parse_word,
                      reduce_to_one_boundary, serialize_openbook,
                      stabilize_positive, word_action)
+from obembed import surface as surface_module
 from obembed.surface import config_to_dict
 
-from helpers import random_open_book, random_word
+from helpers import (override_book, random_open_book, random_word, reduce_by_joins,
+                     stabilize_by_system)
 
 trivial = AbelianGroup(0)
 
@@ -390,6 +394,102 @@ def test_reduce_to_one_boundary():
     red = reduce_to_one_boundary(ob)
     assert red.page.boundary_count == 1
     assert closed_h1(red) == AbelianGroup(2)
+
+
+# one-pass reduction against one stabilization per join
+
+def _random_book(g, n, length, seed):
+    rng = random.Random(seed)
+    cfg = lickorish_system(Surface(g, n))
+    names = cfg.names()
+    letters = tuple((rng.choice(names), rng.choice([-2, -1, 1, 2])) for _ in range(length))
+    return AbstractOpenBook(cfg.surface, TwistWord(letters), cfg)
+
+
+@st.composite
+def stabilized_books(draw):
+    """Books on default, override, arbitrary and attached configurations.
+
+    Arbitrary classes are what a config line may carry; attached
+    configurations come from stabilizations.
+    """
+    page = Surface(draw(st.integers(0, 2)), draw(st.integers(1, 6)))
+    cfg = lickorish_system(page)
+    if draw(st.booleans()):
+        row = st.lists(st.integers(-1, 1), min_size=page.h1_rank, max_size=page.h1_rank)
+        cfg = CurveConfig(page, [ConfiguredCurve(f"x{i}", "chain", c) for i, c in
+                                 enumerate(draw(st.lists(row, min_size=1, max_size=4)))])
+    letters = draw(st.lists(st.tuples(st.sampled_from(cfg.names()), st.integers(-2, 2)),
+                            max_size=8)) if len(cfg) else []
+    ob = AbstractOpenBook(page, TwistWord(letters), cfg)
+    if cfg == lickorish_system(page) and draw(st.booleans()):
+        ob = override_book(ob, numbered=draw(st.booleans()))
+    for _ in range(draw(st.integers(0, 2))):
+        n = ob.page.boundary_count
+        if n >= 2 and draw(st.booleans()):
+            j, k = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+            attachment = JoinBoundaries(j, k)
+        else:
+            attachment = SameBoundary(draw(st.integers(1, n)))
+        ob = stabilize_positive(ob, attachment)
+    return ob
+
+
+@settings(max_examples=300)
+@given(stabilized_books(), st.data())
+def test_stabilize_and_reduce_match_the_dense_oracles(ob, data):
+    n = ob.page.boundary_count
+    attachment = data.draw(st.sampled_from(
+        [SameBoundary(j) for j in range(1, n + 1)]
+        + [JoinBoundaries(j, k) for j in range(1, n + 1) for k in range(1, n + 1) if j != k]))
+    assert stabilize_positive(ob, attachment) == stabilize_by_system(ob, attachment)
+    reduced, _ = reduce_by_joins(ob)
+    assert reduce_to_one_boundary(ob) == reduced
+
+
+def test_reduction_canonicalizes_at_some_joins_and_not_others():
+    # classes D1 and -D1 on the attached Sigma_{0,5} book: no default curve has -D1
+    # until Sigma_{2,3}, where it is e2
+    ob = book(0, 3, "t(d1) t(e2)^3")
+    ob = stabilize_positive(stabilize_positive(ob, SameBoundary(3)), SameBoundary(4))
+    reduced, steps = reduce_by_joins(ob)
+    assert steps == [False, True, True, False]
+    assert reduce_to_one_boundary(ob) == reduced
+    # D1 + D2 + D3 is no default class on Sigma_{0,5}, but minus d4 on Sigma_{1,4}: the
+    # next join keeps d4's class, not the class the book came with
+    page = Surface(0, 5)
+    ob = AbstractOpenBook(page, parse_word("t(x)^2"), CurveConfig(
+        page, [ConfiguredCurve("x", "boundary_pair", (1, 1, 1, 0))]))
+    reduced, steps = reduce_by_joins(ob)
+    assert steps == [True, False, False, False]
+    assert reduce_to_one_boundary(ob) == reduced
+    assert reduced.config.curve("d4").homology_class == (0, 0, 0, -1, 0, -1, 0, -1)
+    # a base curve mixes handle and D coordinates at the first join, and never matches again
+    ob = _random_book(1, 4, 12, 3)
+    reduced, steps = reduce_by_joins(ob)
+    assert not any(steps) and "t(d4)" in format_word(ob.word)
+    assert reduce_to_one_boundary(ob) == reduced
+
+
+def test_reduction_fresh_names_skip_override_names():
+    # the seven default curves of Sigma_{1,3}, a1 b1 d1 d2 d3 e1 e2, renamed s1..s7
+    ob = override_book(book(1, 3, "t(d1)^2 t(d3) t(d2)^-1 t(a1) t(e1)"), numbered=True)
+    assert format_word(ob.word) == "t(s3)^2 t(s5) t(s4)^-1 t(s1) t(s6)"
+    reduced = reduce_to_one_boundary(ob)
+    assert reduced == reduce_by_joins(ob)[0]
+    assert reduced.page == Surface(3, 1)
+    assert format_word(reduced.word) == "t(s7) t(s2) t(s3)^2 t(s5) t(s4)^-1 t(s1) t(s6)"
+    assert reduced.config.names() == ("s7", "s2", "s3", "s5", "s4", "s1", "s6")
+
+
+def test_reduction_builds_at_most_the_final_system(monkeypatch):
+    ob = _random_book(2, 40, 200, 1)
+    table, calls = surface_module._default_table, []
+    monkeypatch.setattr(surface_module, "_default_table",
+                        lambda page: calls.append(page) or table(page))
+    reduced = reduce_to_one_boundary(ob)
+    assert len(calls) <= 1 and set(calls) <= {Surface(41, 1)}
+    assert reduced.page == Surface(41, 1)
 
 
 # text format

@@ -4,13 +4,16 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from obembed import (ConfiguredCurve, CurveConfig, Surface, cokernel, lickorish_system,
                      load_config_override)
 from obembed import surface as surface_module
-from obembed.surface import MAX_PAGE_RANK, config_from_dict, config_to_dict, is_default
+from obembed.surface import (MAX_PAGE_RANK, config_from_dict, config_to_dict, default_curve,
+                             is_default)
 
-from helpers import pair, pairing_matrix
+from helpers import pair, pairing_matrix, twist_table_dense
 
 
 def census(cfg):
@@ -364,3 +367,59 @@ def test_twist_table_entries():
     assert odd.twist("x") == (((0, 5), (1, -2), (2, 3)), ((0, -2), (1, -5)), ((4, 3),),
                               3 + 3, 3 + 3)
     assert odd.twist("y") == ((), (), None, 0, 0)
+
+
+def support(c):
+    return {i: a for i, a in enumerate(c) if a}
+
+
+def test_default_curve_reads_every_default_name_off_its_support():
+    for g in range(5):
+        for n in range(1, 8):
+            page = Surface(g, n)
+            for c in lickorish_system(page):
+                assert default_curve(page, support(c.homology_class)) == (c.name, c.kind)
+    # the planar pages drop their null curve; on Sigma_{1,3} no curve is null
+    assert default_curve(Surface(0, 1), {}) is None
+    assert default_curve(Surface(0, 2), {}) is None
+    assert default_curve(Surface(1, 2), {}) == ("e1", "boundary_pair")
+    assert default_curve(Surface(1, 3), {}) is None
+
+
+_pages = st.sampled_from([(0, 1), (0, 2), (0, 3), (0, 6), (1, 1), (3, 1), (1, 2), (1, 3),
+                          (2, 4), (3, 5)])
+
+
+@st.composite
+def page_classes(draw):
+    page = Surface(*draw(_pages))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2]) | st.integers(-(1 << 41), 1 << 41)
+    return page, tuple(draw(st.lists(entries, min_size=page.h1_rank,
+                                     max_size=page.h1_rank)))
+
+
+@settings(max_examples=400)
+@given(page_classes())
+@example((Surface(2, 4), (0, 0, 0, 0, -1, -1, -1)))
+@example((Surface(2, 4), (0, 0, 0, 0, -1, -1, 0)))
+@example((Surface(2, 4), (0, 0, 1, 0, -1, 0, 0)))  # A2 - D1, not a chain curve
+@example((Surface(2, 4), (0, 0, 0, 0, 1, -1, 0)))
+@example((Surface(0, 3), (-1, 0)))
+@example((Surface(2, 1), (1, 0, -1, 0)))
+def test_default_curve_matches_the_table(page_class):
+    page, c = page_class
+    table = {d.homology_class: (d.name, d.kind) for d in lickorish_system(page)}
+    assert default_curve(page, support(c)) == table.get(c)
+
+
+@settings(max_examples=300)
+@given(page_classes())
+@example((Surface(0, 1), ()))
+@example((Surface(0, 2), (0,)))
+@example((Surface(1, 3), (0, 0, 0, 0)))
+@example((Surface(3, 1), (1 << 40, -(1 << 45), 0, 3, 0, -1)))
+@example((Surface(1, 3), (-(1 << 40), 7, 1 << 41, -1)))
+def test_twist_table_matches_the_dense_rule(page_class):
+    page, c = page_class
+    cfg = CurveConfig(page, [ConfiguredCurve("x", "chain", c)])
+    assert cfg.twist("x") == twist_table_dense(cfg, "x")
