@@ -46,6 +46,10 @@ class _HelpRequested(Exception):
     pass
 
 
+class _MalformedCertificate(ValueError):
+    """Valid JSON that is no certificate object, or an integer too long to read."""
+
+
 @functools.cache
 def _build_parser():
     """The argparse tree, built on first use and shared by every ``run``.
@@ -129,7 +133,13 @@ def _eval_identify(path):
 
 def _eval_validate(path):
     with open(path, "r", encoding="utf-8") as fh:
-        violations = embedder.validate_certificate(fh.read())
+        text = fh.read()
+    try:
+        violations = embedder.validate_certificate(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise _MalformedCertificate(str(exc)) from exc
     text = "\n".join(f"VIOLATION: {v}" for v in violations) or "certificate valid"
     return {"violations": violations}, text, EXIT_INVALID if violations else EXIT_OK
 
@@ -237,7 +247,7 @@ def run(argv, out=None, err=None):
     except OpenBookParseError as exc:
         print(f"parse error: {exc}", file=err)
         return EXIT_USAGE
-    except OSError as exc:  # missing, unreadable or a directory
+    except (OSError, _MalformedCertificate) as exc:  # unreadable, or read but no certificate
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -14,6 +14,8 @@ import obembed
 from obembed import cli
 from obembed.cli import run
 
+import test_openbook
+
 LENS5 = "openbook v1\ngenus 0\nboundary 2\nword t(d1)^5\n"
 TREFOIL = "openbook v1\ngenus 1\nboundary 1\nword t(a1) t(b1)\n"
 
@@ -137,6 +139,13 @@ def test_usage_error_exits_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("text, line, message", test_openbook.STRUCTURE_ERRORS)
+def test_structure_errors_exit_2_with_line_number(text, line, message, tmp_path):
+    p = tmp_path / "bad.ob"
+    p.write_text(text)
+    assert go("h1", str(p)) == (2, "", f"parse error: line {line}: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [("--help",), ("h1", "--help"), ("stabilize", "-h")])
 def test_help_goes_to_out_and_returns_0(argv, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")   # argparse wraps help to the terminal width
@@ -200,6 +209,23 @@ def test_embed_and_validate(lens_file, tmp_path):
     code, out, _ = go("validate", cert)
     assert code == 0
     assert "valid" in out
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1]\n", "certificate must be a JSON object"),
+    ("1" * 4301 + "\n", "Exceeds the limit (4300 digits)"),
+], ids=["array", "long_integer"])
+def test_malformed_certificate_exits_2_alone_and_in_a_manifest(text, message, tmp_path):
+    p = tmp_path / "cert.json"
+    p.write_text(text)
+    code, out, err = go("validate", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"{p}\n")
+    code, out, _ = go("validate", "--manifest", str(manifest))
+    assert code == 2
+    assert json.loads(out)["error"].startswith(message)
 
 
 def test_validate_tampered_exits_1(lens_file, tmp_path):

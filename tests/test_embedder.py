@@ -372,3 +372,70 @@ def test_validator_reports_malformed_pages_through_surface():
         flexible = build_flexible_embedding(Surface(1, 2), 1)
         flexible["input"]["page"]["boundary"] = value
         assert validate_certificate(flexible) == [message]
+
+
+def _one_of_each_kind():
+    return [build_flexible_embedding(Surface(1, 2), 1),
+            build_openbook_embedding(book(1, 1, "t(a1) t(b1)^-2"), 3),
+            build_annulus_s5(book(0, 2, "t(d1)^3 t(d2)")),
+            build_s5_plan(book(0, 2, "t(d1)^2"))]
+
+
+@pytest.mark.parametrize("cert", _one_of_each_kind(), ids=lambda c: c["kind"])
+def test_every_kind_rejects_an_unexpected_input_field(cert):
+    cert = json.loads(certificate_to_json(cert))
+    cert["input"]["note"] = "x"
+    assert validate_certificate(cert) == ["input.note: unexpected field"]
+
+
+def test_validator_reports_unexpected_top_level_fields():
+    cert = build_annulus_s5(book(0, 2, "t(d1)"))
+    cert["extra"] = 1
+    assert validate_certificate(cert) == ["unexpected top-level fields ['extra']"]
+
+
+def _set(path, value):
+    def tamper(page_cert):
+        *keys, last = path
+        for key in keys:
+            page_cert = page_cert[key]
+        page_cert[last] = value
+    return tamper
+
+
+@pytest.mark.parametrize("tamper, where", [
+    (_set(["version"], True), "scene.page_certificate.version"),
+    (_set(["input", "page", "genus"], True), "scene.page_certificate.input.page"),
+    (_set(["input", "framing"], 2.0), "scene.page_certificate.input.framing"),
+    (_set(["note"], 1), "scene.page_certificate.note"),
+], ids=["version", "genus", "framing", "top_level_field"])
+def test_witness_page_certificate_is_checked_type_exact(tamper, where):
+    # 1, 1.0 and true compare equal in the diff; the page certificate's own
+    # checks must still tell them apart, each once, at an absolute path
+    w = build_openbook_embedding(book(1, 1, "t(a1)"), 2)
+    tamper(w["scene"]["page_certificate"])
+    violations = validate_certificate(w)
+    assert len(violations) == 1
+    assert violations[0].startswith(where + ":")
+
+
+@pytest.mark.parametrize("value", [None, 5, "x", [], [{}]])
+def test_witness_page_certificate_not_an_object_is_one_violation(value):
+    w = build_openbook_embedding(book(1, 1, "t(a1)"), 2)
+    w["scene"]["page_certificate"] = value
+    violations = validate_certificate(w)
+    assert len(violations) == 1
+    assert violations[0].startswith("scene.page_certificate: expected an object")
+
+
+def test_validation_calls_no_builder_and_no_nested_validation(monkeypatch):
+    import obembed.embedder as embedder
+    certs = [json.loads(certificate_to_json(c)) for c in _one_of_each_kind()]
+    for name in ("build_flexible_embedding", "build_openbook_embedding",
+                 "build_annulus_s5", "build_s5_plan"):
+        monkeypatch.setattr(embedder, name, None)
+    calls = []
+    monkeypatch.setattr(embedder, "validate_certificate",
+                        lambda cert: calls.append(cert) or validate_certificate(cert))
+    assert [embedder.validate_certificate(c) for c in certs] == [[]] * 4
+    assert len(calls) == 4

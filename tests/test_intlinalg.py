@@ -524,3 +524,9 @@ def test_matrix_shape_errors():
     b = zeros(3, 3)
     with pytest.raises(ValueError):
         mat_mul(a, b)
+
+
+@pytest.mark.parametrize("rows, cols", [(-1, 0), (0, -1), (-2, 3)])
+def test_matrix_rejects_negative_dimensions(rows, cols):
+    with pytest.raises(ValueError, match="^negative matrix dimensions$"):
+        IntMatrix(rows, cols, [])

@@ -533,6 +533,35 @@ def test_parse_errors_carry_line_numbers():
         assert f"line {line}" in str(exc.value)
 
 
+# structural errors of the text format, each at its own line
+STRUCTURE_ERRORS = [
+    ("openbook v1\ngenus 0\nboundary 1\n", 4, "missing 'word' line"),
+    ("openbook v1\ngenera 0\nboundary 1\nword\n", 2, "expected 'genus' line, got 'genera 0'"),
+    ("openbook v1\ngenus 0\nboundary 1\nword t(x)\n"
+     'config {"curves":[{"name":"x","kind":"handle_a","class":[]}]}\n'
+     'config {"curves":[{"name":"x","kind":"handle_a","class":[]}]}\n', 6,
+     "duplicate config line"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", STRUCTURE_ERRORS)
+def test_parse_reports_structure_errors(text, line, message):
+    with pytest.raises(OpenBookParseError) as exc:
+        parse_openbook(text)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
+def test_config_of_another_surface_is_rejected():
+    with pytest.raises(ValueError, match="^configuration belongs to a different surface$"):
+        AbstractOpenBook(Surface(1, 1), TwistWord(), lickorish_system(Surface(1, 2)))
+
+
+def test_stabilize_rejects_an_unknown_attachment():
+    with pytest.raises(TypeError, match="^unknown attachment"):
+        stabilize_positive(book(0, 2, "t(d1)"), (1, 2))
+
+
 def test_attached_config_round_trips_through_text():
     # force a non-canonical stabilization by using a word whose letters
     # cannot all match default classes after pushforward

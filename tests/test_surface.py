@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from obembed import (ConfiguredCurve, CurveConfig, Surface, cokernel, lickorish_system,
                      load_config_override)
 from obembed import surface as surface_module
-from obembed.surface import (MAX_PAGE_RANK, config_from_dict, config_to_dict, default_curve,
-                             is_default)
+from obembed.surface import (MAX_PAGE_RANK, boundary_class, config_from_dict, config_to_dict,
+                             default_curve, is_default)
 
 from helpers import pair, pairing_matrix, twist_table_dense
 
@@ -423,3 +423,9 @@ def test_twist_table_matches_the_dense_rule(page_class):
     page, c = page_class
     cfg = CurveConfig(page, [ConfiguredCurve("x", "chain", c)])
     assert cfg.twist("x") == twist_table_dense(cfg, "x")
+
+
+@pytest.mark.parametrize("m", [0, 3, -1])
+def test_boundary_class_rejects_components_out_of_range(m):
+    with pytest.raises(IndexError, match=rf"^boundary component {m} out of range 1\.\.2$"):
+        boundary_class(Surface(1, 2), m)
