@@ -259,9 +259,8 @@ def word_action(word, cfg, arcs=False):
     the defect class of arc i.  Row i starts as the int 2^(64 i); lanes,
     bounds and decoding are in the module docstring.
     """
-    page = cfg.surface
-    rank = page.h1_rank
-    width = rank + max(page.boundary_count - 1, 0) if arcs else rank
+    rank = cfg.surface.h1_rank
+    width = rank + cfg.surface.boundary_count - 1 if arcs else rank
     rows = [1 << 64 * i for i in range(rank)]
     return IntMatrix._of(rank, width, tuple(_transvect(rows, word.letters, cfg, arcs, width)))
 
@@ -275,10 +274,9 @@ def arc_defect(word, arc_index, cfg):
     action.  Raises IndexError when the page has no such arc, whatever
     the word.
     """
-    page = cfg.surface
-    page.crossing(arc_index, (0,) * page.h1_rank)  # the range check, also for empty words
+    cfg.surface.crossing(arc_index, ())  # the range check, also for empty words
     action = word_action(word, cfg, arcs=True)
-    col = page.h1_rank + arc_index - 1
+    col = action.rows + arc_index - 1
     return tuple(action.entry(i, col) for i in range(action.rows))
 
 
@@ -327,8 +325,9 @@ def relation_report(cfg):
     checks = []
     curves = cfg.curves
     for idx, c in enumerate(curves):
+        entries = dict(c.support)
         for d in curves[idx + 1:]:
-            p = sum(b * c.homology_class[k] for k, b in cfg.twist(d.name)[1])  # c . Jd
+            p = sum(b * entries.get(k, 0) for k, b in cfg.twist(d.name)[1])  # c . Jd
             cd, dc = ((c.name, 1), (d.name, 1)), ((d.name, 1), (c.name, 1))
             if p == 0:
                 checks.append(RelationCheck(f"commute({c.name},{d.name})", "commutation",

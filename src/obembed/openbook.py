@@ -66,8 +66,6 @@ class AbstractOpenBook(Value):
     __slots__ = ("page", "word", "config", "label")
 
     def __init__(self, page, word, config, label=None):
-        if page.boundary_count < 1:
-            raise ValueError("page must have boundary")
         if config.surface != page:
             raise ValueError("configuration belongs to a different surface")
         for name in word.curve_names():
@@ -100,10 +98,8 @@ class AbstractOpenBook(Value):
         if not isinstance(word_text, str):
             raise ValueError(f"word must be a string, got {word_text!r}")
         word = parse_word(word_text)
-        if data.get("config"):
-            cfg = config_from_dict(data["config"], page)
-        else:
-            cfg = lickorish_system(page)
+        config = data.get("config")
+        cfg = config_from_dict(config, page) if config else lickorish_system(page)
         return cls(page, word, cfg, data.get("label"))
 
 
@@ -244,7 +240,7 @@ def _canonicalize(page, classes):
     for c in classes:
         found = default_curve(page, c)
         if found is None or found in taken:
-            c = {i: -a for i, a in c.items()}
+            c = tuple((i, -a) for i, a in c)
             found = default_curve(page, c)
             if found is None or found in taken:
                 return None
@@ -260,8 +256,7 @@ def _stabilize(ob, attachments):
     renames them all when ``_canonicalize`` matches; the word and config come at the end.
     """
     page, names = ob.page, ob.word.curve_names()
-    curves = [(name, ob.config.curve(name).kind, dict(ob.config.twist(name)[0]))
-              for name in names]
+    curves = [(c.name, c.kind, c.support) for c in map(ob.config.curve, names)]
     found = None
     for attachment in attachments:
         if isinstance(attachment, SameBoundary):
@@ -280,10 +275,8 @@ def _stabilize(ob, attachments):
     rename = dict(zip(names, (name for name, _, _ in curves[steps:])))
     word = TwistWord._of(tuple((name, 1) for name, _, _ in curves[:steps])
                          + tuple((rename[name], e) for name, e in ob.word.letters))
-    rank = page.h1_rank
     cfg = lickorish_system(page) if found else CurveConfig(page, [
-        ConfiguredCurve._of(name, kind, tuple(map(c.get, range(rank), (0,) * rank)))
-        for name, kind, c in curves])
+        ConfiguredCurve._of(*c) for c in curves])
     return AbstractOpenBook(page, word, cfg, ob.label)
 
 
@@ -323,7 +316,7 @@ def core_twist_total(ob):
         raise ValueError("page must be the annulus")
     total = 0
     for name, exp in ob.word:
-        if ob.config.curve(name).homology_class not in ((1,), (-1,)):
+        if ob.config.curve(name).support not in (((0, 1),), ((0, -1),)):
             raise ValueError(f"letter {name!r} is not a core (boundary-parallel) twist")
         total += exp
     return total

@@ -1,55 +1,58 @@
 """Surfaces with boundary, their homology, and configured curve systems.
 
 This module is the only one that knows how page classes are written;
-every other module goes through ``Surface.unit``, ``Surface.crossing``,
-``CurveConfig.twist``, ``boundary_class``, the class maps of
-stabilization (``split_boundary``, ``join_boundaries``), the default
-curve table and its lookup ``default_curve``.
+every other module goes through ``Surface.crossing``,
+``CurveConfig.twist``, the class maps of stabilization
+(``split_boundary``, ``join_boundaries``), the default curve table and
+its lookup ``default_curve``.
 
-A page Sigma_{g,n} is drawn as g handles in a row followed by n-1
-punctures, all inside one outer boundary circle, which is boundary
-component number n (the base).  The first homology basis is ordered
+A page Sigma_{g,n} has n >= 1 boundary components.  It is drawn as g
+handles in a row followed by n-1 punctures, all inside one outer
+boundary circle, which is boundary component number n (the base).  The
+first homology basis is ordered
 
     A1, B1, A2, B2, ..., Ag, Bg, D1, ..., D_{n-1}
 
 Pairing rule: <Ai,Bi> = +1 = -<Bi,Ai>, all other pairings of basis
 classes are 0, so the Dj lie in the radical.  J c, with <x, c> =
 x . J c, carries c's Bi entry to place Ai and minus its Ai entry to
-place Bi.
+place Bi.  Boundary component m has class Dm for m <= n-1; the base
+m = n has the dependent class -(D1 + ... + D_{n-1}).
 
-Boundary classes: ``boundary_class(surface, m)`` is Dm for m <= n-1;
-the base m = n is the dependent class -(D1 + ... + D_{n-1}).
+A class is its support, the tuple of (index, entry) pairs of its
+nonzero entries in increasing index order: equal classes have equal,
+hashable supports.  Only the JSON form of a configuration
+(``config_to_dict``, ``config_from_dict`` and the messages of
+``load_config_override``) writes a class as a dense list.
 
 The default twist-generating system (``_default_table``) is
 
     a_i           class Ai                   (handle_a)
     b_i           class Bi                   (handle_b)
     c_i           class Ai - A_{i+1}         (chain, i = 1..g-1)
-    d_j           boundary_class(j)          (boundary_parallel, j = 1..n)
-    e_j           boundary_class(j) + boundary_class(j+1)
-                                             (boundary_pair, j = 1..n-1)
+    d_j           class of component j       (boundary_parallel, j = 1..n)
+    e_j           d_j + d_{j+1}              (boundary_pair, j = 1..n-1)
 
-``lickorish_system`` drops the members that are null on a planar page:
-d_1 on the disk and e_1 on the annulus bound disks and twist trivially.
-No two members share a class, so ``default_curve`` reads a name off the
-support of a class, the dict {index: entry} of its nonzero entries: a
-unit at Ai, at Bi or at Dj, Ai - A_{i+1}, Dj + D_{j+1}, or
--(D1 + ... + Dm) with m = n-1 (d_n) or n-2 (e_{n-1}).  Stabilization
-pushes supports, so no system is built for a page on the way, and
-``CurveConfig.twist`` reads a curve's tables off its support as well.
-A configuration is the page's default exactly when it equals
+Only d_n and e_{n-1} have more than two entries, so its size is linear
+in the rank.  ``lickorish_system`` drops the members that are null on a
+planar page: d_1 on the disk and e_1 on the annulus bound disks and
+twist trivially.  No two members share a class, so ``default_curve``
+reads a name off a support: a unit at Ai, at Bi or at Dj, Ai - A_{i+1},
+Dj + D_{j+1}, or -(D1 + ... + Dm) with m = n-1 (d_n) or n-2 (e_{n-1}).
+Stabilization pushes supports, so no system is built for a page on the
+way.  A configuration is the page's default exactly when it equals
 ``lickorish_system(page)`` (``is_default``); an open book carries a
 ``config`` line exactly when its configuration is not the default.
 
 Pages, curves and configurations are immutable values (``Value``, from
 ``intlinalg``: equality, hash and repr by field), valid by
-construction.  ``Surface`` rejects a genus or boundary count that is
-not a nonnegative int, and ``CurveConfig`` rejects duplicate names and
-classes of the wrong dimension; each raises one ValueError.  Only
-``load_config_override`` (JSON text, with an optional arc table)
-applies the kind rule: a curve of each kind may carry only the classes
-this table gives that kind.  It and ``config_from_dict`` raise nothing
-else on malformed input.
+construction: ``Surface`` rejects a genus or boundary count that is not
+an int, a negative one and a closed page, ``ConfiguredCurve`` a support
+not as above, and ``CurveConfig`` duplicate names and an index past the
+rank; each raises one ValueError.  Only ``load_config_override`` (JSON
+text, with an optional arc table) applies the kind rule: a curve of
+each kind may carry only the classes this table gives that kind.  It
+and ``config_from_dict`` raise nothing else on malformed input.
 
 Arcs r_1 .. r_{n-1} run from the base component to each puncture.  The
 algebraic crossing number of an arc with a curve depends only on the
@@ -69,7 +72,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import OrderedDict
-from itertools import compress
+from itertools import chain, compress
+from operator import lt
 
 from .intlinalg import Value
 
@@ -81,14 +85,14 @@ CURVE_KINDS = ("handle_a", "handle_b", "chain", "boundary_pair", "boundary_paral
 MAX_PAGE_RANK = 1000
 
 # lickorish_system keeps the most recently used systems while their ranks
-# sum to at most this.  A system's size grows as rank^2, about 12 MiB at
-# rank 1000, so the cache stays within about 24 MiB.  The twist tables of
-# CurveConfig.twist add about 1 MiB at rank 1000 (tracemalloc, Sigma_{0,1000}).
+# sum to at most this.  At rank 1000 a system takes 0.79 MiB on Sigma_{0,1001}
+# and 0.44 MiB on Sigma_{500,1}, and all its CurveConfig.twist tables 0.73 and
+# 0.39 MiB more (tracemalloc, Python 3.11): the cache stays within about 3 MiB.
 SYSTEM_CACHE_RANK = 2 * MAX_PAGE_RANK
 
 
 class Surface(Value):
-    """Compact orientable surface with genus g and n boundary circles."""
+    """Compact orientable surface with genus g and n >= 1 boundary circles."""
 
     __slots__ = ("genus", "boundary_count")
 
@@ -99,6 +103,8 @@ class Surface(Value):
                              f"{boundary_count!r}")
         if genus < 0 or boundary_count < 0:
             raise ValueError("genus and boundary count must be nonnegative")
+        if not boundary_count:
+            raise ValueError("page must have boundary")
         self._set(genus, boundary_count)
         if self.h1_rank > MAX_PAGE_RANK:
             raise ValueError(f"page rank {self.h1_rank} exceeds the limit {MAX_PAGE_RANK}")
@@ -109,41 +115,32 @@ class Surface(Value):
 
     @property
     def h1_rank(self):
-        g, n = self.genus, self.boundary_count
-        return 2 * g + max(n - 1, 0)
+        return 2 * self.genus + self.boundary_count - 1
 
     def __str__(self):
         return f"Sigma_{{{self.genus},{self.boundary_count}}}"
 
-    def unit(self, index):
-        """The index-th basis class (0-based, in the order above)."""
-        return (0,) * index + (1,) + (0,) * (self.h1_rank - index - 1)
-
     def crossing(self, i, c):
-        """Crossing number <r_i, c> of arc r_i (1-based) with a curve of class c."""
-        count = max(self.boundary_count - 1, 0)
-        if not 1 <= i <= count:
-            raise IndexError(f"arc index {i} out of range 1..{count}")
-        return c[2 * self.genus + i - 1]
+        """Crossing number <r_i, c> of arc r_i (1-based) with a curve whose class has support c."""
+        if not 0 < i < self.boundary_count:
+            raise IndexError(f"arc index {i} out of range 1..{self.boundary_count - 1}")
+        return _entry(c, 2 * self.genus + i - 1)
 
 
-def boundary_class(surface, m):
-    """Class of boundary component m (1-based); the base m = n is dependent."""
-    g, n = surface.genus, surface.boundary_count
-    if not 1 <= m <= n:
-        raise IndexError(f"boundary component {m} out of range 1..{n}")
-    if m < n:
-        return surface.unit(2 * g + m - 1)
-    return tuple(-1 if k >= 2 * g else 0 for k in range(surface.h1_rank))
+def _entry(c, i):
+    """The entry at index i of the class with support c."""
+    k = bisect_left(c, (i,))
+    return c[k][1] if k < len(c) and c[k][0] == i else 0
 
 
 def split_boundary(surface, j):
     """(new page, push, fresh class) of plumbing a band with both feet on component j.
 
-    push is the inclusion of pages on classes, a rule on supports.  The
-    split-off piece of component j is the new last puncture n and the
-    base keeps its role, so a class gains its D_j entry as its new D'_n
-    entry (0 when j = n, the base).  The fresh class is D'_n.
+    push is the inclusion of pages on class supports.  The split-off
+    piece of component j is the new last puncture n and the base keeps
+    its role, so a class gains its D_j entry as its new D'_n entry (0
+    when j = n, the base), past all its other indices.  The fresh class
+    is D'_n.
     """
     g, n = surface.genus, surface.boundary_count
     if not 1 <= j <= n:
@@ -151,8 +148,8 @@ def split_boundary(surface, j):
     at, new = 2 * g + j - 1, 2 * g + n - 1  # at = new, past the rank, for the base j = n
 
     def push(c):
-        return {**c, new: x} if (x := c.get(at)) else c
-    return Surface(g, n + 1), push, {new: 1}
+        return c + ((new, x),) if (x := _entry(c, at)) else c
+    return Surface(g, n + 1), push, ((new, 1),)
 
 
 def join_boundaries(surface, j, k):
@@ -173,31 +170,40 @@ def join_boundaries(surface, j, k):
     h, at, kt = 2 * g, 2 * g + j - 1, 2 * g + k - 1  # kt past the rank for k = n: x_n = 0
 
     def push(c):
-        if xk := c.get(kt, 0):  # x_m - x_k at every m, the base's at index h + n - 1
-            c = {i: a for i, a in c.items() if i < h} | {
-                i: y for i in range(h, h + n) if (y := c.get(i, 0) - xk)}
-        elif max(c, default=0) < h:  # no D entry: unchanged
+        if not c or c[-1][0] < h:  # no D entry: unchanged
             return c
-        return {i if i < h else h + 1 if i == at else i + 2 - (i > at) - (i > kt): a
-                for i, a in c.items()}
-    return Surface(g + 1, n - 1), push, {h: 1}
+        if xk := _entry(c, kt):  # x_m - x_k at every m, the base's at index h + n - 1
+            c = [p for p in c if p[0] < h] + [
+                (i, y) for i in range(h, h + n) if (y := _entry(c, i) - xk)]
+        return tuple(sorted((i if i < h else h + 1 if i == at else i + 2 - (i > at) - (i > kt), a)
+                            for i, a in c))
+    return Surface(g + 1, n - 1), push, ((h, 1),)
+
+
+def _check_name(name, kind):
+    if not isinstance(name, str):
+        raise ValueError(f"curve name must be a string, got {name!r}")
+    if kind not in CURVE_KINDS:
+        raise ValueError(f"unknown curve kind {kind!r}")
 
 
 class ConfiguredCurve(Value):
-    """A named simple closed curve, remembered through its class only."""
+    """A named simple closed curve, remembered through its class only, as its support."""
 
-    __slots__ = ("name", "kind", "homology_class")
+    __slots__ = ("name", "kind", "support")
 
-    def __init__(self, name, kind, homology_class):
-        if not isinstance(name, str):
-            raise ValueError(f"curve name must be a string, got {name!r}")
-        if kind not in CURVE_KINDS:
-            raise ValueError(f"unknown curve kind {kind!r}")
+    def __init__(self, name, kind, support):
+        _check_name(name, kind)
+        pairs = isinstance(support, (list, tuple)) and all(
+            isinstance(p, (list, tuple)) and len(p) == 2 for p in support)
+        support = tuple(map(tuple, support)) if pairs else ()
+        index = [i for i, _ in support]
         # bool is a subclass of int, so it is rejected by the exact type test
-        if not isinstance(homology_class, (list, tuple)) or not {int}.issuperset(
-                map(type, homology_class)):
-            raise ValueError(f"curve {name}: class must be a list of integers")
-        self._set(name, kind, tuple(homology_class))
+        if not (pairs and {int}.issuperset(map(type, chain.from_iterable(support)))
+                and all(a for _, a in support) and all(map(lt, [-1] + index, index))):
+            raise ValueError(f"curve {name}: class must be (index, entry) pairs of integers, "
+                             "with nonzero entries at increasing nonnegative indices")
+        self._set(name, kind, support)
 
 
 class CurveConfig(Value):
@@ -216,9 +222,8 @@ class CurveConfig(Value):
             if c.name in index:
                 out.append(f"duplicate curve name {c.name!r}")
             index[c.name] = c
-            if len(c.homology_class) != rank:
-                out.append(f"curve {c.name}: class has dimension {len(c.homology_class)}, "
-                           f"expected {rank}")
+            if c.support and (last := c.support[-1][0]) >= rank:
+                out.append(f"curve {c.name}: class index {last} is past the rank {rank}")
         if out:
             raise ValueError("; ".join(out))
         self._set(surface, curves, index, {})
@@ -241,10 +246,9 @@ class CurveConfig(Value):
         """
         data = self._twists.get(name)
         if data is None:
-            c = self.curve(name).homology_class
-            h, rank = 2 * self.surface.genus, len(c)
-            entries = tuple(filter(None, c))
-            cs = tuple(zip(compress(range(rank), c), entries))
+            cs = self.curve(name).support
+            h, rank = 2 * self.surface.genus, self.surface.h1_rank
+            entries = [a for _, a in cs]
             cut = bisect_left(cs, (h,))  # the handle entries come first
             jc = tuple(sorted((i ^ 1, a if i & 1 else -a) for i, a in cs[:cut]))
             shift = tuple((rank - h + i, a) for i, a in cs[cut:])
@@ -273,18 +277,18 @@ class CurveConfig(Value):
 def _default_table(surface):
     """The unfiltered default curve table of the module docstring.
 
-    Rows are (name, kind, class) triples.
+    Rows are (name, kind, support) triples.
     """
     g, n = surface.genus, surface.boundary_count
-    a = [surface.unit(2 * i) for i in range(g)]
-    rows = [(f"a{i + 1}", "handle_a", a[i]) for i in range(g)]
-    rows += [(f"b{i + 1}", "handle_b", surface.unit(2 * i + 1)) for i in range(g)]
-    rows += [(f"c{i + 1}", "chain", tuple(x - y for x, y in zip(a[i], a[i + 1])))
-             for i in range(g - 1)]
-    d = [boundary_class(surface, j) for j in range(1, n + 1)]
-    rows += [(f"d{j + 1}", "boundary_parallel", d[j]) for j in range(n)]
-    rows += [(f"e{j + 1}", "boundary_pair", tuple(x + y for x, y in zip(d[j], d[j + 1])))
-             for j in range(n - 1)]
+    h = 2 * g
+    rows = [(f"a{i + 1}", "handle_a", ((2 * i, 1),)) for i in range(g)]
+    rows += [(f"b{i + 1}", "handle_b", ((2 * i + 1, 1),)) for i in range(g)]
+    rows += [(f"c{i + 1}", "chain", ((2 * i, 1), (2 * i + 2, -1))) for i in range(g - 1)]
+    base = tuple((k, -1) for k in range(h, h + n - 1))  # -(D1 + ... + D_{n-1})
+    rows += [(f"d{j + 1}", "boundary_parallel", ((h + j, 1),)) for j in range(n - 1)]
+    rows.append((f"d{n}", "boundary_parallel", base))
+    rows += [(f"e{j + 1}", "boundary_pair", ((h + j, 1), (h + j + 1, 1))) for j in range(n - 2)]
+    rows += [(f"e{n - 1}", "boundary_pair", base[:-1])] * (n > 1)  # d_{n-1} + d_n
     return rows
 
 
@@ -300,19 +304,19 @@ def default_curve(surface, c):
     g, n = surface.genus, surface.boundary_count
     h, size, name = 2 * g, len(c), None
     if size == 1:
-        (i, a), = c.items()
+        (i, a), = c
         if a == 1:
             name = f"d{i - h + 1}" if i >= h else f"{'ab'[i % 2]}{i // 2 + 1}"
     elif size == 2:
-        (i, a), (k, b) = sorted(c.items())
+        (i, a), (k, b) = c
         if (a, b) == (1, -1) and k == i + 2 < h and not i % 2:
             name = f"c{i // 2 + 1}"
         elif a == b == 1 and k == i + 1 and i >= h:
             name = f"e{i - h + 1}"
     elif not size:  # null: d1 on Sigma_{g,1}, e1 on Sigma_{g,2}, both dropped when planar
         name = {1: "d1", 2: "e1"}.get(n) if g else None
-    if name is None and size in (n - 1, n - 2) and set(c.values()) == {-1} and (
-            min(c) == h and max(c) == h + size - 1):  # -(D1 + ... + D_size)
+    if name is None and size in (n - 1, n - 2) and {a for _, a in c} == {-1} and (
+            c[0][0] == h and c[-1][0] == h + size - 1):  # -(D1 + ... + D_size)
         name = f"d{n}" if size == n - 1 else f"e{n - 1}"
     return name and (name, _KINDS[name[0]])
 
@@ -321,21 +325,14 @@ _systems = OrderedDict()  # Surface -> CurveConfig, least recently used first
 
 
 def lickorish_system(surface):
-    """The default twist-generating curve system.
-
-    It is immutable, so one copy per surface is shared while it stays in
-    the cache (``SYSTEM_CACHE_RANK``).  Raises ValueError on closed
-    surfaces: pages must have boundary.
-    """
+    """The default curve system: immutable, so shared while cached (``SYSTEM_CACHE_RANK``)."""
     cfg = _systems.get(surface)
     if cfg is not None:
         _systems.move_to_end(surface)
         return cfg
-    if surface.boundary_count < 1:
-        raise ValueError("page must have boundary")
     # on a planar page a null class bounds a disk: the disk's d1, the annulus' e1
-    curves = [ConfiguredCurve(*row) for row in _default_table(surface)
-              if surface.genus or any(row[2])]
+    curves = [ConfiguredCurve._of(*row) for row in _default_table(surface)
+              if surface.genus or row[2]]
     cfg = _systems[surface] = CurveConfig(surface, curves)
     total = sum(s.h1_rank for s in _systems)
     while total > SYSTEM_CACHE_RANK:
@@ -346,23 +343,42 @@ def lickorish_system(surface):
 
 def is_default(cfg):
     """Whether cfg is its page's default system, ``lickorish_system(page)``."""
-    return cfg.surface.boundary_count > 0 and cfg == lickorish_system(cfg.surface)
+    return cfg == lickorish_system(cfg.surface)
+
+
+def _dense(c, page):
+    """The class with support c as a list of the page's rank entries (JSON only)."""
+    out = [0] * page.h1_rank
+    for i, a in c:
+        out[i] = a
+    return out
 
 
 def config_to_dict(cfg):
-    return {"curves": [{"name": c.name, "kind": c.kind,
-                        "class": list(c.homology_class)} for c in cfg.curves]}
+    return {"curves": [{"name": c.name, "kind": c.kind, "class": _dense(c.support, cfg.surface)}
+                       for c in cfg.curves]}
 
 
 def config_from_dict(data, surface):
-    """The CurveConfig of {"curves": [{"name", "kind", "class"}, ...]}."""
+    """The CurveConfig of {"curves": [{"name", "kind", "class"}, ...]}, each class checked once."""
     curves = data.get("curves") if isinstance(data, dict) else None
     if not isinstance(curves, list) or not all(
             isinstance(c, dict) and {"name", "kind", "class"} <= c.keys() for c in curves):
         raise ValueError("configuration needs a list of curves, each with name, kind "
                          "and class")
-    return CurveConfig(surface, [ConfiguredCurve(c["name"], c["kind"], c["class"])
-                                 for c in curves])
+    rank, out, built = surface.h1_rank, [], []
+    for rec in curves:
+        name, kind, c = rec["name"], rec["kind"], rec["class"]
+        _check_name(name, kind)
+        # bool is a subclass of int, so it is rejected by the exact type test
+        if not isinstance(c, (list, tuple)) or not {int}.issuperset(map(type, c)):
+            raise ValueError(f"curve {name}: class must be a list of integers")
+        if len(c) != rank:
+            out.append(f"curve {name}: class has dimension {len(c)}, expected {rank}")
+        built.append(ConfiguredCurve._of(name, kind, tuple(compress(enumerate(c), c))))
+    if out:
+        raise ValueError("; ".join(out))
+    return CurveConfig(surface, built)
 
 
 def load_config_override(text, surface):
@@ -381,9 +397,9 @@ def load_config_override(text, surface):
     if not isinstance(arcs, list) or not all(isinstance(rec, dict) for rec in arcs):
         raise ValueError("arcs must be a list of objects")
     allowed = {(kind, c) for _, kind, c in _default_table(surface)}
-    out = [f"{c.kind} curve {c.name}: class {list(c.homology_class)} "
+    out = [f"{c.kind} curve {c.name}: class {_dense(c.support, surface)} "
            f"is not a default {c.kind} class" for c in cfg
-           if (c.kind, c.homology_class) not in allowed]
+           if (c.kind, c.support) not in allowed]
     for rec in arcs:
         index, values = rec.get("index"), rec.get("intersections", {})
         if (type(index) is not int or not isinstance(values, dict)
@@ -394,7 +410,7 @@ def load_config_override(text, surface):
                 out.append(f"arc table references unknown curve {name!r}")
                 continue
             try:
-                want = surface.crossing(index, cfg.curve(name).homology_class)
+                want = surface.crossing(index, cfg.curve(name).support)
             except IndexError as exc:
                 out.append(str(exc))
                 continue

@@ -7,7 +7,9 @@ matrix and the relation checks by matrix products): the package acts by
 the transvection rule alone, and these are its oracles.  The rule itself
 on list rows, one letter at a time, is the oracle of the package's
 packed rows.  The elimination over Z/D on dense list rows is the oracle
-of the package's dict rows.
+of the package's dict rows.  Dense classes (``dense``, ``unit``,
+``boundary_class`` and the table ``default_table_dense``) live here
+only: the package writes a class as its support.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from obembed import (AbstractOpenBook, ConfiguredCurve, CurveConfig, IntMatrix, 
                      load_config_override)
 from obembed.intlinalg import _xgcd_step
 from obembed.mcg import RelationCheck, RelationReport
-from obembed.surface import boundary_class
 
 _LETTER_RE = re.compile(r"^t\(([A-Za-z][A-Za-z0-9_]*)\)(?:\^(-?\d+))?$")
 
@@ -222,6 +223,51 @@ def apply(m, vec):
     return tuple(sum(x * y for x, y in zip(row, vec)) for row in m.data)
 
 
+def dense(page, c):
+    """The class with support c as a tuple of the page's rank entries."""
+    out = [0] * page.h1_rank
+    for i, a in c:
+        out[i] = a
+    return tuple(out)
+
+
+def sparse(c):
+    """The support of a dense class: its (index, entry) pairs with a nonzero entry."""
+    return tuple((i, a) for i, a in enumerate(c) if a)
+
+
+def unit(page, index):
+    """The index-th basis class (0-based), dense."""
+    return tuple(int(i == index) for i in range(page.h1_rank))
+
+
+def boundary_class(page, m):
+    """The dense class of boundary component m (1-based); the base m = n is dependent."""
+    g, n = page.genus, page.boundary_count
+    if m < n:
+        return unit(page, 2 * g + m - 1)
+    return tuple(-1 if k >= 2 * g else 0 for k in range(page.h1_rank))
+
+
+def default_table_dense(page):
+    """The unfiltered default curve table as (name, kind, dense class) rows.
+
+    It is built from ``unit`` and ``boundary_class`` by the sums of the
+    ``surface`` docstring: the oracle of ``surface._default_table``.
+    """
+    g, n = page.genus, page.boundary_count
+    a = [unit(page, 2 * i) for i in range(g)]
+    rows = [(f"a{i + 1}", "handle_a", a[i]) for i in range(g)]
+    rows += [(f"b{i + 1}", "handle_b", unit(page, 2 * i + 1)) for i in range(g)]
+    rows += [(f"c{i + 1}", "chain", tuple(x - y for x, y in zip(a[i], a[i + 1])))
+             for i in range(g - 1)]
+    d = [boundary_class(page, j) for j in range(1, n + 1)]
+    rows += [(f"d{j + 1}", "boundary_parallel", d[j]) for j in range(n)]
+    rows += [(f"e{j + 1}", "boundary_pair", tuple(x + y for x, y in zip(d[j], d[j + 1])))
+             for j in range(n - 1)]
+    return rows
+
+
 def dual(page, c):
     """J c, so that <x, c> = x . J c (the pairing rule of the ``surface`` docstring)."""
     h = 2 * page.genus
@@ -243,9 +289,9 @@ def twist_matrix(curve, sign, page):
     I + sign * c (Jc)^T; it is unimodular and preserves the pairing.
     """
     rank = page.h1_rank
-    c = curve.homology_class
+    c = dense(page, curve.support)
     jc = dual(page, c)
-    return IntMatrix(rank, rank, [[e + sign * c[i] * jc[k] for k, e in enumerate(page.unit(i))]
+    return IntMatrix(rank, rank, [[e + sign * c[i] * jc[k] for k, e in enumerate(unit(page, i))]
                                   for i in range(rank)])
 
 
@@ -289,7 +335,7 @@ def relation_report_by(cfg, action):
     curves = list(cfg.curves)
     for idx, c in enumerate(curves):
         for d in curves[idx + 1:]:
-            p = pair(page, c.homology_class, d.homology_class)
+            p = pair(page, dense(page, c.support), dense(page, d.support))
             cd, dc = ((c.name, 1), (d.name, 1)), ((d.name, 1), (c.name, 1))
             if p == 0:
                 checks.append(RelationCheck(f"commute({c.name},{d.name})", "commutation",
@@ -320,7 +366,7 @@ def relation_report_by_rows(cfg):
 def pairing_matrix(page):
     """The pairing matrix J of a page; column j is J of the j-th basis class."""
     rank = page.h1_rank
-    return IntMatrix(rank, rank, zip(*(dual(page, page.unit(j)) for j in range(rank))))
+    return IntMatrix(rank, rank, zip(*(dual(page, unit(page, j)) for j in range(rank))))
 
 
 def random_int_matrix(rng, rows, cols, lo=-20, hi=20):
@@ -364,7 +410,7 @@ def override_book(ob, prefix="u", numbered=False):
     """
     names = {name: f"s{i}" if numbered else prefix + name
              for i, name in enumerate(ob.config.names(), 1)}
-    curves = [{"name": names[c.name], "kind": c.kind, "class": list(c.homology_class)}
+    curves = [{"name": names[c.name], "kind": c.kind, "class": list(dense(ob.page, c.support))}
               for c in ob.config]
     cfg = load_config_override(json.dumps({"curves": curves}), ob.page)
     return AbstractOpenBook(ob.page, ob.word.rename(names), cfg, ob.label)
@@ -377,12 +423,12 @@ def random_open_book(rng, max_genus=3, max_boundary=3, max_len=10):
 
 
 def twist_table_dense(cfg, name):
-    """``CurveConfig.twist`` by rank-length passes: ``dual`` and one crossing per arc."""
-    page, c = cfg.surface, cfg.curve(name).homology_class
-    rank = page.h1_rank
+    """``CurveConfig.twist`` by rank-length passes: ``dual`` and the D_i entry per arc."""
+    page = cfg.surface
+    c, rank = dense(page, cfg.curve(name).support), page.h1_rank
     jc = dual(page, c)
     shift = tuple((rank + i - 1, x) for i in range(1, page.boundary_count)
-                  if (x := page.crossing(i, c)))
+                  if (x := c[2 * page.genus + i - 1]))
     a_bits = (max(map(abs, c + (1,))) - 1).bit_length()
     return (tuple((i, a) for i, a in enumerate(c) if a),
             tuple((k, b) for k, b in enumerate(jc) if b),
@@ -410,7 +456,7 @@ def _dense_attachment(page, attachment):
         x = c[h:] + (0,)
         rest = x[:j - 1] + x[j:k - 1] + x[k:]
         return c[:h] + (0, x[j - 1] - x[k - 1]) + tuple(y - x[k - 1] for y in rest)
-    return new_page, push, new_page.unit(h), "handle_a"
+    return new_page, push, unit(new_page, h), "handle_a"
 
 
 def stabilize_by_system(ob, attachment):
@@ -422,20 +468,21 @@ def stabilize_by_system(ob, attachment):
     new_page, push, fresh_class, kind = _dense_attachment(ob.page, attachment)
     kept = ob.word.curve_names()
     fresh = next(f"s{i}" for i in range(1, len(kept) + 2) if f"s{i}" not in kept)
-    pushed = [ConfiguredCurve(fresh, kind, fresh_class)] + [
-        ConfiguredCurve(name, ob.config.curve(name).kind,
-                        push(ob.config.curve(name).homology_class)) for name in kept]
+    pushed = [(fresh, kind, fresh_class)] + [
+        (name, ob.config.curve(name).kind, push(dense(ob.page, ob.config.curve(name).support)))
+        for name in kept]
     word = TwistWord(((fresh, 1),) + ob.word.letters)
     by_class = {}
     for d in lickorish_system(new_page):
-        by_class.setdefault(d.homology_class, []).append(d.name)
+        by_class.setdefault(dense(new_page, d.support), []).append(d.name)
     mapping = {}
-    for c in pushed:
-        names = (by_class.get(c.homology_class)
-                 or by_class.get(tuple(-x for x in c.homology_class)))
+    for name, _, c in pushed:
+        names = by_class.get(c) or by_class.get(tuple(-x for x in c))
         if not names:
-            return AbstractOpenBook(new_page, word, CurveConfig(new_page, pushed), ob.label)
-        mapping[c.name] = names.pop(0)
+            cfg = CurveConfig(new_page, [ConfiguredCurve(name, k, sparse(c))
+                                         for name, k, c in pushed])
+            return AbstractOpenBook(new_page, word, cfg, ob.label)
+        mapping[name] = names.pop(0)
     return AbstractOpenBook(new_page, word.rename(mapping), lickorish_system(new_page), ob.label)
 
 

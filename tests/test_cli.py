@@ -186,7 +186,7 @@ def test_stabilize_disk_with_attached_config(tmp_path):
     assert (code, err) == (0, "")
     st = obembed.parse_openbook(out)
     assert st.page == obembed.Surface(0, 2)
-    assert st.config.curve("x").homology_class == (0,)
+    assert st.config.curve("x").support == ()
     out_path = tmp_path / "st.ob"
     out_path.write_text(out)
     assert go("h1", str(out_path)) == go("h1", str(p)) == (0, "H1 = 0\n", "")

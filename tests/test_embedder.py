@@ -130,7 +130,7 @@ def test_annulus_rejects_wrong_page():
 def test_annulus_rejects_non_core_letters():
     from obembed import ConfiguredCurve, CurveConfig, TwistWord
     page = Surface(0, 2)
-    cfg = CurveConfig(page, [ConfiguredCurve("z", "boundary_parallel", (0,))])
+    cfg = CurveConfig(page, [ConfiguredCurve("z", "boundary_parallel", ())])
     ob = AbstractOpenBook(page, TwistWord((("z", 1),)), cfg)
     with pytest.raises(ValueError, match="core"):
         build_annulus_s5(ob)
@@ -253,7 +253,7 @@ def test_validator_rejects_unknown_kind():
 def test_validator_reports_non_integer_config_classes():
     from obembed import ConfiguredCurve, CurveConfig
     page = Surface(1, 3)
-    cfg = CurveConfig(page, [ConfiguredCurve("x", "boundary_parallel", (0, 0, 1, 0))])
+    cfg = CurveConfig(page, [ConfiguredCurve("x", "boundary_parallel", ((2, 1),))])
     cert = build_openbook_embedding(AbstractOpenBook(page, parse_word("t(x)^2"), cfg), 1)
     assert validate_certificate(cert) == []
     for cls in ("0010", [0.0, 0, 1.0, 0], [False, False, True, False]):
@@ -368,7 +368,7 @@ def test_validator_reports_malformed_pages_through_surface():
     for value, message in ((None, "input.page: genus and boundary must be integers, got 1, None"),
                            (True, "input.page: genus and boundary must be integers, got 1, True"),
                            (-1, "input.page: genus and boundary count must be nonnegative"),
-                           (0, "page has no boundary")):
+                           (0, "input.page: page must have boundary")):
         flexible = build_flexible_embedding(Surface(1, 2), 1)
         flexible["input"]["page"]["boundary"] = value
         assert validate_certificate(flexible) == [message]
@@ -417,6 +417,20 @@ def test_witness_page_certificate_is_checked_type_exact(tamper, where):
     violations = validate_certificate(w)
     assert len(violations) == 1
     assert violations[0].startswith(where + ":")
+
+
+@pytest.mark.parametrize("tamper, where", [
+    (_set(["input"], 1.0), "scene.page_certificate.input: expected an object, got 1.0"),
+    (_set(["input", "page"], 1.0), "scene.page_certificate.input.page: expected an object"),
+    (_set(["input", "page", "boundary"], 0), "scene.page_certificate.input.page.boundary: "),
+], ids=["input", "page", "boundary"])
+def test_witness_page_certificate_input_departures_are_one_violation(tamper, where):
+    # an input the diff already reports is not parsed a second time
+    w = build_openbook_embedding(book(1, 1, "t(a1)"), 2)
+    tamper(w["scene"]["page_certificate"])
+    violations = validate_certificate(w)
+    assert len(violations) == 1
+    assert violations[0].startswith(where)
 
 
 @pytest.mark.parametrize("value", [None, 5, "x", [], [{}]])

@@ -25,8 +25,8 @@ from obembed import (AbelianGroup, AbstractOpenBook, ConfiguredCurve, CurveConfi
 from obembed import surface as surface_module
 from obembed.surface import config_to_dict
 
-from helpers import (override_book, random_open_book, random_word, reduce_by_joins,
-                     stabilize_by_system)
+from helpers import (dense, override_book, random_open_book, random_word, reduce_by_joins,
+                     sparse, stabilize_by_system)
 
 trivial = AbelianGroup(0)
 
@@ -267,8 +267,8 @@ def test_identify_rejects_null_class_annulus_letters():
     # annulus certificate builder does
     from obembed import ConfiguredCurve, CurveConfig
     page = Surface(0, 2)
-    cfg = CurveConfig(page, [ConfiguredCurve("d1", "boundary_parallel", (1,)),
-                             ConfiguredCurve("z", "boundary_parallel", (0,))])
+    cfg = CurveConfig(page, [ConfiguredCurve("d1", "boundary_parallel", ((0, 1),)),
+                             ConfiguredCurve("z", "boundary_parallel", ())])
     assert identify_known(AbstractOpenBook(page, parse_word("t(d1)^3"), cfg)) == "L(3,1)"
     assert identify_known(AbstractOpenBook(page, parse_word("t(d1)^3 t(z)"), cfg)) is None
 
@@ -310,7 +310,7 @@ def test_stabilize_disk_with_attached_config():
                         'config {"curves":[{"name":"x","kind":"handle_a","class":[]}]}\n')
     st = stabilize_positive(ob, SameBoundary(1))
     assert st.page == Surface(0, 2)
-    assert st.config.curve("x").homology_class == (0,)
+    assert st.config.curve("x").support == ()
     assert closed_h1(st) == closed_h1(ob) == trivial
 
 
@@ -417,7 +417,7 @@ def stabilized_books(draw):
     cfg = lickorish_system(page)
     if draw(st.booleans()):
         row = st.lists(st.integers(-1, 1), min_size=page.h1_rank, max_size=page.h1_rank)
-        cfg = CurveConfig(page, [ConfiguredCurve(f"x{i}", "chain", c) for i, c in
+        cfg = CurveConfig(page, [ConfiguredCurve(f"x{i}", "chain", sparse(c)) for i, c in
                                  enumerate(draw(st.lists(row, min_size=1, max_size=4)))])
     letters = draw(st.lists(st.tuples(st.sampled_from(cfg.names()), st.integers(-2, 2)),
                             max_size=8)) if len(cfg) else []
@@ -459,11 +459,12 @@ def test_reduction_canonicalizes_at_some_joins_and_not_others():
     # next join keeps d4's class, not the class the book came with
     page = Surface(0, 5)
     ob = AbstractOpenBook(page, parse_word("t(x)^2"), CurveConfig(
-        page, [ConfiguredCurve("x", "boundary_pair", (1, 1, 1, 0))]))
+        page, [ConfiguredCurve("x", "boundary_pair", ((0, 1), (1, 1), (2, 1)))]))
     reduced, steps = reduce_by_joins(ob)
     assert steps == [True, False, False, False]
     assert reduce_to_one_boundary(ob) == reduced
-    assert reduced.config.curve("d4").homology_class == (0, 0, 0, -1, 0, -1, 0, -1)
+    assert reduced.config.curve("d4").support == ((3, -1), (5, -1), (7, -1))
+    assert reduced.page.h1_rank == 8
     # a base curve mixes handle and D coordinates at the first join, and never matches again
     ob = _random_book(1, 4, 12, 3)
     reduced, steps = reduce_by_joins(ob)
@@ -691,12 +692,12 @@ def _pushforward(g, n, attachment, classes):
     rank = 2 * g + n - 1
     # the doubled class matches no default class, so no renaming happens;
     # on the disk z is the zero class, which the annulus' system lacks too
-    curves = [ConfiguredCurve(f"x{i}", "chain", c) for i, c in enumerate(classes)]
-    curves.append(ConfiguredCurve("z", "chain", (2,) + (0,) * (rank - 1) if rank else ()))
+    curves = [ConfiguredCurve(f"x{i}", "chain", sparse(c)) for i, c in enumerate(classes)]
+    curves.append(ConfiguredCurve("z", "chain", ((0, 2),) if rank else ()))
     word = TwistWord(tuple((c.name, 1) for c in curves))
     ob = AbstractOpenBook(Surface(g, n), word, CurveConfig(Surface(g, n), curves))
     st = stabilize_positive(ob, attachment)
-    classes = [st.config.curve(name).homology_class for name, _ in st.word.letters]
+    classes = [dense(st.page, st.config.curve(name).support) for name, _ in st.word.letters]
     return st.page, classes[0], classes[1:-1]
 
 

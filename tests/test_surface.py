@@ -1,6 +1,7 @@
 """Surface, pairing, arc crossing and default configuration tests."""
 
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 from obembed import (ConfiguredCurve, CurveConfig, Surface, cokernel, lickorish_system,
                      load_config_override)
 from obembed import surface as surface_module
-from obembed.surface import (MAX_PAGE_RANK, boundary_class, config_from_dict, config_to_dict,
+from obembed.surface import (MAX_PAGE_RANK, _default_table, config_from_dict, config_to_dict,
                              default_curve, is_default)
 
-from helpers import pair, pairing_matrix, twist_table_dense
+from helpers import (default_table_dense, dense, pair, pairing_matrix, sparse, twist_table_dense,
+                     unit)
 
 
 def census(cfg):
@@ -25,13 +27,12 @@ def census(cfg):
 
 def test_rank_and_euler_formulas():
     for g in range(6):
-        for n in range(6):
+        for n in range(1, 6):
             s = Surface(g, n)
             assert s.euler_characteristic == 2 - 2 * g - n
-            if n >= 1:
-                assert s.h1_rank == 2 * g + n - 1
-            else:
-                assert s.h1_rank == 2 * g
+            assert s.h1_rank == 2 * g + n - 1
+        with pytest.raises(ValueError, match="^page must have boundary$"):
+            Surface(g, 0)
 
 
 def test_page_rank_is_capped():
@@ -74,13 +75,13 @@ def test_annulus_system():
     page = Surface(0, 2)
     cfg = lickorish_system(page)
     assert cfg.names() == ("d1", "d2")
-    assert cfg.curve("d1").homology_class == (1,)
-    assert cfg.curve("d2").homology_class == (-1,)
+    assert cfg.curve("d1").support == ((0, 1),)
+    assert cfg.curve("d2").support == ((0, -1),)
     with pytest.raises(IndexError):  # one arc
-        page.crossing(2, (1,))
-    assert page.crossing(1, cfg.curve("d1").homology_class) == 1
+        page.crossing(2, ((0, 1),))
+    assert page.crossing(1, cfg.curve("d1").support) == 1
     # opposite orientation of the same core circle
-    assert page.crossing(1, cfg.curve("d2").homology_class) == -1
+    assert page.crossing(1, cfg.curve("d2").support) == -1
 
 
 def test_genus_two_one_boundary_census():
@@ -96,15 +97,15 @@ def test_multi_boundary_census():
     assert got == {"handle_a": 1, "handle_b": 1, "boundary_parallel": 3,
                    "boundary_pair": 2}
     # chain classes and pair classes
-    assert cfg.curve("e1").homology_class == (0, 0, 1, 1)
+    assert cfg.curve("e1").support == ((2, 1), (3, 1))
     # e2 pairs D2 with the dependent class -(D1+D2)
-    assert cfg.curve("e2").homology_class == (0, 0, -1, 0)
-    assert cfg.curve("d3").homology_class == (0, 0, -1, -1)
+    assert cfg.curve("e2").support == ((2, -1),)
+    assert cfg.curve("d3").support == ((2, -1), (3, -1))
 
 
 def test_closed_surface_rejected():
     with pytest.raises(ValueError, match="page must have boundary"):
-        lickorish_system(Surface(2, 0))
+        Surface(2, 0)
 
 
 def test_default_system_validates():
@@ -115,29 +116,37 @@ def test_default_system_validates():
             assert is_default(CurveConfig(cfg.surface, cfg.curves))
             if len(cfg):
                 assert not is_default(CurveConfig(cfg.surface, cfg.curves[:-1]))
-    assert not is_default(CurveConfig(Surface(1, 0), []))
 
 
 def test_duplicate_name_reported():
     s = Surface(1, 1)
     cfg = lickorish_system(s)
     with pytest.raises(ValueError, match="duplicate curve name 'a1'"):
-        CurveConfig(s, list(cfg.curves) + [ConfiguredCurve("a1", "handle_a", (1, 0))])
+        CurveConfig(s, list(cfg.curves) + [ConfiguredCurve("a1", "handle_a", ((0, 1),))])
 
 
 def test_wrong_dimension_reported():
     s = Surface(1, 1)
-    with pytest.raises(ValueError, match="curve a1: class has dimension 3, expected 2"):
-        CurveConfig(s, [ConfiguredCurve("a1", "handle_a", (1, 0, 0))])
+    with pytest.raises(ValueError, match="^curve a1: class index 2 is past the rank 2$"):
+        CurveConfig(s, [ConfiguredCurve("a1", "handle_a", ((0, 1), (2, 1)))])
+    for cls, size in (([1, 0, 0], 3), ([0, 0, 0, 0], 4), ([1], 1), ([], 0)):
+        message = f"^curve a1: class has dimension {size}, expected 2$"
+        with pytest.raises(ValueError, match=message):
+            config_from_dict({"curves": [{"name": "a1", "kind": "handle_a", "class": cls}]}, s)
 
 
 def test_violations_are_reported_together():
     s = Surface(1, 1)
     with pytest.raises(ValueError) as exc:
-        CurveConfig(s, [ConfiguredCurve("a1", "chain", (1, 0)),
-                        ConfiguredCurve("a1", "handle_a", (1,))])
+        CurveConfig(s, [ConfiguredCurve("a1", "chain", ((0, 1),)),
+                        ConfiguredCurve("a1", "handle_a", ((5, 1),))])
     assert str(exc.value) == ("duplicate curve name 'a1'; "
-                              "curve a1: class has dimension 1, expected 2")
+                              "curve a1: class index 5 is past the rank 2")
+    with pytest.raises(ValueError) as exc:
+        config_from_dict({"curves": [{"name": "a1", "kind": "chain", "class": [1, 0, 0]},
+                                     {"name": "b1", "kind": "chain", "class": [1]}]}, s)
+    assert str(exc.value) == ("curve a1: class has dimension 3, expected 2; "
+                              "curve b1: class has dimension 1, expected 2")
 
 
 def test_kind_class_rules_for_standard_configs():
@@ -152,7 +161,7 @@ def test_kind_class_rules_for_standard_configs():
         "chain class; arc table entry <r1,x> = 1 is inconsistent with the curve class "
         "(forced value 0)")
     # the same class is fine in a pushforward config
-    cfg2 = CurveConfig(s, [ConfiguredCurve("x", "chain", (1, 1, 0))])
+    cfg2 = CurveConfig(s, [ConfiguredCurve("x", "chain", ((0, 1), (1, 1)))])
     assert cfg2.names() == ("x",)
 
 
@@ -167,9 +176,9 @@ def test_pairing_rank_is_twice_genus():
 
 def test_pairing_values():
     page = Surface(2, 2)
-    a1 = page.unit(0)
-    b1 = page.unit(1)
-    d1 = page.unit(4)
+    a1 = unit(page, 0)
+    b1 = unit(page, 1)
+    d1 = unit(page, 4)
     assert pair(page, a1, b1) == 1
     assert pair(page, b1, a1) == -1
     assert pair(page, a1, d1) == 0
@@ -181,8 +190,7 @@ def test_config_json_round_trip():
     data = config_to_dict(cfg)
     back = config_from_dict(data, Surface(2, 2))
     assert back.names() == cfg.names()
-    assert all(back.curve(n).homology_class == cfg.curve(n).homology_class
-               for n in cfg.names())
+    assert all(back.curve(n).support == cfg.curve(n).support for n in cfg.names())
 
 
 def test_load_override_accepts_consistent_table(tmp_path):
@@ -193,7 +201,7 @@ def test_load_override_accepts_consistent_table(tmp_path):
     path.write_text(json.dumps(data))
     loaded_cfg = load_config_override(path.read_text(), Surface(0, 2))
     assert loaded_cfg.names() == ("d1", "d2")
-    assert Surface(0, 2).crossing(1, loaded_cfg.curve("d2").homology_class) == -1
+    assert Surface(0, 2).crossing(1, loaded_cfg.curve("d2").support) == -1
 
 
 def test_load_override_rejects_inconsistent_table(tmp_path):
@@ -227,13 +235,13 @@ def test_arc_index_out_of_range():
     page = Surface(1, 2)
     cfg = lickorish_system(page)
     with pytest.raises(IndexError):
-        page.crossing(2, cfg.curve("a1").homology_class)
+        page.crossing(2, cfg.curve("a1").support)
 
 
 def test_pairing_matrix_is_the_fixed_symplectic_form():
     # skew; <Ai,Bi> = 1 and no other handle pairing; every Dj in the radical
     for g in range(6):
-        for n in range(6):
+        for n in range(1, 6):
             page = Surface(g, n)
             rows, rank = pairing_matrix(page).row_lists(), page.h1_rank
             assert len(rows) == rank and all(len(r) == rank for r in rows)
@@ -269,7 +277,7 @@ def test_default_classes_are_rejected_under_other_kinds():
         for n in range(1, 6):
             page = Surface(g, n)
             cfg = lickorish_system(page)
-            curves = [(c.name, c.kind, c.homology_class) for c in cfg] + extra.get(page, [])
+            curves = [(c.name, c.kind, dense(page, c.support)) for c in cfg] + extra.get(page, [])
             for name, kind, cls in curves:
                 assert _standard(page, (name, kind, cls)) == ""
                 for other in kinds:
@@ -279,7 +287,9 @@ def test_default_classes_are_rejected_under_other_kinds():
 
 
 def test_closed_surface_has_no_boundary_parallel_class():
-    assert "boundary_parallel" in _standard(Surface(1, 0), ("d1", "boundary_parallel", (0, 0)))
+    # a closed page is no Surface, so no configuration or override exists on it
+    with pytest.raises(ValueError, match="^page must have boundary$"):
+        _standard(Surface(1, 0), ("d1", "boundary_parallel", (0, 0)))
 
 
 def _override(page, *arcs):
@@ -292,7 +302,7 @@ def _override(page, *arcs):
 def test_crossing_numbers_come_from_the_classes_alone():
     page = Surface(0, 2)
     cfg = lickorish_system(page)
-    assert page.crossing(1, cfg.curve("d1").homology_class) == 1
+    assert page.crossing(1, cfg.curve("d1").support) == 1
     with pytest.raises(ValueError, match="inconsistent"):
         _override(page, (1, "d1", 5))
 
@@ -318,9 +328,13 @@ def test_config_classes_must_be_integer_lists():
 
 @pytest.mark.parametrize("entries", [[1, True], [1.0, 0], [0, "1"], [None], (0, 2 ** 70, 0.5)])
 def test_curve_class_entries_must_be_ints(entries):
+    page = Surface(1, 2)
     with pytest.raises(ValueError, match="^curve x: class must be a list of integers$"):
-        ConfiguredCurve("x", "chain", entries)
-    assert ConfiguredCurve("x", "chain", [0, 2 ** 70, -3]).homology_class == (0, 2 ** 70, -3)
+        config_from_dict({"curves": [{"name": "x", "kind": "chain", "class": entries}]}, page)
+    with pytest.raises(ValueError, match="^curve x: class must be"):
+        ConfiguredCurve("x", "chain", list(enumerate(entries)))
+    good = {"curves": [{"name": "x", "kind": "chain", "class": [0, 2 ** 70, -3]}]}
+    assert config_from_dict(good, page).curve("x").support == ((1, 2 ** 70), (2, -3))
 
 
 def test_load_override_rejects_non_integer_arc_entries():
@@ -362,15 +376,11 @@ def test_twist_table_entries():
         cfg.twist("zz")
     # growths: bits(sum |Jc|) + bits(max |c|), and 2 bits(max |c|) with a shift
     assert lickorish_system(Surface(2, 1)).twist("c1")[3:] == (1, 0)
-    odd = CurveConfig(page, [ConfiguredCurve("x", "chain", (5, -2, 3, 0)),
-                             ConfiguredCurve("y", "chain", (0, 0, 0, 0))])
+    odd = CurveConfig(page, [ConfiguredCurve("x", "chain", ((0, 5), (1, -2), (2, 3))),
+                             ConfiguredCurve("y", "chain", ())])
     assert odd.twist("x") == (((0, 5), (1, -2), (2, 3)), ((0, -2), (1, -5)), ((4, 3),),
                               3 + 3, 3 + 3)
     assert odd.twist("y") == ((), (), None, 0, 0)
-
-
-def support(c):
-    return {i: a for i, a in enumerate(c) if a}
 
 
 def test_default_curve_reads_every_default_name_off_its_support():
@@ -378,12 +388,12 @@ def test_default_curve_reads_every_default_name_off_its_support():
         for n in range(1, 8):
             page = Surface(g, n)
             for c in lickorish_system(page):
-                assert default_curve(page, support(c.homology_class)) == (c.name, c.kind)
+                assert default_curve(page, c.support) == (c.name, c.kind)
     # the planar pages drop their null curve; on Sigma_{1,3} no curve is null
-    assert default_curve(Surface(0, 1), {}) is None
-    assert default_curve(Surface(0, 2), {}) is None
-    assert default_curve(Surface(1, 2), {}) == ("e1", "boundary_pair")
-    assert default_curve(Surface(1, 3), {}) is None
+    assert default_curve(Surface(0, 1), ()) is None
+    assert default_curve(Surface(0, 2), ()) is None
+    assert default_curve(Surface(1, 2), ()) == ("e1", "boundary_pair")
+    assert default_curve(Surface(1, 3), ()) is None
 
 
 _pages = st.sampled_from([(0, 1), (0, 2), (0, 3), (0, 6), (1, 1), (3, 1), (1, 2), (1, 3),
@@ -408,8 +418,8 @@ def page_classes(draw):
 @example((Surface(2, 1), (1, 0, -1, 0)))
 def test_default_curve_matches_the_table(page_class):
     page, c = page_class
-    table = {d.homology_class: (d.name, d.kind) for d in lickorish_system(page)}
-    assert default_curve(page, support(c)) == table.get(c)
+    table = {dense(page, d.support): (d.name, d.kind) for d in lickorish_system(page)}
+    assert default_curve(page, sparse(c)) == table.get(c)
 
 
 @settings(max_examples=300)
@@ -421,11 +431,76 @@ def test_default_curve_matches_the_table(page_class):
 @example((Surface(1, 3), (-(1 << 40), 7, 1 << 41, -1)))
 def test_twist_table_matches_the_dense_rule(page_class):
     page, c = page_class
-    cfg = CurveConfig(page, [ConfiguredCurve("x", "chain", c)])
+    cfg = CurveConfig(page, [ConfiguredCurve("x", "chain", sparse(c))])
     assert cfg.twist("x") == twist_table_dense(cfg, "x")
 
 
-@pytest.mark.parametrize("m", [0, 3, -1])
-def test_boundary_class_rejects_components_out_of_range(m):
-    with pytest.raises(IndexError, match=rf"^boundary component {m} out of range 1\.\.2$"):
-        boundary_class(Surface(1, 2), m)
+def test_default_table_matches_the_dense_oracle():
+    # g <= 6 and n <= 8 cover the planar drops, d_n and e_{n-1} with up to seven entries
+    for g in range(7):
+        for n in range(1, 9):
+            page = Surface(g, n)
+            rows = _default_table(page)
+            assert [(name, kind, dense(page, c)) for name, kind, c in rows] == \
+                default_table_dense(page)
+            assert all(c == sparse(dense(page, c)) for _, _, c in rows)
+            kept = [row for row in default_table_dense(page) if g or any(row[2])]
+            assert [(c.name, c.kind, dense(page, c.support))
+                    for c in lickorish_system(page)] == kept
+
+
+def test_default_system_is_linear_in_the_rank():
+    # Sigma_{0,1001} has rank 1000: dense classes would hold 2001 x 1000 entries
+    page = Surface(0, 1001)
+    surface_module._systems.pop(page, None)
+    tracemalloc.start()
+    try:
+        cfg = lickorish_system(page)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(cfg) == 2001 and size < 2 << 20
+    assert len(cfg.curve("d1001").support) == 1000 and len(cfg.curve("e1000").support) == 999
+
+
+def _random_config_dict(rng, page):
+    rank = page.h1_rank
+    entries = [0, 0, 0, 1, -1, 2, -(1 << 70)]
+    return {"curves": [{"name": f"x{i}", "kind": rng.choice(("chain", "handle_a")),
+                        "class": [rng.choice(entries) for _ in range(rank)]}
+                       for i in range(rng.randint(0, 6))]}
+
+
+def test_config_dict_round_trip_is_byte_identical():
+    rng = random.Random(5)
+    books = [(Surface(g, n), config_to_dict(lickorish_system(Surface(g, n))))
+             for g in range(4) for n in range(1, 5)]
+    books += [(page, _random_config_dict(rng, page))
+              for page in (Surface(0, 1), Surface(0, 2), Surface(2, 3), Surface(5, 7))
+              for _ in range(20)]
+    for page, x in books:
+        text = json.dumps(x, sort_keys=True)
+        assert json.dumps(config_to_dict(config_from_dict(x, page)), sort_keys=True) == text
+
+
+@pytest.mark.parametrize("support", [
+    ((0, True),), ((True, 1),), ((0, 0),), ((1, 1), (0, 1)), ((0, 1), (0, 2)), ((-1, 1),),
+    ((0, 1, 2),), ((0,),), (0, 1), "ab", 5, None, {0: 1}, ((0, 1.0),), ((0.0, 1),),
+    (((0, 1), 1),), [[0, 1], 3],
+])
+def test_curve_supports_are_checked(support):
+    with pytest.raises(ValueError, match="^curve x: class must be"):
+        ConfiguredCurve("x", "chain", support)
+
+
+def test_curve_checks_raise_value_errors_only():
+    page = Surface(1, 2)
+    for name, kind in ((1, "chain"), ("x", "loop"), (None, None)):
+        with pytest.raises(ValueError):
+            ConfiguredCurve(name, kind, ())
+    with pytest.raises(ValueError, match="^curve x: class index 3 is past the rank 3$"):
+        CurveConfig(page, [ConfiguredCurve("x", "chain", ((0, 1), (3, -1)))])
+    curve = ConfiguredCurve("x", "chain", [[0, 1], (2, -5)])
+    assert curve.support == ((0, 1), (2, -5))
+    assert CurveConfig(page, [curve]).curve("x") is curve
+

@@ -23,8 +23,8 @@ from helpers import from_rows, transpose
 
 ANNULUS = Surface(0, 2)
 ANNULUS_TEXT = "Surface(genus=0, boundary_count=2)"
-ANNULUS_CURVES = ("(ConfiguredCurve(name='d1', kind='boundary_parallel', homology_class=(1,)), "
-                  "ConfiguredCurve(name='d2', kind='boundary_parallel', homology_class=(-1,)))")
+ANNULUS_CURVES = ("(ConfiguredCurve(name='d1', kind='boundary_parallel', support=((0, 1),)), "
+                  "ConfiguredCurve(name='d2', kind='boundary_parallel', support=((0, -1),)))")
 ANNULUS_CONFIG = f"CurveConfig(surface={ANNULUS_TEXT}, curves={ANNULUS_CURVES})"
 
 
@@ -37,7 +37,8 @@ def samples():
     cfg = lickorish_system(Surface(1, 2))
     return [
         (Surface(1, 2), Surface(2, 1)),
-        (ConfiguredCurve("a1", "handle_a", [1, 0]), ConfiguredCurve("b1", "handle_b", [0, 1])),
+        (ConfiguredCurve("a1", "handle_a", ((0, 1),)),
+         ConfiguredCurve("b1", "handle_b", ((1, 1),))),
         (cfg, CurveConfig(Surface(1, 2), cfg.curves[1:])),
         (TwistWord((("a1", 2), ("b1", -1))), TwistWord((("a1", 2),))),
         (RelationCheck("braid(a1,b1)", "braid", True), RelationCheck("braid(a1,b1)", "braid", False)),
@@ -57,8 +58,8 @@ def samples():
     (AbelianGroup(0), "AbelianGroup(free_rank=0, torsion=())"),
     (TwistWord((("a1", 2), ("b1", 0))), "TwistWord(letters=(('a1', 2),))"),
     (TwistWord(), "TwistWord(letters=())"),
-    (ConfiguredCurve("a1", "handle_a", [1, 0]),
-     "ConfiguredCurve(name='a1', kind='handle_a', homology_class=(1, 0))"),
+    (ConfiguredCurve("a1", "handle_a", [[0, 1]]),
+     "ConfiguredCurve(name='a1', kind='handle_a', support=((0, 1),))"),
     (lickorish_system(ANNULUS), ANNULUS_CONFIG),
     (RelationCheck("x", "braid", True), "RelationCheck(name='x', kind='braid', passed=True)"),
     (relation_report(lickorish_system(ANNULUS)),
@@ -131,11 +132,16 @@ def test_deepcopy_and_pickle_round_trips(value, other):
 
 
 def test_copied_config_keeps_working():
-    cfg = lickorish_system(Surface(1, 3))
-    for back in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
-        assert back.names() == cfg.names()
-        assert back.curve("e1") == cfg.curve("e1")
-        assert back.twist("e1") == cfg.twist("e1")
+    # supports of one to eight entries (d9 on Sigma_{3,9}); the twist cache is not copied
+    for page in (Surface(1, 3), Surface(3, 9)):
+        cfg = lickorish_system(page)
+        cfg.twist("e1")
+        for back in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+            assert back.names() == cfg.names() and back.curves == cfg.curves
+            assert back.curve("e1") == cfg.curve("e1")
+            assert back._twists == {}
+            assert all(back.twist(name) == cfg.twist(name) for name in cfg.names())
+        assert len(cfg.curve(f"d{page.boundary_count}").support) == page.boundary_count - 1
 
 
 def test_matrix_is_an_immutable_value():
