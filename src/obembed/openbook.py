@@ -60,12 +60,16 @@ class OpenBookParseError(ValueError):
 class AbstractOpenBook(Value):
     """A (page, monodromy word) pair presenting a closed 3-manifold.
 
-    The label, if any, must be a string; anything else raises ValueError.
+    The word must be a TwistWord, the configuration a CurveConfig of the
+    page and the label, if any, a string; anything else raises ValueError.
     """
 
     __slots__ = ("page", "word", "config", "label")
 
     def __init__(self, page, word, config, label=None):
+        if not (isinstance(word, TwistWord) and isinstance(config, CurveConfig)):
+            raise ValueError(f"open book needs a TwistWord and a CurveConfig, got "
+                             f"{type(word).__name__} and {type(config).__name__}")
         if config.surface != page:
             raise ValueError("configuration belongs to a different surface")
         for name in word.curve_names():
@@ -98,8 +102,9 @@ class AbstractOpenBook(Value):
         if not isinstance(word_text, str):
             raise ValueError(f"word must be a string, got {word_text!r}")
         word = parse_word(word_text)
-        config = data.get("config")
-        cfg = config_from_dict(config, page) if config else lickorish_system(page)
+        # a present config is read whatever it holds, so {}, 0 or null is an error
+        cfg = (config_from_dict(data["config"], page) if "config" in data
+               else lickorish_system(page))
         return cls(page, word, cfg, data.get("label"))
 
 

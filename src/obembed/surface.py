@@ -48,8 +48,9 @@ Pages, curves and configurations are immutable values (``Value``, from
 ``intlinalg``: equality, hash and repr by field), valid by
 construction: ``Surface`` rejects a genus or boundary count that is not
 an int, a negative one and a closed page, ``ConfiguredCurve`` a support
-not as above, and ``CurveConfig`` duplicate names and an index past the
-rank; each raises one ValueError.  Only ``load_config_override`` (JSON
+not as above, and ``CurveConfig`` a surface that is not a ``Surface``,
+a curve that is not a ``ConfiguredCurve``, duplicate names and an index
+past the rank; each raises one ValueError.  Only ``load_config_override`` (JSON
 text, with an optional arc table) applies the kind rule: a curve of
 each kind may carry only the classes this table gives that kind.  It
 and ``config_from_dict`` raise nothing else on malformed input.
@@ -215,7 +216,14 @@ class CurveConfig(Value):
     __slots__ = ("surface", "curves", "_index", "_twists")
 
     def __init__(self, surface, curves):
-        curves = tuple(curves)
+        try:
+            curves = tuple(curves)
+        except TypeError:
+            curves = None
+        if not (isinstance(surface, Surface) and curves is not None
+                and {ConfiguredCurve}.issuperset(map(type, curves))):
+            raise ValueError("configuration needs a Surface and an iterable of "
+                             "ConfiguredCurve values")
         rank = surface.h1_rank
         index, out = {}, []
         for c in curves:

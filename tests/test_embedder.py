@@ -6,7 +6,7 @@ import random
 import pytest
 
 from obembed import AbstractOpenBook, Surface, parse_word
-from obembed.surface import is_default
+from obembed.surface import config_to_dict, is_default
 from obembed.embedder import (TARGET_EVEN, TARGET_ODD, build_annulus_s5,
                               build_flexible_embedding, build_openbook_embedding,
                               build_s5_plan, certificate_to_json,
@@ -94,8 +94,8 @@ def test_parity_law():
 def test_witness_tamper_missing_realization():
     w = build_openbook_embedding(book(1, 1, "t(a1) t(b1)"), 0)
     w["schedule"] = w["schedule"][:1]
-    violations = validate_certificate(w)
-    assert any("uncovered letter" in v for v in violations)
+    assert validate_certificate(w) == [
+        "schedule: expected 2 entries, got 1 (recomputed for framing 0, even parity)"]
 
 
 def test_witness_tamper_level():
@@ -173,7 +173,9 @@ def test_s5_plan_checklist_is_complete():
 def test_s5_plan_tamper_checklist():
     plan = build_s5_plan(book(0, 2, "t(d1)"))
     plan["scene"]["avoidance"] = plan["scene"]["avoidance"][:-1]
-    assert any("missing pair" in v for v in validate_certificate(plan))
+    assert validate_certificate(plan) == [
+        "scene.avoidance: expected 9 entries, got 8 "
+        "(recomputed for the input and normalized open books)"]
 
 
 def test_s5_plan_tamper_h1_record():
@@ -209,7 +211,9 @@ def test_s5_plan_validation_is_total_past_the_rank_cap():
 def test_s5_plan_tamper_reason_code():
     plan = build_s5_plan(book(0, 1))
     plan["scene"]["avoidance"][0]["reason"] = "wishful_thinking"
-    assert any("valid reason" in v for v in validate_certificate(plan))
+    assert validate_certificate(plan) == [
+        "scene.avoidance[0].reason: expected 'handle_side_disjointness', got "
+        "'wishful_thinking' (recomputed for the input and normalized open books)"]
 
 
 # serialization discipline
@@ -265,7 +269,8 @@ def test_validator_reports_non_integer_config_classes():
 def test_validator_flags_missing_fields():
     cert = build_flexible_embedding(Surface(1, 1), 0)
     del cert["checks"]
-    assert any("missing top-level" in v for v in validate_certificate(cert))
+    assert validate_certificate(cert) == [
+        "checks: expected an object, got nothing (recomputed for Sigma_{1,1})"]
 
 
 def test_builder_validator_closure_fuzz():
@@ -388,10 +393,61 @@ def test_every_kind_rejects_an_unexpected_input_field(cert):
     assert validate_certificate(cert) == ["input.note: unexpected field"]
 
 
+def _openbook_kinds():
+    # one book, written canonically as "t(d1) t(d2)^2", under each kind with an open book input
+    ob = book(0, 2, "t(d1) t(d2)^2")
+    return [build_openbook_embedding(ob, 1), build_annulus_s5(ob), build_s5_plan(ob)]
+
+
+@pytest.mark.parametrize("cert", _openbook_kinds(), ids=lambda c: c["kind"])
+@pytest.mark.parametrize("field, value, expected", [
+    ("foo", 1, "input.openbook.foo: unexpected field"),
+    ("config", {}, "input.openbook: configuration needs a list of curves"),
+    ("config", config_to_dict(book(0, 2).config), "input.openbook.config: unexpected field"),
+    ("word", "t(d1)^1 t(d2)^2", "input.openbook.word: expected 't(d1) t(d2)^2', "
+                                "got 't(d1)^1 t(d2)^2' (recomputed for "),
+], ids=["extra_key", "empty_config", "default_config", "spelling"])
+def test_input_openbook_must_be_canonical(cert, field, value, expected):
+    # each book parses to the certificate's own book; only its canonical form validates
+    cert = json.loads(certificate_to_json(cert))
+    cert["input"]["openbook"][field] = value
+    violations = validate_certificate(cert)
+    assert len(violations) == 1
+    assert violations[0].startswith(expected)
+
+
+def _s5_with(tamper):
+    plan = json.loads(certificate_to_json(build_s5_plan(book(0, 2, "t(d1)^2"))))
+    tamper(plan["scene"]["avoidance"])
+    return validate_certificate(plan)
+
+
+def test_avoidance_reason_must_be_the_tables():
+    # handle_side_disjointness is a listed reason, but not the one for this pair
+    def tamper(records):
+        assert records[2]["surface_piece"] == "page_body"
+        assert records[2]["zero_section_piece"] == "bottom_disk"
+        records[2]["reason"] = "handle_side_disjointness"
+    assert _s5_with(tamper) == [
+        "scene.avoidance[2].reason: expected 'different_level', got "
+        "'handle_side_disjointness' (recomputed for the input and normalized open books)"]
+
+
+def test_avoidance_record_rejects_an_extra_key():
+    assert _s5_with(lambda records: records[4].update(note="x")) == [
+        "scene.avoidance[4].note: unexpected field"]
+
+
+def test_avoidance_must_follow_table_order():
+    violations = _s5_with(list.reverse)
+    assert violations
+    assert all(v.startswith("scene.avoidance[") for v in violations)
+
+
 def test_validator_reports_unexpected_top_level_fields():
     cert = build_annulus_s5(book(0, 2, "t(d1)"))
     cert["extra"] = 1
-    assert validate_certificate(cert) == ["unexpected top-level fields ['extra']"]
+    assert validate_certificate(cert) == ["extra: unexpected field"]
 
 
 def _set(path, value):

@@ -614,6 +614,32 @@ def test_from_dict_requires_integer_fields():
             AbstractOpenBook.from_dict(bad)
 
 
+@pytest.mark.parametrize("config", [{}, 0, False, None, [], ""])
+def test_from_dict_reads_any_present_config(config):
+    # only an absent config means the page's default system
+    with pytest.raises(ValueError, match="configuration needs a list of curves"):
+        AbstractOpenBook.from_dict({"genus": 0, "boundary": 2, "word": "t(d1)",
+                                    "config": config})
+    default = AbstractOpenBook.from_dict({"genus": 0, "boundary": 2, "word": "t(d1)"})
+    assert default == book(0, 2, "t(d1)")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CurveConfig(Surface(1, 2), [1]),
+    lambda: CurveConfig(Surface(1, 2), 5),
+    lambda: CurveConfig(None, []),
+    lambda: CurveConfig((1, 2), lickorish_system(Surface(1, 2)).curves),
+    lambda: AbstractOpenBook(Surface(0, 2), "x", lickorish_system(Surface(0, 2))),
+    lambda: AbstractOpenBook(Surface(0, 2), TwistWord(), None),
+    lambda: AbstractOpenBook(Surface(0, 2), (("d1", 1),), lickorish_system(Surface(0, 2))),
+    lambda: AbstractOpenBook(None, TwistWord(), lickorish_system(Surface(0, 2))),
+], ids=["curve_int", "curves_int", "surface_none", "surface_tuple", "word_str",
+        "config_none", "word_tuple", "page_none"])
+def test_constructors_raise_one_value_error_on_wrong_types(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 @pytest.mark.parametrize("label", [7, True, ["lens"], {"name": "lens"}, b"lens"])
 def test_label_must_be_a_string(label):
     page = Surface(0, 2)
