@@ -18,7 +18,7 @@ from . import embedder
 from .intlinalg import AbelianGroup
 from .mcg import relation_report
 from .openbook import (JoinBoundaries, OpenBookParseError, SameBoundary, closed_h1,
-                       identify_known, mapping_torus_h1, read_openbook,
+                       identify_known, mapping_torus_h1, read_openbook, read_text,
                        reduce_to_one_boundary, serialize_openbook,
                        stabilize_positive)
 from .surface import Surface, lickorish_system
@@ -109,13 +109,15 @@ def _build_parser():
     return parser
 
 
-# Each batch command evaluates one input path to (record fields, human
-# text, exit code).  A manifest record is {"input": path, **fields};
-# a single input prints the text, or with --json the "result" field
-# (or, for validate, the fields themselves).
+# Each batch command evaluates one input path to (record fields, a function
+# giving the human text, exit code).  A manifest record is {"input": path,
+# **fields}; a single input prints the text, or with --json the "result" field
+# (or, for validate, the fields themselves).  Each goes out in one write.
+_encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps(..., sort_keys=True) runs
+
 
 def _group_fields(group):
-    return {"result": group.as_dict()}, f"H1 = {group.describe()}", EXIT_OK
+    return {"result": group.as_dict()}, lambda: f"H1 = {group.describe()}", EXIT_OK
 
 
 def _eval_h1(path):
@@ -128,25 +130,23 @@ def _eval_mt_h1(path):
 
 def _eval_identify(path):
     name = identify_known(read_openbook(path))
-    return {"result": {"name": name}}, name if name is not None else "unknown", EXIT_OK
+    return {"result": {"name": name}}, lambda: name if name is not None else "unknown", EXIT_OK
 
 
 def _eval_validate(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        violations = embedder.validate_certificate(text)
-    except json.JSONDecodeError:
+        violations = embedder.validate_certificate(read_text(path))
+    except (json.JSONDecodeError, UnicodeDecodeError):  # parse errors
         raise
     except ValueError as exc:
         raise _MalformedCertificate(str(exc)) from exc
-    text = "\n".join(f"VIOLATION: {v}" for v in violations) or "certificate valid"
-    return {"violations": violations}, text, EXIT_INVALID if violations else EXIT_OK
+    return ({"violations": violations},
+            lambda: "\n".join(f"VIOLATION: {v}" for v in violations) or "certificate valid",
+            EXIT_INVALID if violations else EXIT_OK)
 
 
 def _read_manifest(manifest_path):
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+    return [path for line in read_text(manifest_path).split("\n") if (path := line.strip())]
 
 
 def _run_batch(args, out, err):
@@ -154,9 +154,7 @@ def _run_batch(args, out, err):
         if not args.path:
             raise _UsageError(f"{args.command} requires an input file or --manifest")
         fields, text, code = args.evaluate(args.path)
-        if args.as_json:
-            text = json.dumps(fields.get("result", fields), sort_keys=True)
-        print(text, file=out)
+        out.write((_encode(fields.get("result", fields)) if args.as_json else text()) + "\n")
         return code
     worst = EXIT_OK
     for path in _read_manifest(args.manifest):
@@ -166,7 +164,7 @@ def _run_batch(args, out, err):
             known = isinstance(exc, (OSError, ValueError))
             fields, code = {"error": str(exc) if known else repr(exc)}, EXIT_USAGE
         worst = max(worst, code)
-        print(json.dumps({"input": path, **fields}, sort_keys=True), file=out)
+        out.write(_encode({"input": path, **fields}) + "\n")
     return worst
 
 
@@ -244,14 +242,11 @@ def run(argv, out=None, err=None):
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return EXIT_USAGE
-    except OpenBookParseError as exc:
+    except (OpenBookParseError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=err)
         return EXIT_USAGE
     except (OSError, _MalformedCertificate) as exc:  # unreadable, or read but no certificate
         print(f"error: {exc}", file=err)
-        return EXIT_USAGE
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"parse error: {exc}", file=err)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=err)

@@ -418,7 +418,10 @@ def validate_certificate(cert):
     Only invalid JSON text or a non-object certificate raises ValueError.
     """
     if isinstance(cert, str):
-        cert = json.loads(cert)
+        try:
+            cert = json.loads(cert)
+        except RecursionError as exc:  # JSON nested past the interpreter's limit
+            raise ValueError(str(exc)) from None
     if not isinstance(cert, dict):
         raise ValueError("certificate must be a JSON object")
     kind = cert.get("kind", _MISSING)

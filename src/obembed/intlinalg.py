@@ -375,8 +375,10 @@ def _bareiss(a):
     rank, prev, before, col = 0, 1, 1, 0
     prow = xs = [1]
     while rank < rows and col < cols:
-        p = next((i for i in range(rank, rows) if a[i][col] != 0), None)
-        if p is None:
+        for p in range(rank, rows):
+            if a[p][col]:
+                break
+        else:
             col += 1
             continue
         a[rank], a[p] = a[p], a[rank]
@@ -514,7 +516,7 @@ def cokernel(m):
     rank, delta, before, content = _bareiss(m.row_lists())
     d = abs(delta)
     if rank == 0 or d == 1:
-        return AbelianGroup(rows - rank)
+        return AbelianGroup._of(rows - rank, ())
     # d2 = D'' is d with every prime of Delta' divided out, d1 = D'
     d2, g = d, gcd(d, before)
     while g > 1:
@@ -531,4 +533,4 @@ def cokernel(m):
         chain[-1] *= top
     elif top > 1:
         chain = [top]
-    return AbelianGroup(rows - rank, tuple(chain))
+    return AbelianGroup._of(rows - rank, tuple(chain))

@@ -72,9 +72,9 @@ class AbstractOpenBook(Value):
                              f"{type(word).__name__} and {type(config).__name__}")
         if config.surface != page:
             raise ValueError("configuration belongs to a different surface")
-        for name in word.curve_names():
-            if not config.has_curve(name):
-                raise ValueError(f"monodromy letter {name!r} is not a configured curve")
+        if not dict(word.letters).keys() <= config._index.keys():
+            name = next(n for n in word.curve_names() if not config.has_curve(n))
+            raise ValueError(f"monodromy letter {name!r} is not a configured curve")
         if label is not None and not isinstance(label, str):
             raise ValueError(f"label must be a string, got {label!r}")
         self._set(page, word, config, label)
@@ -108,6 +108,24 @@ class AbstractOpenBook(Value):
         return cls(page, word, cfg, data.get("label"))
 
 
+def _field(lines, idx, key, least=None, what=None):
+    """The value of line idx (from 0), ``key <value>``: an int >= least when least is given."""
+    if len(lines) <= idx:
+        raise OpenBookParseError(idx + 1, f"missing {key!r} line")
+    head, _, value = lines[idx].partition(" ")
+    if head != key:
+        raise OpenBookParseError(idx + 1, f"expected {key!r} line, got {lines[idx]!r}")
+    value = value.strip()
+    if least is None:
+        return value
+    try:
+        if (n := int(value)) >= least:
+            return n
+    except ValueError:
+        pass
+    raise OpenBookParseError(idx + 1, f"{key} must be a {what} integer, got {value!r}")
+
+
 def parse_openbook(text):
     """Parse the open-book text format.
 
@@ -117,55 +135,29 @@ def parse_openbook(text):
     lines = text.splitlines()
     if not lines or lines[0].strip() != FORMAT_HEADER:
         raise OpenBookParseError(1, f"expected header {FORMAT_HEADER!r}")
-
-    def field_line(idx, key):
-        if len(lines) <= idx:
-            raise OpenBookParseError(idx + 1, f"missing {key!r} line")
-        line = lines[idx]
-        if line != key and not line.startswith(key + " "):
-            raise OpenBookParseError(idx + 1, f"expected {key!r} line, got {line!r}")
-        return line[len(key):].strip()
-
-    def count_line(idx, key, least, what):
-        text = field_line(idx, key)
-        try:
-            value = int(text)
-            if value < least:
-                raise ValueError
-        except ValueError:
-            raise OpenBookParseError(idx + 1, f"{key} must be a {what} integer, got {text!r}")
-        return value
-
-    genus = count_line(1, "genus", 0, "nonnegative")
-    boundary = count_line(2, "boundary", 1, "positive")
+    genus = _field(lines, 1, "genus", 0, "nonnegative")
+    boundary = _field(lines, 2, "boundary", 1, "positive")
     try:
         page = Surface(genus, boundary)
     except ValueError as exc:
         raise OpenBookParseError(3, str(exc))
-
-    word_text = field_line(3, "word")
     try:
-        word = parse_word(word_text)
+        word = parse_word(_field(lines, 3, "word"))
     except WordSyntaxError as exc:
         raise OpenBookParseError(4, str(exc))
-
     cfg = None
-    extra = [(i, ln) for i, ln in enumerate(lines[4:], start=5) if ln.strip()]
-    for lineno, line in extra:
+    for lineno, line in enumerate(lines[4:], start=5):
         if line.startswith("config "):
             if cfg is not None:
                 raise OpenBookParseError(lineno, "duplicate config line")
             try:
                 cfg = config_from_dict(json.loads(line[len("config "):]), page)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # RecursionError: too deeply nested
                 raise OpenBookParseError(lineno, f"bad config payload: {exc}")
-        else:
+        elif line.strip():
             raise OpenBookParseError(lineno, f"unexpected line {line!r}")
-
-    if cfg is None:
-        cfg = lickorish_system(page)
     try:
-        return AbstractOpenBook(page, word, cfg)
+        return AbstractOpenBook(page, word, lickorish_system(page) if cfg is None else cfg)
     except ValueError as exc:
         raise OpenBookParseError(4, str(exc))
 
@@ -178,9 +170,15 @@ def serialize_openbook(ob):
     return "\n".join(lines) + "\n"
 
 
+def read_text(path):
+    """The file at path decoded as UTF-8, with a text-mode read's universal newlines."""
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.read().decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def read_openbook(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_openbook(fh.read())
+    return parse_openbook(read_text(path))
 
 
 def _relation_matrix(action):
@@ -204,7 +202,7 @@ def _relation_matrix(action):
 def mapping_torus_h1(ob):
     """H1 of the page's mapping torus: Z (+) coker(Phi - I)."""
     c = cokernel(_relation_matrix(word_action(ob.word, ob.config)))
-    return AbelianGroup(c.free_rank + 1, c.torsion)
+    return AbelianGroup._of(c.free_rank + 1, c.torsion)
 
 
 def closed_h1(ob):

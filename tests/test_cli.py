@@ -382,3 +382,172 @@ def test_parser_is_built_once_per_process(monkeypatch, lens_file):
         assert go("h1")[0] == 2
     assert built.count("obembed") == 1
     assert len(built) == per_tree
+
+
+# Byte-exact output of the batch commands, pinned before their reads and
+# writes were reworked: the same stdout, stderr and exit codes must come out.
+
+CRLF_BOOK = b"openbook v1\r\ngenus 1\r\nboundary 2\r\nword t(a1)^2 t(b1) t(e1)^-3\r\n"
+CONFIG_BOOK = (b"openbook v1\ngenus 0\nboundary 2\nword t(x)^5 t(x)\nconfig "
+               b'{"curves":[{"name":"x","kind":"boundary_parallel","class":[1]}]}\n')
+NON_UTF8 = b"openbook v1\ngenus 0\nboundary 2\nword t(d1)\xff\n"
+DECODE_ERROR = "'utf-8' codec can't decode byte 0xff in position 41: invalid start byte"
+
+
+@pytest.fixture
+def batch_files(tmp_path):
+    files = {"lens": LENS5.encode(), "crlf": CRLF_BOOK, "config": CONFIG_BOOK,
+             "bad": NON_UTF8, "cr_json": b'{\r"kind":\r\r  }\r', "array": b"[1]\n"}
+    paths = {}
+    for name, data in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_bytes(data)
+    paths["missing"], paths["dir"] = tmp_path / "missing.ob", tmp_path
+    cert = tmp_path / "cert.json"
+    assert go("embed", str(paths["lens"]), "--framing", "1", "--out", str(cert))[0] == 0
+    tampered = json.loads(cert.read_text())
+    tampered["scene"]["target"] = "S3xS2"
+    tampered["extra"] = 1
+    paths["cert"], paths["tampered"] = cert, tmp_path / "tampered.json"
+    paths["tampered"].write_text(json.dumps(tampered))
+    return {name: str(p) for name, p in paths.items()}
+
+
+def missing_errors(p):
+    return {"missing": f"[Errno 2] No such file or directory: '{p['missing']}'",
+            "dir": f"[Errno 21] Is a directory: '{p['dir']}'", "bad": DECODE_ERROR}
+
+
+@pytest.mark.parametrize("command, outputs", [
+    ("h1", {"lens": ("H1 = Z/5", '{"free_rank": 0, "torsion": [5]}'),
+            "crlf": ("H1 = Z + Z/2", '{"free_rank": 1, "torsion": [2]}'),
+            "config": ("H1 = Z/6", '{"free_rank": 0, "torsion": [6]}')}),
+    ("mt-h1", {"lens": ("H1 = Z^2", '{"free_rank": 2, "torsion": []}'),
+               "crlf": ("H1 = Z^2 + Z/2", '{"free_rank": 2, "torsion": [2]}'),
+               "config": ("H1 = Z^2", '{"free_rank": 2, "torsion": []}')}),
+])
+def test_h1_outputs_are_pinned_byte_for_byte(command, outputs, batch_files):
+    p = batch_files
+    for name, (text, as_json) in outputs.items():
+        assert go(command, p[name]) == (0, text + "\n", "")
+        assert go(command, p[name], "--json") == (0, as_json + "\n", "")
+    for name, message in missing_errors(p).items():
+        prefix = "parse error" if name == "bad" else "error"
+        for argv in ((command, p[name]), (command, p[name], "--json")):
+            assert go(*argv) == (2, "", f"{prefix}: {message}\n")
+    order = ["lens", "crlf", "bad", "missing", "dir", "config"]
+    manifest = Path(p["dir"]) / "m.txt"
+    manifest.write_text("".join(p[name] + "\n" for name in order))
+    errors = missing_errors(p)
+    want = "".join(
+        json.dumps({"error": errors[name], "input": p[name]}) + "\n" if name in errors else
+        f'{{"input": {json.dumps(p[name])}, "result": {outputs[name][1]}}}\n' for name in order)
+    assert go(command, "--manifest", str(manifest)) == (2, want, "")
+
+
+def test_validate_outputs_are_pinned_byte_for_byte(batch_files):
+    p = batch_files
+    violations = ["scene.target: expected 'twisted', got 'S3xS2' "
+                  "(recomputed for framing 1, odd parity)", "extra: unexpected field"]
+    assert go("validate", p["cert"]) == (0, "certificate valid\n", "")
+    assert go("validate", p["cert"], "--json") == (0, '{"violations": []}\n', "")
+    assert go("validate", p["tampered"]) == (
+        1, "".join(f"VIOLATION: {v}\n" for v in violations), "")
+    assert go("validate", p["tampered"], "--json") == (
+        1, json.dumps({"violations": violations}) + "\n", "")
+    errors = {"array": "error: certificate must be a JSON object",
+              # a lone CR ends a line, as in a text-mode read
+              "cr_json": "parse error: Expecting value: line 4 column 3 (char 13)",
+              **{name: f"{'parse error' if name == 'bad' else 'error'}: {message}"
+                 for name, message in missing_errors(p).items()}}
+    for name, message in errors.items():
+        for argv in (("validate", p[name]), ("validate", p[name], "--json")):
+            assert go(*argv) == (2, "", message + "\n")
+    order = ["cert", "tampered", "array", "bad", "missing", "dir", "cr_json"]
+    manifest = Path(p["dir"]) / "m.txt"
+    manifest.write_text("".join(p[name] + "\n" for name in order))
+    records = {"cert": {"violations": []}, "tampered": {"violations": violations},
+               "array": {"error": "certificate must be a JSON object"},
+               "cr_json": {"error": "Expecting value: line 4 column 3 (char 13)"},
+               **{name: {"error": message} for name, message in missing_errors(p).items()}}
+    want = "".join(json.dumps({"input": p[name], **records[name]}, sort_keys=True) + "\n"
+                   for name in order)
+    assert go("validate", "--manifest", str(manifest)) == (2, want, "")
+
+
+class RecordingStream(io.StringIO):
+    """A text stream that keeps every string passed to ``write``."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+        return super().write(s)
+
+
+def test_each_record_is_one_write(batch_files):
+    p = batch_files
+    manifest = Path(p["dir"]) / "m.txt"
+    inputs = ["lens", "crlf", "bad", "missing", "config", "cert", "tampered", "array"]
+    manifest.write_text("".join(p[name] + "\n" for name in inputs))
+    for command in ("h1", "mt-h1", "validate"):
+        out = RecordingStream()
+        run([command, "--manifest", str(manifest)], out, io.StringIO())
+        assert out.writes == out.getvalue().splitlines(keepends=True)
+        assert len(out.writes) == len(inputs)
+    for argv in (("h1", p["lens"]), ("mt-h1", p["crlf"], "--json"), ("validate", p["cert"]),
+                 ("validate", p["tampered"]), ("validate", p["tampered"], "--json")):
+        out = RecordingStream()
+        run(list(argv), out, io.StringIO())
+        assert len(out.writes) == 1 and out.writes[0].endswith("\n"), (argv, out.writes)
+
+
+DEEP = "[" * 100000
+
+
+def test_deeply_nested_config_is_a_parse_error(tmp_path):
+    p = tmp_path / "deep.ob"
+    p.write_text(LENS5 + "config " + DEEP + "\n")
+    code, out, err = go("h1", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: line 5: bad config payload: ") and "\n" == err[-1:]
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"{p}\n")
+    code, out, _ = go("h1", "--manifest", str(manifest))
+    assert code == 2
+    assert json.loads(out) == {"input": str(p), "error": err[len("parse error: "):-1]}
+
+
+def test_deeply_nested_certificate_is_an_error(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text(DEEP + "\n")
+    code, out, err = go("validate", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"{p}\n")
+    code, out, _ = go("validate", "--manifest", str(manifest))
+    assert code == 2
+    assert json.loads(out) == {"input": str(p), "error": err[len("error: "):-1]}
+
+
+
+def test_manifest_decode_error_names_the_byte_offset_in_the_file(tmp_path):
+    # a text-mode read decodes in 8 KiB chunks and named the offset within the chunk
+    manifest = tmp_path / "m.txt"
+    manifest.write_bytes(b"/nonexistent/x.ob\n" * 600 + b"\xff\n")
+    assert go("h1", "--manifest", str(manifest)) == (
+        2, "", "parse error: 'utf-8' codec can't decode byte 0xff in position 10800: "
+               "invalid start byte\n")
+
+
+def test_manifest_lines_end_as_in_a_text_mode_read(batch_files, tmp_path):
+    p = batch_files
+    manifest = tmp_path / "m.txt"
+    manifest.write_bytes(f"  {p['lens']}  \r\n\r\n{p['crlf']}\r{p['config']}".encode())
+    code, out, _ = go("h1", "--manifest", str(manifest))
+    assert code == 0
+    assert [json.loads(line)["input"] for line in out.splitlines()] == [
+        p["lens"], p["crlf"], p["config"]]

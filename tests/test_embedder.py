@@ -254,6 +254,13 @@ def test_validator_rejects_unknown_kind():
             validate_certificate(bad)
 
 
+def test_validator_raises_value_error_on_deep_nesting():
+    # JSON nested past the interpreter's recursion limit
+    for text in ("[" * 100000, '{"kind": ' + "[" * 100000):
+        with pytest.raises(ValueError, match="maximum recursion depth"):
+            validate_certificate(text)
+
+
 def test_validator_reports_non_integer_config_classes():
     from obembed import ConfiguredCurve, CurveConfig
     page = Surface(1, 3)

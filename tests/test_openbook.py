@@ -9,7 +9,9 @@ Independent oracles frozen here:
 
 import hashlib
 import json
+import os
 import random
+import tempfile
 from operator import add
 
 import pytest
@@ -23,6 +25,7 @@ from obembed import (AbelianGroup, AbstractOpenBook, ConfiguredCurve, CurveConfi
                      reduce_to_one_boundary, serialize_openbook,
                      stabilize_positive, word_action)
 from obembed import surface as surface_module
+from obembed.openbook import read_text
 from obembed.surface import config_to_dict
 
 from helpers import (dense, override_book, random_open_book, random_word, reduce_by_joins,
@@ -791,3 +794,27 @@ def test_oversized_pages_are_rejected_before_anything_is_built():
     assert info.value.line == 3
     with pytest.raises(ValueError, match="exceeds the limit"):
         AbstractOpenBook.from_dict({"genus": 0, "boundary": 10 ** 12, "word": ""})
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.binary(max_size=40),
+                 st.text(alphabet="\r\n\x0b\x85  abé", max_size=40).map(str.encode)))
+def test_read_text_matches_a_text_mode_read(data):
+    # the bytes read, decoded once, gives what open(..., encoding="utf-8").read() gives,
+    # universal newlines and decode errors included
+    fd, path = tempfile.mkstemp()
+    try:
+        os.write(fd, data)
+        os.close(fd)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                want = fh.read()
+        except UnicodeDecodeError as exc:
+            want = str(exc)
+        try:
+            got = read_text(path)
+        except UnicodeDecodeError as exc:
+            got = str(exc)
+        assert got == want
+    finally:
+        os.unlink(path)
