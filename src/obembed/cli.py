@@ -219,12 +219,11 @@ def _run_relations(args, out, err):
                    "checks": [{"name": c.name, "kind": c.kind, "passed": c.passed}
                               for c in report.checks],
                    "all_pass": report.all_pass}
-        print(json.dumps(payload, sort_keys=True), file=out)
+        print(_encode(payload), file=out)
     else:
         for c in report.checks:
             print(f"{'PASS' if c.passed else 'FAIL'} {c.name}", file=out)
-        print(f"{len(report.checks)} relations checked on "
-              f"Sigma_{{{args.genus},{args.boundary}}}", file=out)
+        print(f"{len(report.checks)} relations checked on {cfg.surface}", file=out)
     return EXIT_OK if report.all_pass else EXIT_INVALID
 
 

@@ -28,11 +28,9 @@ Certificate wire format (JSON): top-level keys are exactly
 
 from __future__ import annotations
 
-import json
-
 from .openbook import (AbstractOpenBook, closed_h1, core_twist_total,
                        reduce_to_one_boundary)
-from .surface import Surface, is_default, lickorish_system
+from .surface import Surface, canonical_json, is_default, lickorish_system, read_json
 
 VERSION = 1
 
@@ -63,7 +61,7 @@ _AVOIDANCE_TABLE = {
 
 def certificate_to_json(cert):
     """Canonical (byte-deterministic) serialization."""
-    return json.dumps(cert, sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(cert) + "\n"
 
 
 def disk_bundle_model(framing):
@@ -115,7 +113,7 @@ def _realization(word):
 
 
 def _flexible(page, framing, names, config_kind):
-    g, n = page.genus, page.boundary_count
+    g, n, chi = page.genus, page.boundary_count, page.euler_characteristic
     return {
         "kind": KIND_FLEXIBLE, "version": VERSION,
         "input": {"page": {"genus": g, "boundary": n}, "framing": framing,
@@ -130,7 +128,7 @@ def _flexible(page, framing, names, config_kind):
             "intermediate_boundary_components": n + 1,
         },
         "schedule": _schedule_for(names),
-        "checks": {"euler_intermediate": 1 - 2 * g - n, "euler_capped": 2 - 2 * g - n},
+        "checks": {"euler_intermediate": chi - 1, "euler_capped": chi},
     }
 
 
@@ -266,7 +264,10 @@ def _is_int(x):
 
 
 def _brief(x):
-    text = "nothing" if x is _MISSING else repr(x)
+    try:
+        text = "nothing" if x is _MISSING else repr(x)
+    except (RecursionError, ValueError):  # too deep, or an int past the digit limit
+        text = type(x).__name__
     return text if len(text) <= 60 else text[:57] + "..."
 
 
@@ -418,10 +419,7 @@ def validate_certificate(cert):
     Only invalid JSON text or a non-object certificate raises ValueError.
     """
     if isinstance(cert, str):
-        try:
-            cert = json.loads(cert)
-        except RecursionError as exc:  # JSON nested past the interpreter's limit
-            raise ValueError(str(exc)) from None
+        cert = read_json(cert)
     if not isinstance(cert, dict):
         raise ValueError("certificate must be a JSON object")
     kind = cert.get("kind", _MISSING)
@@ -429,7 +427,7 @@ def validate_certificate(cert):
         return [f"kind: unknown certificate kind {_brief(kind)}"]
     version = cert.get("version")
     if not _is_int(version) or version != VERSION:
-        return [f"unsupported version {version!r}"]
+        return [f"unsupported version {_brief(version)}"]
     out = []
     _VALIDATORS[kind](cert, out)
     return out

@@ -105,11 +105,12 @@ from math import gcd
 class Value:
     """An immutable value whose fields are its public ``__slots__``, in order.
 
-    A subclass's ``__init__`` takes the fields positionally, checks them
-    and stores every slot with ``_set``; copying and pickling call it
-    again.  Equality needs the exact class and equal fields, the hash is
-    the fields', and the repr is ``Name(field=value, ...)``.  Slots
-    starting with ``_`` are private caches, outside all of these.
+    ``__init__`` takes the fields positionally and stores every slot with
+    ``_set``; a subclass that checks its fields overrides it, and copying
+    and pickling call it again.  Equality needs the exact class and equal
+    fields, the hash is the fields', and the repr is
+    ``Name(field=value, ...)``.  Slots starting with ``_`` are private
+    caches, outside all of these.
     """
 
     __slots__ = ()
@@ -131,6 +132,9 @@ class Value:
                f"def __hash__(self):\n"
                f"    return hash({self_key})\n", namespace)
         cls._set, cls.__eq__, cls.__hash__ = (namespace[f] for f in ("_set", "__eq__", "__hash__"))
+
+    def __init__(self, *fields):
+        self._set(*fields)
 
     @classmethod
     def _of(cls, *fields):
@@ -213,9 +217,6 @@ class AbelianGroup(Value):
             if b % a != 0:
                 raise ValueError(f"invariant factors must form a divisibility chain, got {a}, {b}")
 
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.torsion
-
     def describe(self):
         parts = []
         if self.free_rank == 1:
@@ -225,6 +226,8 @@ class AbelianGroup(Value):
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
 
+    __str__ = describe
+
     def as_dict(self):
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
@@ -233,9 +236,6 @@ class AbelianGroup(Value):
         if not isinstance(d, dict) or not {"free_rank", "torsion"} <= d.keys():
             raise ValueError("abelian group needs an object with free_rank and torsion")
         return cls(d["free_rank"], d["torsion"])
-
-    def __str__(self):
-        return self.describe()
 
 
 def _min_abs_nonzero(a, t, rows, cols):

@@ -107,10 +107,6 @@ class TwistWord(Value):
     def curve_names(self):
         return tuple(dict.fromkeys(map(itemgetter(0), self.letters)))
 
-    def rename(self, mapping):
-        return TwistWord(tuple((mapping.get(name, name), exp)
-                               for name, exp in self.letters))
-
 
 def parse_word(text):
     """Parse whitespace-separated letters like ``t(a1) t(b1)^-1``.
@@ -283,22 +279,13 @@ def arc_defect(word, arc_index, cfg):
 class RelationCheck(Value):
     __slots__ = ("name", "kind", "passed")
 
-    def __init__(self, name, kind, passed):
-        self._set(name, kind, passed)
-
 
 class RelationReport(Value):
     __slots__ = ("surface", "checks")
 
-    def __init__(self, surface, checks):
-        self._set(surface, checks)
-
     @property
     def all_pass(self):
         return all(c.passed for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
 
 
 def _same_action(cfg, left, right):

@@ -36,15 +36,14 @@ configuration at the end: the final page's system or the pushforward.
 
 from __future__ import annotations
 
-import json
 from itertools import count
 
 from .intlinalg import AbelianGroup, IntMatrix, Value, cokernel
 # arc_defect is unused here; bench/tracer.py wraps it under this module's name
 from .mcg import TwistWord, WordSyntaxError, arc_defect, format_word, parse_word, word_action
-from .surface import (ConfiguredCurve, CurveConfig, Surface, config_from_dict, config_to_dict,
-                      default_curve, is_default, join_boundaries, lickorish_system,
-                      split_boundary)
+from .surface import (ConfiguredCurve, CurveConfig, Surface, canonical_json, config_from_dict,
+                      config_to_dict, default_curve, is_default, join_boundaries,
+                      lickorish_system, read_json, split_boundary)
 
 FORMAT_HEADER = "openbook v1"
 
@@ -151,8 +150,8 @@ def parse_openbook(text):
             if cfg is not None:
                 raise OpenBookParseError(lineno, "duplicate config line")
             try:
-                cfg = config_from_dict(json.loads(line[len("config "):]), page)
-            except (ValueError, RecursionError) as exc:  # RecursionError: too deeply nested
+                cfg = config_from_dict(read_json(line[len("config "):]), page)
+            except ValueError as exc:
                 raise OpenBookParseError(lineno, f"bad config payload: {exc}")
         elif line.strip():
             raise OpenBookParseError(lineno, f"unexpected line {line!r}")
@@ -166,7 +165,7 @@ def serialize_openbook(ob):
     d = ob.to_dict()
     lines = [FORMAT_HEADER] + [f"{key} {d[key]}".rstrip() for key in ("genus", "boundary", "word")]
     if "config" in d:
-        lines.append("config " + json.dumps(d["config"], sort_keys=True, separators=(",", ":")))
+        lines.append("config " + canonical_json(d["config"]))
     return "\n".join(lines) + "\n"
 
 
@@ -311,18 +310,16 @@ def core_twist_total(ob):
     """Total core-twist power of an annulus-page word.
 
     On the annulus every essential curve is the core; a letter whose
-    class is +-D1 twists along it either way.  Raises ValueError when
-    the page is not the annulus or a letter's class is not +-D1 (a
-    null class bounds a disk and is rejected too).
+    class is +-D1, the default d1 or d2, twists along it either way.
+    Raises ValueError when the page is not the annulus or a letter's
+    class is neither (a null class bounds a disk and is rejected too).
     """
     if (ob.page.genus, ob.page.boundary_count) != (0, 2):
         raise ValueError("page must be the annulus")
-    total = 0
-    for name, exp in ob.word:
-        if ob.config.curve(name).support not in (((0, 1),), ((0, -1),)):
+    for name in ob.word.curve_names():
+        if default_curve(ob.page, ob.config.curve(name).support) is None:
             raise ValueError(f"letter {name!r} is not a core (boundary-parallel) twist")
-        total += exp
-    return total
+    return sum(exp for _, exp in ob.word)
 
 
 def identify_known(ob):

@@ -55,6 +55,10 @@ text, with an optional arc table) applies the kind rule: a curve of
 each kind may carry only the classes this table gives that kind.  It
 and ``config_from_dict`` raise nothing else on malformed input.
 
+JSON from outside (``config`` lines, overrides, certificates) is read by
+``read_json``; canonical JSON (certificates, ``config`` lines) is written
+by ``canonical_json``.
+
 Arcs r_1 .. r_{n-1} run from the base component to each puncture.  The
 algebraic crossing number of an arc with a curve depends only on the
 curve's homology class (it is the Lefschetz pairing against the arc's
@@ -90,6 +94,16 @@ MAX_PAGE_RANK = 1000
 # and 0.44 MiB on Sigma_{500,1}, and all its CurveConfig.twist tables 0.73 and
 # 0.39 MiB more (tracemalloc, Python 3.11): the cache stays within about 3 MiB.
 SYSTEM_CACHE_RANK = 2 * MAX_PAGE_RANK
+
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def read_json(text):
+    """The value of JSON text; ValueError on malformed text, however deeply nested."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
 
 
 class Surface(Value):
@@ -399,7 +413,7 @@ def load_config_override(text, surface):
      "arcs": [{"index": i, "intersections": {"name": value, ...}}, ...]}
     Class entries, arc indices and values must be JSON integers.
     """
-    data = json.loads(text)
+    data = read_json(text)
     cfg = config_from_dict(data, surface)
     arcs = data.get("arcs") or []
     if not isinstance(arcs, list) or not all(isinstance(rec, dict) for rec in arcs):

@@ -413,7 +413,7 @@ def override_book(ob, prefix="u", numbered=False):
     curves = [{"name": names[c.name], "kind": c.kind, "class": list(dense(ob.page, c.support))}
               for c in ob.config]
     cfg = load_config_override(json.dumps({"curves": curves}), ob.page)
-    return AbstractOpenBook(ob.page, ob.word.rename(names), cfg, ob.label)
+    return AbstractOpenBook(ob.page, TwistWord((names[n], e) for n, e in ob.word), cfg, ob.label)
 
 
 def random_open_book(rng, max_genus=3, max_boundary=3, max_len=10):
@@ -483,7 +483,8 @@ def stabilize_by_system(ob, attachment):
                                          for name, k, c in pushed])
             return AbstractOpenBook(new_page, word, cfg, ob.label)
         mapping[name] = names.pop(0)
-    return AbstractOpenBook(new_page, word.rename(mapping), lickorish_system(new_page), ob.label)
+    word = TwistWord((mapping[n], e) for n, e in word)
+    return AbstractOpenBook(new_page, word, lickorish_system(new_page), ob.label)
 
 
 def reduce_by_joins(ob):

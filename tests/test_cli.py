@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import obembed
-from obembed import cli
+from obembed import cli, embedder
 from obembed.cli import run
 
 import test_openbook
@@ -254,6 +254,7 @@ def test_relations_pass(capsys):
     assert code == 0
     assert "PASS braid(a1,b1)" in out
     assert "FAIL" not in out
+    assert out.endswith(" relations checked on Sigma_{1,1}\n")
 
 
 def test_relations_json():
@@ -261,6 +262,7 @@ def test_relations_json():
     assert code == 0
     payload = json.loads(out)
     assert payload["all_pass"] is True
+    assert out == json.dumps(payload, sort_keys=True) + "\n"
 
 
 def test_relations_json_is_pinned_on_every_page_up_to_rank_24():
@@ -504,34 +506,60 @@ def test_each_record_is_one_write(batch_files):
         assert len(out.writes) == 1 and out.writes[0].endswith("\n"), (argv, out.writes)
 
 
-DEEP = "[" * 100000
+DEEP = "[" * 100000  # JSON nested past the interpreter's recursion limit
+RECURSION = "maximum recursion depth exceeded"
 
 
-def test_deeply_nested_config_is_a_parse_error(tmp_path):
-    p = tmp_path / "deep.ob"
-    p.write_text(LENS5 + "config " + DEEP + "\n")
-    code, out, err = go("h1", str(p))
-    assert (code, out) == (2, "")
-    assert err.startswith("parse error: line 5: bad config payload: ") and "\n" == err[-1:]
+def _deep_list():
+    x = []
+    for _ in range(100000):
+        x = [x]
+    return x
+
+
+def _cli(command, text, tmp_path):
+    """(code, stdout, stderr up to the JSON reader's message, its last character) of command
+    on a file holding text, once a --manifest record of the file is seen to carry that error."""
+    p = tmp_path / "deep"
+    p.write_text(text)
+    code, out, err = go(command, str(p))
     manifest = tmp_path / "m.txt"
     manifest.write_text(f"{p}\n")
-    code, out, _ = go("h1", "--manifest", str(manifest))
-    assert code == 2
-    assert json.loads(out) == {"input": str(p), "error": err[len("parse error: "):-1]}
+    code_m, out_m, _ = go(command, "--manifest", str(manifest))
+    record = {"input": str(p), "error": err[err.index(": ") + 2:-1]}
+    assert (code_m, json.loads(out_m)) == (2, record)
+    return code, out, err[:err.find(RECURSION)], err[-1:]
 
 
-def test_deeply_nested_certificate_is_an_error(tmp_path):
-    p = tmp_path / "deep.json"
-    p.write_text(DEEP + "\n")
-    code, out, err = go("validate", str(p))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "Traceback" not in err
-    manifest = tmp_path / "m.txt"
-    manifest.write_text(f"{p}\n")
-    code, out, _ = go("validate", "--manifest", str(manifest))
-    assert code == 2
-    assert json.loads(out) == {"input": str(p), "error": err[len("error: "):-1]}
+def _error(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)[:len(RECURSION)]
 
+
+FLEXIBLE = embedder.build_flexible_embedding(obembed.Surface(1, 2), 1)
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda p: _cli("h1", LENS5 + "config " + DEEP + "\n", p),
+     (2, "", "parse error: line 5: bad config payload: ", "\n")),
+    (lambda p: _cli("validate", DEEP + "\n", p), (2, "", "error: ", "\n")),
+    (lambda _: _error(lambda: obembed.load_config_override(DEEP, obembed.Surface(1, 1))),
+     RECURSION),
+    (lambda _: _error(lambda: embedder.validate_certificate(DEEP)), RECURSION),
+    (lambda _: _error(lambda: embedder.validate_certificate('{"kind": ' + DEEP)), RECURSION),
+    (lambda _: embedder.validate_certificate({"kind": _deep_list()}),
+     ["kind: unknown certificate kind list"]),
+    (lambda _: embedder.validate_certificate({**FLEXIBLE, "version": _deep_list()}),
+     ["unsupported version list"]),
+    (lambda _: embedder.validate_certificate(
+        {**FLEXIBLE, "scene": {**FLEXIBLE["scene"], "twisted_band": _deep_list()}}),
+     ["scene.twisted_band: expected an object, got list (recomputed for Sigma_{1,2})"]),
+], ids=["config_line", "certificate_file", "config_override", "certificate_text",
+        "certificate_text_kind", "certificate_kind", "certificate_version", "certificate_scene"])
+def test_deep_json_is_a_diagnosed_error(call, want, tmp_path):
+    # every entry point that reads JSON from outside, on values nested 100 000 deep
+    assert call(tmp_path) == want
 
 
 def test_manifest_decode_error_names_the_byte_offset_in_the_file(tmp_path):

@@ -125,6 +125,9 @@ def test_annulus_powers():
 def test_annulus_rejects_wrong_page():
     with pytest.raises(ValueError, match="annulus"):
         build_annulus_s5(book(1, 1))
+    cert = build_annulus_s5(book(0, 2, "t(d1)"))
+    cert["input"]["openbook"] = book(1, 1, "t(a1)").to_dict()
+    assert validate_certificate(cert) == ["input.openbook: page must be the annulus"]
 
 
 def test_annulus_rejects_non_core_letters():
@@ -134,6 +137,10 @@ def test_annulus_rejects_non_core_letters():
     ob = AbstractOpenBook(page, TwistWord((("z", 1),)), cfg)
     with pytest.raises(ValueError, match="core"):
         build_annulus_s5(ob)
+    cert = build_annulus_s5(book(0, 2, "t(d1)"))
+    cert["input"]["openbook"] = ob.to_dict()
+    assert validate_certificate(cert) == [
+        "input.openbook: letter 'z' is not a core (boundary-parallel) twist"]
 
 
 def test_annulus_tamper_power():
@@ -245,20 +252,13 @@ def test_validator_accepts_json_text():
 def test_validator_rejects_unknown_kind():
     # a violation for any object; only a non-object or invalid JSON raises
     for cert in ({"kind": "nonsense", "version": 1}, {"version": 1}, {}, {"kind": []},
-                 {"kind": {}}, {"kind": None}, '{"kind": 7}'):
+                 {"kind": {}}, {"kind": None}, '{"kind": 7}', {"kind": 10 ** 5000}):
         violations = validate_certificate(cert)
         assert len(violations) == 1
         assert violations[0].startswith("kind: unknown certificate kind")
     for bad in ([], "[]", "3", "not json", 3, None):
         with pytest.raises(ValueError):
             validate_certificate(bad)
-
-
-def test_validator_raises_value_error_on_deep_nesting():
-    # JSON nested past the interpreter's recursion limit
-    for text in ("[" * 100000, '{"kind": ' + "[" * 100000):
-        with pytest.raises(ValueError, match="maximum recursion depth"):
-            validate_certificate(text)
 
 
 def test_validator_reports_non_integer_config_classes():

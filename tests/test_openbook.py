@@ -25,7 +25,7 @@ from obembed import (AbelianGroup, AbstractOpenBook, ConfiguredCurve, CurveConfi
                      reduce_to_one_boundary, serialize_openbook,
                      stabilize_positive, word_action)
 from obembed import surface as surface_module
-from obembed.openbook import read_text
+from obembed.openbook import core_twist_total, read_text
 from obembed.surface import config_to_dict
 
 from helpers import (dense, override_book, random_open_book, random_word, reduce_by_joins,
@@ -274,6 +274,19 @@ def test_identify_rejects_null_class_annulus_letters():
                              ConfiguredCurve("z", "boundary_parallel", ())])
     assert identify_known(AbstractOpenBook(page, parse_word("t(d1)^3"), cfg)) == "L(3,1)"
     assert identify_known(AbstractOpenBook(page, parse_word("t(d1)^3 t(z)"), cfg)) is None
+
+
+def test_core_twists_are_the_letters_of_class_plus_or_minus_d1():
+    # the annulus has rank 1, so a support is () or ((0, a),)
+    page = Surface(0, 2)
+    for support in [()] + [((0, a),) for a in range(-5, 6) if a]:
+        cfg = CurveConfig(page, [ConfiguredCurve("x", "boundary_parallel", support)])
+        ob = AbstractOpenBook(page, parse_word("t(x)^3 t(x)^-1"), cfg)
+        if support in (((0, 1),), ((0, -1),)):
+            assert core_twist_total(ob) == 2
+        else:
+            with pytest.raises(ValueError, match="letter 'x' is not a core"):
+                core_twist_total(ob)
 
 
 # stabilization
