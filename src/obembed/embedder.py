@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from .openbook import (AbstractOpenBook, closed_h1, core_twist_total,
                        reduce_to_one_boundary)
-from .surface import Surface, canonical_json, is_default, lickorish_system, read_json
+from .surface import Surface, brief, canonical_json, is_default, lickorish_system, read_json
 
 VERSION = 1
 
@@ -252,7 +252,12 @@ def build_s5_plan(ob):
 # ---------------------------------------------------------------------------
 # validation
 
-_MISSING = object()
+class _Missing:  # a field absent from a certificate
+    def __repr__(self):
+        return "nothing"
+
+
+_MISSING = _Missing()
 
 
 def _get(obj, key):
@@ -261,14 +266,6 @@ def _get(obj, key):
 
 def _is_int(x):
     return type(x) is int
-
-
-def _brief(x):
-    try:
-        text = "nothing" if x is _MISSING else repr(x)
-    except (RecursionError, ValueError):  # too deep, or an int past the digit limit
-        text = type(x).__name__
-    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def _diff(path, want, got, out, source):
@@ -292,8 +289,8 @@ def _diff(path, want, got, out, source):
         out.append(f"{path}: expected {len(want)} entries, got {len(got)} "
                    f"(recomputed for {source})")
     else:
-        shown = "an object" if isinstance(want, dict) else _brief(want)
-        out.append(f"{path}: expected {shown}, got {_brief(got)} "
+        shown = "an object" if isinstance(want, dict) else brief(want)
+        out.append(f"{path}: expected {shown}, got {brief(got)} "
                    f"(recomputed for {source})")
 
 
@@ -325,7 +322,7 @@ def _flexible_input(inp, path, out):
     config_kind = _get(inp, "config_kind")
     if config_kind not in ("default", "attached"):
         out.append(f"{path}.config_kind: expected 'default' or 'attached', "
-                   f"got {_brief(config_kind)}")
+                   f"got {brief(config_kind)}")
     return None if len(out) > found else (page, framing, names, config_kind)
 
 
@@ -424,10 +421,10 @@ def validate_certificate(cert):
         raise ValueError("certificate must be a JSON object")
     kind = cert.get("kind", _MISSING)
     if not isinstance(kind, str) or kind not in _VALIDATORS:
-        return [f"kind: unknown certificate kind {_brief(kind)}"]
+        return [f"kind: unknown certificate kind {brief(kind)}"]
     version = cert.get("version")
     if not _is_int(version) or version != VERSION:
-        return [f"unsupported version {_brief(version)}"]
+        return [f"unsupported version {brief(version)}"]
     out = []
     _VALIDATORS[kind](cert, out)
     return out

@@ -41,8 +41,8 @@ from itertools import count
 from .intlinalg import AbelianGroup, IntMatrix, Value, cokernel
 # arc_defect is unused here; bench/tracer.py wraps it under this module's name
 from .mcg import TwistWord, WordSyntaxError, arc_defect, format_word, parse_word, word_action
-from .surface import (ConfiguredCurve, CurveConfig, Surface, canonical_json, config_from_dict,
-                      config_to_dict, default_curve, is_default, join_boundaries,
+from .surface import (ConfiguredCurve, CurveConfig, Surface, brief, canonical_json,
+                      config_from_dict, config_to_dict, default_curve, is_default, join_boundaries,
                       lickorish_system, read_json, split_boundary)
 
 FORMAT_HEADER = "openbook v1"
@@ -75,7 +75,7 @@ class AbstractOpenBook(Value):
             name = next(n for n in word.curve_names() if not config.has_curve(n))
             raise ValueError(f"monodromy letter {name!r} is not a configured curve")
         if label is not None and not isinstance(label, str):
-            raise ValueError(f"label must be a string, got {label!r}")
+            raise ValueError(f"label must be a string, got {brief(label)}")
         self._set(page, word, config, label)
 
     @classmethod
@@ -99,7 +99,7 @@ class AbstractOpenBook(Value):
         page = Surface(data["genus"], data["boundary"])
         word_text = data.get("word", "")
         if not isinstance(word_text, str):
-            raise ValueError(f"word must be a string, got {word_text!r}")
+            raise ValueError(f"word must be a string, got {brief(word_text)}")
         word = parse_word(word_text)
         # a present config is read whatever it holds, so {}, 0 or null is an error
         cfg = (config_from_dict(data["config"], page) if "config" in data

@@ -106,6 +106,15 @@ def read_json(text):
         raise ValueError(str(exc)) from None
 
 
+def brief(x):
+    """repr(x) cut to 60 characters, for messages about values read from outside."""
+    try:
+        text = repr(x)
+    except (RecursionError, ValueError):  # too deep, or an int past the digit limit
+        text = type(x).__name__
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 class Surface(Value):
     """Compact orientable surface with genus g and n >= 1 boundary circles."""
 
@@ -114,8 +123,8 @@ class Surface(Value):
     def __init__(self, genus, boundary_count):
         # bool is a subclass of int, so it is rejected by the exact type test
         if type(genus) is not int or type(boundary_count) is not int:
-            raise ValueError(f"genus and boundary must be integers, got {genus!r}, "
-                             f"{boundary_count!r}")
+            raise ValueError(f"genus and boundary must be integers, got {brief(genus)}, "
+                             f"{brief(boundary_count)}")
         if genus < 0 or boundary_count < 0:
             raise ValueError("genus and boundary count must be nonnegative")
         if not boundary_count:
@@ -197,9 +206,9 @@ def join_boundaries(surface, j, k):
 
 def _check_name(name, kind):
     if not isinstance(name, str):
-        raise ValueError(f"curve name must be a string, got {name!r}")
+        raise ValueError(f"curve name must be a string, got {brief(name)}")
     if kind not in CURVE_KINDS:
-        raise ValueError(f"unknown curve kind {kind!r}")
+        raise ValueError(f"unknown curve kind {brief(kind)}")
 
 
 class ConfiguredCurve(Value):

@@ -30,8 +30,9 @@ _LETTER_RE = re.compile(r"^t\(([A-Za-z][A-Za-z0-9_]*)\)(?:\^(-?\d+))?$")
 def parse_word_by_tokens(text):
     """The twist-word parser as one anchored match per whitespace-split token.
 
-    The oracle of ``parse_word``, which finds all tokens in one scan: the
-    same letters, or a WordSyntaxError with the same text.
+    The oracle of ``parse_word``, which looks each token up in a letter
+    table kept for the process and reads it only on a miss: the same
+    letters, or a WordSyntaxError with the same text.
     """
     word = []
     for token in text.split():

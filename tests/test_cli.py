@@ -538,6 +538,23 @@ def _error(call):
 
 
 FLEXIBLE = embedder.build_flexible_embedding(obembed.Surface(1, 2), 1)
+WITNESS = embedder.build_openbook_embedding(obembed.AbstractOpenBook.with_default_config(
+    obembed.Surface(1, 1), obembed.parse_word("t(a1) t(b1)^-2")), 3)
+
+
+def _deep_input(cert, *path, config=None):
+    """A copy of cert whose value at input.<path> is a list nested 100 000 deep."""
+    cert = json.loads(embedder.certificate_to_json(cert))
+    if config is not None:
+        cert["input"]["openbook"]["config"] = config
+    node = cert["input"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = _deep_list()
+    return cert
+
+
+CONFIG = {"curves": [{"name": "n", "kind": "handle_a", "class": [1, 0]}]}
 
 
 @pytest.mark.parametrize("call, want", [
@@ -555,8 +572,19 @@ FLEXIBLE = embedder.build_flexible_embedding(obembed.Surface(1, 2), 1)
     (lambda _: embedder.validate_certificate(
         {**FLEXIBLE, "scene": {**FLEXIBLE["scene"], "twisted_band": _deep_list()}}),
      ["scene.twisted_band: expected an object, got list (recomputed for Sigma_{1,2})"]),
+    (lambda _: embedder.validate_certificate(_deep_input(FLEXIBLE, "page", "genus")),
+     ["input.page: genus and boundary must be integers, got list, 2"]),
+    (lambda _: embedder.validate_certificate(_deep_input(WITNESS, "openbook", "word")),
+     ["input.openbook: word must be a string, got list"]),
+    (lambda _: embedder.validate_certificate(_deep_input(WITNESS, "openbook", "label")),
+     ["input.openbook: label must be a string, got list"]),
+    (lambda _: embedder.validate_certificate(
+        _deep_input(WITNESS, "openbook", "config", "curves", 0, "name", config=CONFIG)),
+     ["input.openbook: curve name must be a string, got list"]),
 ], ids=["config_line", "certificate_file", "config_override", "certificate_text",
-        "certificate_text_kind", "certificate_kind", "certificate_version", "certificate_scene"])
+        "certificate_text_kind", "certificate_kind", "certificate_version", "certificate_scene",
+        "certificate_page_genus", "certificate_openbook_word", "certificate_openbook_label",
+        "certificate_config_curve_name"])
 def test_deep_json_is_a_diagnosed_error(call, want, tmp_path):
     # every entry point that reads JSON from outside, on values nested 100 000 deep
     assert call(tmp_path) == want

@@ -9,6 +9,8 @@ x -> x + e<x,c>c in the basis (A1, B1) with <A1,B1> = 1:
 """
 
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -86,8 +88,8 @@ def test_parse_word_matches_token_by_token_oracle(text):
     assert _parsed(parse_word, text) == _parsed(parse_word_by_tokens, text)
 
 
-# Long words repeat a few distinct tokens, and parse_word reads each distinct
-# token once: a bad token first seen after repeated good ones, a bad token that
+# Long words repeat a few distinct tokens, and parse_word keeps each good one it
+# reads: a bad token first seen after repeated good ones, a bad token that
 # repeats, and two spellings of one letter must give the oracle's result.
 _alphabet = st.lists(st.sampled_from(["t(a1)", "t(a1)^1", "t(a1)^01", "t(b1)^-2", "t(c1)^0",
                                       "t(a1)^" + "7" * 5000, "t(a1)x", "t(b1)^+1", "t()", "x"]),
@@ -119,6 +121,75 @@ def test_parse_word_equals_the_checked_constructor(letters, sep):
     word = parse_word(text)
     assert word == TwistWord([(name, int(exp[1:] or 1)) for name, exp in letters])
     assert all(exp for _, exp in word.letters)
+
+
+# parse_word reads every token through one letter table per process (mcg._letters),
+# which keeps only tokens read well and at most mcg._TOKEN_LIMIT characters long.
+
+@settings(max_examples=300)
+@given(word_texts | repeated_words | st.text(max_size=20))
+def test_parse_word_from_a_cold_and_a_warm_table_matches_oracle(text):
+    mcg._letters.clear()
+    want = _parsed(parse_word_by_tokens, text)
+    assert _parsed(parse_word, text) == want  # cold
+    assert _parsed(parse_word, text) == want  # warm: every good short token is kept
+
+
+def test_bad_token_is_read_again_every_time():
+    text = "t(a1) t(a1)^1 t(a1)^+1 t(a1)^+1"
+    want = _parsed(parse_word_by_tokens, text)
+    assert want == "bad twist letter 't(a1)^+1' (expected t(<name>) with optional ^<int>)"
+    mcg._letters.clear()
+    for _ in range(3):
+        assert _parsed(parse_word, text) == want
+        assert list(mcg._letters) == ["t(a1)", "t(a1)^1"]
+
+
+def test_table_never_exceeds_its_bound():
+    tokens = [f"t(a{i})^{i % 5 - 2}" for i in range(mcg._TABLE_SIZE + 100)]
+    mcg._letters.clear()
+    head = " ".join(tokens[:mcg._TABLE_SIZE])
+    assert parse_word(head) == parse_word_by_tokens(head)
+    assert len(mcg._letters) == mcg._TABLE_SIZE
+    text = " ".join(tokens)
+    for _ in range(2):  # a full table is emptied before the next entry, then refilled
+        assert parse_word(text) == parse_word_by_tokens(text)
+        assert len(mcg._letters) <= mcg._TABLE_SIZE
+
+
+def test_long_tokens_are_not_kept():
+    limit = sys.get_int_max_str_digits()
+    long_good, too_many_digits = "t(a1)^" + "7" * 100, "t(b1)^" + "7" * 5000
+    text = f"t(a1) {long_good} {too_many_digits}"
+    mcg._letters.clear()
+    assert _parsed(parse_word, text) == _parsed(parse_word_by_tokens, text)
+    try:
+        sys.set_int_max_str_digits(0)  # no limit: the 5000-digit exponent reads well
+        assert parse_word(text) == parse_word_by_tokens(text)
+        assert list(mcg._letters) == ["t(a1)"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # nothing read under the lifted limit is kept, so the default limit refuses again
+    want = _parsed(parse_word_by_tokens, text)
+    assert want.startswith("bad exponent of t(b1): ")
+    assert _parsed(parse_word, text) == want
+
+
+def test_table_holds_little_after_a_word_of_huge_exponents():
+    # a Sigma_{1,1} word of 1000 letters with 4000-digit exponents, 3.9 MB of text
+    rng = random.Random(3)
+    text = " ".join(f"t({rng.choice('ab')}1)^{rng.choice(['', '-'])}"
+                    f"{rng.randrange(10 ** 3999, 10 ** 4000)}" for _ in range(1000))
+    mcg._letters.clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(parse_word(text)) == 1000
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
+    assert not mcg._letters
 
 
 def test_zero_exponents_dropped():
