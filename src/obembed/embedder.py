@@ -7,20 +7,23 @@ invariant from the serialized certificate alone and trusts nothing
 the builder did.
 
 Each kind has one private function that builds the whole certificate
-from its parsed input; the builder returns it, and the validator
-parses the certificate's own ``input``, rebuilds the certificate and
-diffs it from the root with no path skipped, naming the JSON path of
-each departure.  So ``input.openbook`` must be the book's canonical
-form, ``AbstractOpenBook.to_dict``: the ``format_word`` spelling, and a
+from its parsed input and derives every value in it (the annulus's
+core-twist total; the S5 reduction, with H1 before and after it).
+Builder and validator call it with the same arguments: a reader per
+kind parses the certificate's own ``input``, and one tail turns a
+rebuild's ValueError into a violation and diffs the rebuild from the
+root with no path skipped, naming the JSON path of each departure.  So
+``input.openbook`` must be the book's canonical form,
+``AbstractOpenBook.to_dict``: the ``format_word`` spelling, and a
 ``config`` exactly when the configuration is not the page's default
 system (``config_kind`` is "default" by the same rule,
 ``surface.is_default``).  The S5 avoidance checklist must list
 ``_AVOIDANCE_TABLE`` in table order, with the table's reasons.  Checked
-besides the diff: the kind and version, H1 before and after the S5
-normalization (recomputed), collar levels in (0, 1/2), the default
-census, and the types in a witness's page certificate that the diff,
-comparing 1, 1.0 and true as equal, cannot see.  Only
-``surface.load_config_override`` applies the kind rule.
+besides the diff: the kind and version, H1 unchanged by the S5
+normalization, collar levels in (0, 1/2), the default census, and the
+types in a witness's page certificate that the diff, comparing 1, 1.0
+and true as equal, cannot see.  Only ``surface.load_config_override``
+applies the kind rule.
 
 Certificate wire format (JSON): top-level keys are exactly
 {kind, version, input, scene, schedule, checks}, version 1.
@@ -28,9 +31,11 @@ Certificate wire format (JSON): top-level keys are exactly
 
 from __future__ import annotations
 
-from .openbook import (AbstractOpenBook, closed_h1, core_twist_total,
-                       reduce_to_one_boundary)
-from .surface import Surface, brief, canonical_json, is_default, lickorish_system, read_json
+from functools import reduce
+
+from .intlinalg import brief
+from .openbook import AbstractOpenBook, closed_h1, core_twist_total, reduce_to_one_boundary
+from .surface import Surface, canonical_json, is_default, lickorish_system, read_json
 
 VERSION = 1
 
@@ -148,7 +153,8 @@ def _witness(ob, framing):
     }
 
 
-def _annulus(ob, power):
+def _annulus(ob):
+    power = core_twist_total(ob)
     return {
         "kind": KIND_ANNULUS, "version": VERSION,
         "input": {"openbook": ob.to_dict()},
@@ -162,13 +168,10 @@ def _annulus(ob, power):
     }
 
 
-def _normalize(ob):
-    """The one-boundary reduction of ob, with H1 before and after it."""
+def _s5_plan(ob):
+    """The plan of ob's one-boundary reduction, with H1 before and after it."""
     reduced = reduce_to_one_boundary(ob)
-    return reduced, closed_h1(ob), closed_h1(reduced)
-
-
-def _s5_plan(ob, reduced, before, after):
+    before, after = closed_h1(ob), closed_h1(reduced)
     return {
         "kind": KIND_S5PLAN, "version": VERSION,
         "input": {"openbook": ob.to_dict(), "h1": before.as_dict()},
@@ -230,7 +233,7 @@ def build_annulus_s5(ob):
     Requires the page to be the annulus with a word of core twists;
     the realized power is the total signed exponent.
     """
-    return _annulus(ob, core_twist_total(ob))
+    return _annulus(ob)
 
 
 def build_s5_plan(ob):
@@ -243,10 +246,10 @@ def build_s5_plan(ob):
     Avoiding the zero section places everything in its complement, so
     the manifold lands in S3 x R2 and hence in S5.
     """
-    reduced, before, after = _normalize(ob)
-    if before != after:
+    plan = _s5_plan(ob)
+    if plan["checks"]["h1_before"] != plan["checks"]["h1_after"]:
         raise AssertionError("boundary reduction changed H1; stabilization bug")
-    return _s5_plan(ob, reduced, before, after)
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +297,16 @@ def _diff(path, want, got, out, source):
                    f"(recomputed for {source})")
 
 
-def _openbook(cert, out):
-    """The parse of the certificate's input book (None after recording why not)."""
+def _framing_ok(inp, path, out):
+    """Whether the framing is an int (not a bool) that converts to text; records why not."""
+    framing = _get(inp, "framing")
     try:
-        return AbstractOpenBook.from_dict(_get(cert.get("input"), "openbook"))
-    except ValueError as exc:
-        out.append(f"input.openbook: {exc}")
-        return None
+        if _is_int(framing) and str(framing):
+            return True
+        out.append(f"{path}.framing: missing integer framing")
+    except ValueError as exc:  # more digits than the interpreter writes, as DE(framing) needs
+        out.append(f"{path}.framing: {exc}")
+    return False
 
 
 def _flexible_input(inp, path, out):
@@ -313,9 +319,7 @@ def _flexible_input(inp, path, out):
         out.append(f"{path}.page: {exc}")
         return None
     found = len(out)
-    framing = _get(inp, "framing")
-    if not _is_int(framing):
-        out.append(f"{path}.framing: missing integer framing")
+    _framing_ok(inp, path, out)
     names = _get(inp, "curves")
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
         out.append(f"{path}.curves: expected a list of curve names")
@@ -323,7 +327,7 @@ def _flexible_input(inp, path, out):
     if config_kind not in ("default", "attached"):
         out.append(f"{path}.config_kind: expected 'default' or 'attached', "
                    f"got {brief(config_kind)}")
-    return None if len(out) > found else (page, framing, names, config_kind)
+    return None if len(out) > found else (page, inp["framing"], names, config_kind)
 
 
 def _check_levels(path, entries, out):
@@ -334,77 +338,59 @@ def _check_levels(path, entries, out):
         if not (_is_int(num) and _is_int(den)) or den == 0:
             out.append(f"{path}[{i}].level: malformed level")
         elif not 0 < 2 * num * den < den * den:
-            out.append(f"{path}[{i}].level: level {num}/{den} outside (0, 1/2)")
+            out.append(f"{path}[{i}].level: level {brief(num)}/{brief(den)} outside (0, 1/2)")
 
 
-def _validate_flexible(cert, out):
-    parsed = _flexible_input(cert.get("input"), "input", out)
-    if parsed is None:
-        return
-    page, framing, names, config_kind = parsed
-    if config_kind == "default" and tuple(names) != lickorish_system(page).names():
-        out.append("curve census does not match the default configuration")
-    _diff("", _flexible(page, framing, names, config_kind), cert, out, str(page))
-    _check_levels("schedule", cert.get("schedule"), out)
-
-
-def _validate_witness(cert, out):
-    ob = _openbook(cert, out)
-    if ob is None:
-        return
-    framing = _get(cert["input"], "framing")
-    if not _is_int(framing):
-        out.append("input.framing: missing integer framing")
-        return
-    want = _witness(ob, framing)
-    _diff("", want, cert, out, f"framing {framing}, {_parity(framing)} parity")
+def _check_page_types(cert, want, out):
+    """The types in a witness's page certificate that the diff, comparing 1, 1.0 and true
+    as equal, cannot see; an input unequal by value is a departure the diff reported."""
     page_cert = _get(cert.get("scene"), "page_certificate")
     if isinstance(page_cert, dict):
-        # what the diff cannot see, since it compares 1, 1.0 and true as equal; an
-        # input unequal by value is a departure the diff has reported
         path = "scene.page_certificate"
         version = page_cert.get("version")
         if version == VERSION and not _is_int(version):
-            out.append(f"{path}.version: unsupported version {version!r}")
+            out.append(f"{path}.version: unsupported version {brief(version)}")
         if (inp := page_cert.get("input")) == want["scene"]["page_certificate"]["input"]:
             _flexible_input(inp, f"{path}.input", out)
-        _check_levels(f"{path}.schedule", page_cert.get("schedule"), out)
 
 
-def _validate_annulus(cert, out):
-    ob = _openbook(cert, out)
-    if ob is None:
-        return
-    try:
-        power = core_twist_total(ob)
-    except ValueError as exc:
-        out.append(f"input.openbook: {exc}")
-        return
-    _diff("", _annulus(ob, power), cert, out, f"the word's total exponent {power}")
+def _read_flexible(inp, ob, out):
+    parsed = _flexible_input(inp, "input", out)
+    if parsed is None:
+        return None
+    page, framing, names, config_kind = parsed
+    if config_kind == "default" and tuple(names) != lickorish_system(page).names():
+        out.append("curve census does not match the default configuration")
+    return _flexible(page, framing, names, config_kind), str(page), "schedule"
 
 
-def _validate_s5_plan(cert, out):
-    ob = _openbook(cert, out)
-    if ob is None:
-        return
-    try:
-        reduced, before, after = _normalize(ob)
-    except ValueError as exc:  # a reduced page past the rank cap
-        out.append(f"input.openbook: {exc}")
-        return
+def _read_witness(inp, ob, out):
+    if _framing_ok(inp, "input", out):
+        framing = inp["framing"]
+        return (_witness(ob, framing), f"framing {framing}, {_parity(framing)} parity",
+                "scene.page_certificate.schedule")
+
+
+def _read_annulus(inp, ob, out):
+    cert = _annulus(ob)
+    return cert, f"the word's total exponent {cert['checks']['realized_power']}", None
+
+
+def _read_s5_plan(inp, ob, out):
+    plan = _s5_plan(ob)
     # H1 after the recomputed reduction cross-checks the stabilization code
-    if before != after:
+    if plan["checks"]["h1_before"] != plan["checks"]["h1_after"]:
         out.append("normalization changed H1")
-    _diff("", _s5_plan(ob, reduced, before, after), cert, out,
-          "the input and normalized open books")
-    _check_levels("schedule.generators", _get(cert.get("schedule"), "generators"), out)
+    return plan, "the input and normalized open books", "schedule.generators"
 
 
-_VALIDATORS = {
-    KIND_FLEXIBLE: _validate_flexible,
-    KIND_WITNESS: _validate_witness,
-    KIND_ANNULUS: _validate_annulus,
-    KIND_S5PLAN: _validate_s5_plan,
+# kind -> reader(input, parsed book or None, violations): the rebuilt certificate, what it
+# was recomputed for and the path of its collar levels (or None); None after recording why not
+_READERS = {
+    KIND_FLEXIBLE: _read_flexible,
+    KIND_WITNESS: _read_witness,
+    KIND_ANNULUS: _read_annulus,
+    KIND_S5PLAN: _read_s5_plan,
 }
 
 
@@ -420,11 +406,25 @@ def validate_certificate(cert):
     if not isinstance(cert, dict):
         raise ValueError("certificate must be a JSON object")
     kind = cert.get("kind", _MISSING)
-    if not isinstance(kind, str) or kind not in _VALIDATORS:
+    if not isinstance(kind, str) or kind not in _READERS:
         return [f"kind: unknown certificate kind {brief(kind)}"]
     version = cert.get("version")
     if not _is_int(version) or version != VERSION:
         return [f"unsupported version {brief(version)}"]
     out = []
-    _VALIDATORS[kind](cert, out)
+    inp = cert.get("input")
+    try:
+        ob = None if kind == KIND_FLEXIBLE else AbstractOpenBook.from_dict(_get(inp, "openbook"))
+        read = _READERS[kind](inp, ob, out)
+    except ValueError as exc:  # an unreadable book, or one its kind's rebuild refuses
+        out.append(f"input.openbook: {exc}")
+        return out
+    if read is None:
+        return out
+    want, source, levels = read
+    _diff("", want, cert, out, source)
+    if kind == KIND_WITNESS:
+        _check_page_types(cert, want, out)
+    if levels:
+        _check_levels(levels, reduce(_get, levels.split("."), cert), out)
     return out

@@ -102,6 +102,15 @@ from itertools import chain
 from math import gcd
 
 
+def brief(x):
+    """repr(x) cut to 60 characters, for messages about values read from outside."""
+    try:
+        text = repr(x)
+    except (RecursionError, ValueError):  # too deep, or an int past the digit limit
+        text = type(x).__name__
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 class Value:
     """An immutable value whose fields are its public ``__slots__``, in order.
 
@@ -168,7 +177,7 @@ class IntMatrix(Value):
         data = tuple(map(tuple, data))
         if not {int}.issuperset(map(type, chain.from_iterable(data))):
             bad = next(x for x in chain.from_iterable(data) if type(x) is not int)
-            raise ValueError(f"matrix entries must be integers, got {bad!r}")
+            raise ValueError(f"matrix entries must be integers, got {brief(bad)}")
         if len(data) != rows or any(len(row) != cols for row in data):
             raise ValueError("entry grid does not match declared shape")
         self._set(rows, cols, data)
@@ -204,8 +213,8 @@ class AbelianGroup(Value):
         # bool is a subclass of int, so it is rejected by the exact type test
         if type(free_rank) is not int or not isinstance(torsion, (list, tuple)) or any(
                 type(d) is not int for d in torsion):
-            raise ValueError(f"free rank and torsion must be integers, got {free_rank!r}, "
-                             f"{torsion!r}")
+            raise ValueError(f"free rank and torsion must be integers, got {brief(free_rank)}, "
+                             f"{brief(torsion)}")
         torsion = tuple(torsion)
         self._set(free_rank, torsion)
         if free_rank < 0:

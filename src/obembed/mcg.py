@@ -63,7 +63,7 @@ import struct
 from functools import lru_cache
 from operator import itemgetter
 
-from .intlinalg import IntMatrix, Value
+from .intlinalg import IntMatrix, Value, brief
 
 _LETTER = re.compile(r"t\(([A-Za-z][A-Za-z0-9_]*)\)(?:\^(-?\d+))?").fullmatch
 
@@ -89,7 +89,7 @@ class TwistWord(Value):
             # bool is a subclass of int, so it is rejected by the exact type test
             if not isinstance(name, str) or type(exp) is not int:
                 raise ValueError(f"twist letter needs a string name and an integer "
-                                 f"exponent, got ({name!r}, {exp!r})")
+                                 f"exponent, got ({brief(name)}, {brief(exp)})")
         self._set(tuple((name, exp) for name, exp in letters if exp))
 
     def __len__(self):

@@ -38,10 +38,10 @@ from __future__ import annotations
 
 from itertools import count
 
-from .intlinalg import AbelianGroup, IntMatrix, Value, cokernel
+from .intlinalg import AbelianGroup, IntMatrix, Value, brief, cokernel
 # arc_defect is unused here; bench/tracer.py wraps it under this module's name
 from .mcg import TwistWord, WordSyntaxError, arc_defect, format_word, parse_word, word_action
-from .surface import (ConfiguredCurve, CurveConfig, Surface, brief, canonical_json,
+from .surface import (ConfiguredCurve, CurveConfig, Surface, canonical_json,
                       config_from_dict, config_to_dict, default_curve, is_default, join_boundaries,
                       lickorish_system, read_json, split_boundary)
 
@@ -217,7 +217,7 @@ class SameBoundary(Value):
     def __init__(self, j):
         # bool is a subclass of int, so it is rejected by the exact type test
         if type(j) is not int:
-            raise ValueError(f"attachment index must be an integer, got {j!r}")
+            raise ValueError(f"attachment index must be an integer, got {brief(j)}")
         self._set(j)
 
 
@@ -228,7 +228,7 @@ class JoinBoundaries(Value):
 
     def __init__(self, j, k):
         if type(j) is not int or type(k) is not int:
-            raise ValueError(f"attachment indices must be integers, got {j!r}, {k!r}")
+            raise ValueError(f"attachment indices must be integers, got {brief(j)}, {brief(k)}")
         self._set(j, k)
 
 

@@ -80,7 +80,7 @@ from collections import OrderedDict
 from itertools import chain, compress
 from operator import lt
 
-from .intlinalg import Value
+from .intlinalg import Value, brief
 
 CURVE_KINDS = ("handle_a", "handle_b", "chain", "boundary_pair", "boundary_parallel")
 
@@ -104,15 +104,6 @@ def read_json(text):
         return json.loads(text)
     except RecursionError as exc:
         raise ValueError(str(exc)) from None
-
-
-def brief(x):
-    """repr(x) cut to 60 characters, for messages about values read from outside."""
-    try:
-        text = repr(x)
-    except (RecursionError, ValueError):  # too deep, or an int past the digit limit
-        text = type(x).__name__
-    return text if len(text) <= 60 else text[:57] + "..."
 
 
 class Surface(Value):

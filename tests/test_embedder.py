@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from obembed import AbstractOpenBook, Surface, parse_word
+from obembed import AbstractOpenBook, Surface, closed_h1, parse_word
+from obembed.intlinalg import brief
 from obembed.surface import config_to_dict, is_default
 from obembed.embedder import (TARGET_EVEN, TARGET_ODD, build_annulus_s5,
                               build_flexible_embedding, build_openbook_embedding,
@@ -516,3 +517,60 @@ def test_validation_calls_no_builder_and_no_nested_validation(monkeypatch):
                         lambda cert: calls.append(cert) or validate_certificate(cert))
     assert [embedder.validate_certificate(c) for c in certs] == [[]] * 4
     assert len(calls) == 4
+
+
+HUGE = 10 ** 5000  # past the digit limit of int-to-text conversion, where the interpreter has one
+
+
+def _set(cert, path, value):
+    cert = json.loads(certificate_to_json(cert))
+    node = cert
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cert
+
+
+@pytest.mark.parametrize("cert, path, where, source", [
+    (build_flexible_embedding(Surface(1, 2), 1), ("schedule",), "schedule", "Sigma_{1,2}"),
+    (build_openbook_embedding(book(1, 1, "t(a1) t(b1)^-2"), 3),
+     ("scene", "page_certificate", "schedule"), "scene.page_certificate.schedule",
+     "framing 3, odd parity"),
+    (build_s5_plan(book(0, 2, "t(d1)^2")), ("schedule", "generators"), "schedule.generators",
+     "the input and normalized open books"),
+    (build_openbook_embedding(book(1, 1, "t(a1) t(b1)^-2"), 3), ("input", "framing"),
+     "input.framing", None),
+], ids=["flexible_level", "witness_page_level", "s5_generator_level", "witness_framing"])
+def test_outside_ints_at_certificate_sites_are_violations(cert, path, where, source):
+    # each of these formatted the int and raised on a dict once it passed the digit limit
+    if source is None:
+        violations = validate_certificate(_set(cert, path, HUGE))
+        try:
+            str(HUGE)
+        except ValueError as exc:
+            assert violations == [f"input.framing: {exc}"]
+        else:  # no digit limit (before Python 3.11): the rebuild is diffed as for any framing
+            assert violations
+        return
+    level = cert
+    for key in path:
+        level = level[key]
+    level = level[0]["level"]
+    violations = validate_certificate(_set(cert, (*path, 0, "level", "num"), HUGE))
+    assert violations == [
+        f"{where}[0].level.num: expected {level['num']}, got {brief(HUGE)} "
+        f"(recomputed for {source})",
+        f"{where}[0].level: level {brief(HUGE)}/{level['den']} outside (0, 1/2)"]
+
+
+def test_s5_plan_h1_pair_is_checked_by_builder_and_validator(monkeypatch):
+    # a reduction that changes H1 would be a stabilization bug; only a stand-in makes one
+    import obembed.embedder as embedder
+    ob, other = book(1, 1, "t(a1)^2"), book(1, 1)
+    assert closed_h1(ob) != closed_h1(other)
+    monkeypatch.setattr(embedder, "reduce_to_one_boundary", lambda _: other)
+    with pytest.raises(AssertionError, match="boundary reduction changed H1"):
+        build_s5_plan(ob)
+    plan = embedder._s5_plan(ob)
+    assert plan["checks"]["h1_after"] == closed_h1(other).as_dict()
+    assert validate_certificate(plan) == ["normalization changed H1"]

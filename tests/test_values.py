@@ -199,3 +199,28 @@ def test_public_api_is_pinned():
     assert obembed.__all__ == PUBLIC_API
     for name in obembed.__all__:
         assert getattr(obembed, name) is not None
+
+
+def _deep_list():
+    x = []
+    for _ in range(100000):
+        x = [x]
+    return x
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda deep: TwistWord([(deep, 1)]),
+     "twist letter needs a string name and an integer exponent, got (list, 1)"),
+    (lambda deep: SameBoundary(deep), "attachment index must be an integer, got list"),
+    (lambda deep: JoinBoundaries(1, deep), "attachment indices must be integers, got 1, list"),
+    (lambda deep: AbelianGroup(deep), "free rank and torsion must be integers, got list, ()"),
+    (lambda deep: AbelianGroup.from_dict({"free_rank": 0, "torsion": deep}),
+     "free rank and torsion must be integers, got 0, list"),
+    (lambda deep: IntMatrix(1, 1, [[deep]]), "matrix entries must be integers, got list"),
+], ids=["TwistWord", "SameBoundary", "JoinBoundaries", "AbelianGroup", "AbelianGroup.from_dict",
+        "IntMatrix"])
+def test_constructors_name_a_deep_value_in_a_bounded_message(build, message):
+    # the repr of a list nested 100 000 deep raises RecursionError
+    with pytest.raises(ValueError) as info:
+        build(_deep_list())
+    assert str(info.value) == message
