@@ -367,7 +367,7 @@ def _read_flexible(inp, ob, out):
 def _read_witness(inp, ob, out):
     if _framing_ok(inp, "input", out):
         framing = inp["framing"]
-        return (_witness(ob, framing), f"framing {framing}, {_parity(framing)} parity",
+        return (_witness(ob, framing), f"framing {brief(framing)}, {_parity(framing)} parity",
                 "scene.page_certificate.schedule")
 
 

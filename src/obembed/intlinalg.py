@@ -5,12 +5,13 @@ arbitrarily large without overflow.  Matrices are immutable values;
 the reduction routines work on private copies.  ``Value`` is the base of
 every immutable class in the package: equality, hash and repr by field.
 
-``smith_normal_form`` is the reference: it tracks the unimodular
-transforms, whose entries can grow to tens of thousands of bits at rank
-twenty.  ``cokernel`` needs only the invariant factors and works modulo
-a determinant instead (Domich, Kannan and Trotter 1987; Kannan and
-Bachem 1979; Cohen, *A Course in Computational Algebraic Number Theory*,
-section 2.4):
+``smith_normal_form`` is the reference: it reduces one grid
+[[m, I], [I, 0]], so every row or column operation on m moves the
+unimodular transform u or v with it, and their entries can grow to tens
+of thousands of bits at rank twenty.  ``cokernel`` needs only the
+invariant factors and works modulo a determinant instead (Domich,
+Kannan and Trotter 1987; Kannan and Bachem 1979; Cohen, *A Course in
+Computational Algebraic Number Theory*, section 2.4):
 
 1. Fraction-free elimination (Bareiss 1968) gives the rank rho of the
    r x c relation matrix M and its last pivot Delta, a nonzero rho x rho
@@ -267,38 +268,30 @@ def smith_normal_form(m):
     satisfying d_i | d_{i+1}.  Pivots are chosen with minimal absolute
     value, which keeps entry growth down and the output deterministic.
     Total on every rectangular shape, including empty ones.
+
+    The work is done on one grid [[m, I_rows], [I_cols, 0]]: a row
+    operation on its first rows rows moves m and u together, a column
+    operation on its first cols columns moves m and v together, so
+    u * m * v = d holds by construction.
     """
     rows, cols = m.rows, m.cols
-    a = m.row_lists()
-    u = IntMatrix.identity(rows).row_lists()
-    v = IntMatrix.identity(cols).row_lists()
+    a = [list(row) + [int(i == k) for k in range(rows)] for i, row in enumerate(m.data)]
+    a += [[int(j == k) for k in range(cols)] + [0] * rows for j in range(cols)]
 
     def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
+        a[i], a[j] = a[j], a[i]
 
     def swap_cols(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, coeff):
-        # row_dst += coeff * row_src, tracked in u
-        arow, srow = a[dst], a[src]
-        for k in range(cols):
-            arow[k] += coeff * srow[k]
-        urow, usrc = u[dst], u[src]
-        for k in range(rows):
-            urow[k] += coeff * usrc[k]
+        # row_dst += coeff * row_src
+        a[dst] = [x + coeff * y for x, y in zip(a[dst], a[src])]
 
     def add_col(dst, src, coeff):
-        # col_dst += coeff * col_src, tracked in v
+        # col_dst += coeff * col_src
         for row in a:
-            row[dst] += coeff * row[src]
-        for row in v:
             row[dst] += coeff * row[src]
 
     t = 0
@@ -312,34 +305,26 @@ def smith_normal_form(m):
         while True:
             # Euclidean clearing of column t, then row t.  A nonzero
             # remainder is strictly smaller than the pivot, so swapping
-            # it into the pivot slot makes progress.
+            # it into the pivot slot makes progress.  A column add or
+            # swap touches only columns t and j, so row t stays clear
+            # left of j; only column t needs checking again.
             for i in range(t + 1, rows):
                 while a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
+                    add_row(i, t, -(a[i][t] // a[t][t]))
                     if a[i][t] != 0:
                         swap_rows(i, t)
             for j in range(t + 1, cols):
                 while a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
+                    add_col(j, t, -(a[t][j] // a[t][t]))
                     if a[t][j] != 0:
                         swap_cols(j, t)
             if any(a[i][t] != 0 for i in range(t + 1, rows)):
                 continue
-            if any(a[t][j] != 0 for j in range(t + 1, cols)):
-                continue
             # Fold in any entry the pivot does not divide yet; this is
             # what makes the diagonal a divisibility chain.
-            bad = None
             p = a[t][t]
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % p != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next((i for i in range(t + 1, rows)
+                        if any(a[i][j] % p for j in range(t + 1, cols))), None)
             if bad is None:
                 break
             add_row(t, bad, 1)
@@ -347,14 +332,11 @@ def smith_normal_form(m):
 
     for i in range(limit):
         if a[i][i] < 0:
-            for k in range(cols):
-                a[i][k] = -a[i][k]
-            for k in range(rows):
-                u[i][k] = -u[i][k]
+            a[i] = [-x for x in a[i]]
 
-    return (IntMatrix(rows, cols, a),
-            IntMatrix(rows, rows, u),
-            IntMatrix(cols, cols, v))
+    return (IntMatrix(rows, cols, [row[:cols] for row in a[:rows]]),
+            IntMatrix(rows, rows, [row[cols:] for row in a[:rows]]),
+            IntMatrix(cols, cols, [row[:cols] for row in a[rows:]]))
 
 
 def _bareiss(a):

@@ -119,7 +119,7 @@ class _Letters(dict):
     def __missing__(self, token):  # read a token; a bad one raises, and only good ones are kept
         m = _LETTER(token)
         if not m:
-            raise WordSyntaxError(f"bad twist letter {token!r} "
+            raise WordSyntaxError(f"bad twist letter {brief(token)} "
                                   "(expected t(<name>) with optional ^<int>)")
         name, exp = m.groups()
         try:

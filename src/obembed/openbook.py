@@ -73,7 +73,7 @@ class AbstractOpenBook(Value):
             raise ValueError("configuration belongs to a different surface")
         if not dict(word.letters).keys() <= config._index.keys():
             name = next(n for n in word.curve_names() if not config.has_curve(n))
-            raise ValueError(f"monodromy letter {name!r} is not a configured curve")
+            raise ValueError(f"monodromy letter {brief(name)} is not a configured curve")
         if label is not None and not isinstance(label, str):
             raise ValueError(f"label must be a string, got {brief(label)}")
         self._set(page, word, config, label)
@@ -113,7 +113,7 @@ def _field(lines, idx, key, least=None, what=None):
         raise OpenBookParseError(idx + 1, f"missing {key!r} line")
     head, _, value = lines[idx].partition(" ")
     if head != key:
-        raise OpenBookParseError(idx + 1, f"expected {key!r} line, got {lines[idx]!r}")
+        raise OpenBookParseError(idx + 1, f"expected {key!r} line, got {brief(lines[idx])}")
     value = value.strip()
     if least is None:
         return value
@@ -122,7 +122,7 @@ def _field(lines, idx, key, least=None, what=None):
             return n
     except ValueError:
         pass
-    raise OpenBookParseError(idx + 1, f"{key} must be a {what} integer, got {value!r}")
+    raise OpenBookParseError(idx + 1, f"{key} must be a {what} integer, got {brief(value)}")
 
 
 def parse_openbook(text):
@@ -154,7 +154,7 @@ def parse_openbook(text):
             except ValueError as exc:
                 raise OpenBookParseError(lineno, f"bad config payload: {exc}")
         elif line.strip():
-            raise OpenBookParseError(lineno, f"unexpected line {line!r}")
+            raise OpenBookParseError(lineno, f"unexpected line {brief(line)}")
     try:
         return AbstractOpenBook(page, word, lickorish_system(page) if cfg is None else cfg)
     except ValueError as exc:

@@ -40,7 +40,10 @@ twist trivially.  No two members share a class, so ``default_curve``
 reads a name off a support: a unit at Ai, at Bi or at Dj, Ai - A_{i+1},
 Dj + D_{j+1}, or -(D1 + ... + Dm) with m = n-1 (d_n) or n-2 (e_{n-1}).
 Stabilization pushes supports, so no system is built for a page on the
-way.  A configuration is the page's default exactly when it equals
+way.  ``lickorish_system`` keeps the systems it builds in one table,
+emptied before a new system would push the sum of their ranks past
+``SYSTEM_CACHE_RANK``: the rule of ``mcg``'s letter table.  A
+configuration is the page's default exactly when it equals
 ``lickorish_system(page)`` (``is_default``); an open book carries a
 ``config`` line exactly when its configuration is not the default.
 
@@ -76,7 +79,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections import OrderedDict
 from itertools import chain, compress
 from operator import lt
 
@@ -89,10 +91,11 @@ CURVE_KINDS = ("handle_a", "handle_b", "chain", "boundary_pair", "boundary_paral
 # measured per-operation budget.
 MAX_PAGE_RANK = 1000
 
-# lickorish_system keeps the most recently used systems while their ranks
-# sum to at most this.  At rank 1000 a system takes 0.79 MiB on Sigma_{0,1001}
-# and 0.44 MiB on Sigma_{500,1}, and all its CurveConfig.twist tables 0.73 and
-# 0.39 MiB more (tracemalloc, Python 3.11): the cache stays within about 3 MiB.
+# lickorish_system keeps the systems it builds while their ranks sum to at
+# most this, and empties its table before a new one would pass it.  At rank
+# 1000 a system takes 0.79 MiB on Sigma_{0,1001} and 0.44 MiB on
+# Sigma_{500,1}, and all its CurveConfig.twist tables 0.73 and 0.39 MiB more
+# (tracemalloc, Python 3.11): the cache stays within about 3 MiB.
 SYSTEM_CACHE_RANK = 2 * MAX_PAGE_RANK
 
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -343,23 +346,20 @@ def default_curve(surface, c):
     return name and (name, _KINDS[name[0]])
 
 
-_systems = OrderedDict()  # Surface -> CurveConfig, least recently used first
+_systems = {}  # Surface -> CurveConfig, emptied when full
 
 
 def lickorish_system(surface):
     """The default curve system: immutable, so shared while cached (``SYSTEM_CACHE_RANK``)."""
     cfg = _systems.get(surface)
     if cfg is not None:
-        _systems.move_to_end(surface)
         return cfg
+    if sum(s.h1_rank for s in _systems) + surface.h1_rank > SYSTEM_CACHE_RANK:
+        _systems.clear()
     # on a planar page a null class bounds a disk: the disk's d1, the annulus' e1
     curves = [ConfiguredCurve._of(*row) for row in _default_table(surface)
               if surface.genus or row[2]]
     cfg = _systems[surface] = CurveConfig(surface, curves)
-    total = sum(s.h1_rank for s in _systems)
-    while total > SYSTEM_CACHE_RANK:
-        evicted, _ = _systems.popitem(last=False)
-        total -= evicted.h1_rank
     return cfg
 
 

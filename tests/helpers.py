@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import re
 
 from obembed import (AbstractOpenBook, ConfiguredCurve, CurveConfig, IntMatrix, JoinBoundaries,
                      SameBoundary, Surface, TwistWord, WordSyntaxError, lickorish_system,
-                     load_config_override)
-from obembed.intlinalg import _xgcd_step
+                     load_config_override, parse_word)
+from obembed.intlinalg import _xgcd_step, brief
 from obembed.mcg import RelationCheck, RelationReport
 
 _LETTER_RE = re.compile(r"^t\(([A-Za-z][A-Za-z0-9_]*)\)(?:\^(-?\d+))?$")
@@ -38,7 +39,7 @@ def parse_word_by_tokens(text):
     for token in text.split():
         m = _LETTER_RE.match(token)
         if not m:
-            raise WordSyntaxError(f"bad twist letter {token!r} "
+            raise WordSyntaxError(f"bad twist letter {brief(token)} "
                                   "(expected t(<name>) with optional ^<int>)")
         try:
             exp = int(m.group(2) or 1)
@@ -391,6 +392,52 @@ def random_unimodular(rng, n, steps=12):
             for k in range(n):
                 a[i][k] = -a[i][k]
     return IntMatrix(n, n, a)
+
+
+def book(g, n, word_text="", label=None):
+    """The book of a word over the default system of Sigma_{g,n}."""
+    return AbstractOpenBook.with_default_config(Surface(g, n), parse_word(word_text), label)
+
+
+def field_paths(obj, prefix=()):
+    """The path (key and index tuple) of every field below obj, depth first."""
+    if prefix:
+        yield prefix
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from field_paths(value, prefix + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from field_paths(value, prefix + (i,))
+
+
+def deep_list():
+    """A list nested 100 000 deep, past the interpreter's recursion limit."""
+    x = []
+    for _ in range(100000):
+        x = [x]
+    return x
+
+
+def distinct_pair(rng, n):
+    """Two distinct ints j, k of 1..n: j, then k drawn again until it differs."""
+    j = rng.randint(1, n)
+    k = rng.randint(1, n)
+    while k == j:
+        k = rng.randint(1, n)
+    return j, k
+
+
+def fixed_length_word(rng, names, length, exps=(-2, -1, 1, 2)):
+    """length letters, each a name and then an exponent drawn from rng."""
+    return TwistWord(tuple((rng.choice(names), rng.choice(exps)) for _ in range(length)))
+
+
+def fixed_length_book(g, n, length, seed):
+    """A book of length letters (``fixed_length_word``) over the default system of Sigma_{g,n}."""
+    cfg = lickorish_system(Surface(g, n))
+    word = fixed_length_word(random.Random(seed), cfg.names(), length)
+    return AbstractOpenBook(cfg.surface, word, cfg)
 
 
 def random_word(rng, cfg, max_len=10, max_exp=3):

@@ -22,8 +22,8 @@ from obembed import (AbelianGroup, AbstractOpenBook, IntMatrix, JoinBoundaries,
 from obembed.embedder import (TARGET_EVEN, TARGET_ODD, build_openbook_embedding,
                               build_s5_plan, validate_certificate)
 
-from helpers import (det_bareiss, diagonal, from_rows, is_identity, mat_mul, mat_rows,
-                     random_int_matrix, random_open_book, random_word)
+from helpers import (book, det_bareiss, diagonal, distinct_pair, from_rows, is_identity,
+                     mat_mul, mat_rows, random_int_matrix, random_open_book, random_word)
 
 ORACLE_TA = from_rows([[1, -1], [0, 1]])
 ORACLE_TB = from_rows([[1, 0], [1, 1]])
@@ -43,10 +43,6 @@ def criterion(number, name, budget_seconds=None):
               f"budget {budget_seconds}s)")
         raise AssertionError(f"criterion {number} exceeded its {budget_seconds}s budget")
     print(f"ACCEPTANCE {number} [{name}]: PASS ({elapsed:.2f}s)")
-
-
-def book(g, n, word_text=""):
-    return AbstractOpenBook.with_default_config(Surface(g, n), parse_word(word_text))
 
 
 def test_criterion_01_lens_space_family():
@@ -112,10 +108,7 @@ def test_criterion_06_stabilization_invariance():
             same = stabilize_positive(ob, SameBoundary(rng.randint(1, n)))
             assert closed_h1(same) == h
             if n >= 2:
-                j = rng.randint(1, n)
-                k = rng.randint(1, n)
-                while k == j:
-                    k = rng.randint(1, n)
+                j, k = distinct_pair(rng, n)
                 joined = stabilize_positive(ob, JoinBoundaries(j, k))
                 assert closed_h1(joined) == h
             reduced = reduce_to_one_boundary(ob)

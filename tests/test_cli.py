@@ -14,6 +14,7 @@ import obembed
 from obembed import cli, embedder
 from obembed.cli import run
 
+from helpers import deep_list
 import test_openbook
 
 LENS5 = "openbook v1\ngenus 0\nboundary 2\nword t(d1)^5\n"
@@ -238,6 +239,52 @@ def test_validate_tampered_exits_1(lens_file, tmp_path):
     code, out, _ = go("validate", str(cert_path))
     assert code == 1
     assert "VIOLATION" in out
+
+
+LONG = "x" * 10 ** 6
+GENUS1 = "openbook v1\ngenus 1\nboundary 1\n"
+
+
+def _tampered_long_witness():
+    """A witness with a 4000-digit framing and four tampered leaves, as JSON text."""
+    cert = embedder.build_openbook_embedding(obembed.AbstractOpenBook.with_default_config(
+        obembed.Surface(1, 1), obembed.parse_word("t(a1) t(b1)^-2")), 10 ** 3999)
+    cert["scene"]["target"] = "x"
+    cert["scene"]["bundle"]["total_space"] = "x"
+    cert["schedule"][0]["exponent"] = 5
+    cert["checks"]["word_length"] = 7
+    return embedder.certificate_to_json(cert)
+
+
+@pytest.mark.parametrize("command, text, where", [
+    ("h1", GENUS1 + f"word t(a1) {LONG}\n", "line 4: bad twist letter"),
+    ("h1", GENUS1 + f"word t(a1) t({LONG})\n", "line 4: monodromy letter"),
+    ("h1", f"openbook v1\n{LONG}\nboundary 1\nword\n", "line 2: expected 'genus' line"),
+    ("h1", f"openbook v1\ngenus {LONG}\nboundary 1\nword\n", "line 2: genus must be"),
+    ("h1", GENUS1 + f"word t(a1)\n{LONG}\n", "line 5: unexpected line"),
+    ("validate", _tampered_long_witness(), "scene.target: expected"),
+], ids=["twist_letter", "monodromy_letter", "field_line", "field_value", "unexpected_line",
+        "witness_framing"])
+def test_messages_about_long_input_stay_short(command, text, where, tmp_path):
+    """Each message shows an outside value cut by brief: in-process, alone and in a manifest."""
+    if command == "h1":
+        with pytest.raises(obembed.OpenBookParseError) as info:
+            obembed.parse_openbook(text)
+        messages = [str(info.value)]
+        code, shown, record = 2, ("", f"parse error: {messages[0]}\n"), {"error": messages[0]}
+    else:
+        messages = embedder.validate_certificate(text)
+        code, record = 1, {"violations": messages}
+        shown = ("".join(f"VIOLATION: {m}\n" for m in messages), "")
+    assert messages[0].startswith(where)
+    assert all(len(m) < 200 for m in messages)
+    p = tmp_path / "input"
+    p.write_text(text)
+    assert go(command, str(p)) == (code, *shown)
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"{p}\n")
+    code_m, out, _ = go(command, "--manifest", str(manifest))
+    assert (code_m, json.loads(out)) == (code, {"input": str(p), **record})
 
 
 def test_embed_s5(lens_file, tmp_path):
@@ -510,13 +557,6 @@ DEEP = "[" * 100000  # JSON nested past the interpreter's recursion limit
 RECURSION = "maximum recursion depth exceeded"
 
 
-def _deep_list():
-    x = []
-    for _ in range(100000):
-        x = [x]
-    return x
-
-
 def _cli(command, text, tmp_path):
     """(code, stdout, stderr up to the JSON reader's message, its last character) of command
     on a file holding text, once a --manifest record of the file is seen to carry that error."""
@@ -550,7 +590,7 @@ def _deep_input(cert, *path, config=None):
     node = cert["input"]
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = _deep_list()
+    node[path[-1]] = deep_list()
     return cert
 
 
@@ -565,12 +605,12 @@ CONFIG = {"curves": [{"name": "n", "kind": "handle_a", "class": [1, 0]}]}
      RECURSION),
     (lambda _: _error(lambda: embedder.validate_certificate(DEEP)), RECURSION),
     (lambda _: _error(lambda: embedder.validate_certificate('{"kind": ' + DEEP)), RECURSION),
-    (lambda _: embedder.validate_certificate({"kind": _deep_list()}),
+    (lambda _: embedder.validate_certificate({"kind": deep_list()}),
      ["kind: unknown certificate kind list"]),
-    (lambda _: embedder.validate_certificate({**FLEXIBLE, "version": _deep_list()}),
+    (lambda _: embedder.validate_certificate({**FLEXIBLE, "version": deep_list()}),
      ["unsupported version list"]),
     (lambda _: embedder.validate_certificate(
-        {**FLEXIBLE, "scene": {**FLEXIBLE["scene"], "twisted_band": _deep_list()}}),
+        {**FLEXIBLE, "scene": {**FLEXIBLE["scene"], "twisted_band": deep_list()}}),
      ["scene.twisted_band: expected an object, got list (recomputed for Sigma_{1,2})"]),
     (lambda _: embedder.validate_certificate(_deep_input(FLEXIBLE, "page", "genus")),
      ["input.page: genus and boundary must be integers, got list, 2"]),

@@ -19,11 +19,12 @@ import random
 from pathlib import Path
 
 from obembed import (AbstractOpenBook, JoinBoundaries, SameBoundary, Surface, closed_h1,
-                     TwistWord, lickorish_system, mapping_torus_h1, parse_openbook,
-                     stabilize_positive)
+                     lickorish_system, mapping_torus_h1, parse_openbook, stabilize_positive)
 from obembed.embedder import (build_annulus_s5, build_flexible_embedding,
                               build_openbook_embedding, build_s5_plan,
                               certificate_to_json)
+
+from helpers import fixed_length_word
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 LARGEST_RUNG = (6, 2, 400)
@@ -84,26 +85,21 @@ def test_h1_highrank_values():
     assert wrong_h1(books) == []
 
 
-def fixed_length_word(rng, names, length):
-    return TwistWord(tuple((rng.choice(names), rng.choice((-3, -2, -1, 1, 2, 3)))
-                           for _ in range(length)))
-
-
 def test_highrank_stabilization_and_conjugation_invariance():
     rng = random.Random(2026)
     torsion_seen = 0
     for genus, boundary in ((10, 1), (10, 3), (11, 1), (11, 2), (12, 1), (12, 2)):
         page = Surface(genus, boundary)
         cfg = lickorish_system(page)
-        names = cfg.names()
-        word = fixed_length_word(rng, names, 100)
+        names, exps = cfg.names(), (-3, -2, -1, 1, 2, 3)
+        word = fixed_length_word(rng, names, 100, exps)
         ob = AbstractOpenBook(page, word, cfg)
         h = closed_h1(ob)
         torsion_seen += bool(h.torsion)
         assert closed_h1(stabilize_positive(ob, SameBoundary(boundary))) == h
         if boundary >= 2:
             assert closed_h1(stabilize_positive(ob, JoinBoundaries(1, boundary))) == h
-        psi = fixed_length_word(rng, names, 6)
+        psi = fixed_length_word(rng, names, 6, exps)
         conj = psi.concat(word).concat(psi.inverse())
         assert closed_h1(AbstractOpenBook(page, conj, cfg)) == h
     assert torsion_seen

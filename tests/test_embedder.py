@@ -13,11 +13,7 @@ from obembed.embedder import (TARGET_EVEN, TARGET_ODD, build_annulus_s5,
                               build_s5_plan, certificate_to_json,
                               validate_certificate)
 
-from helpers import override_book, random_open_book
-
-
-def book(g, n, word_text=""):
-    return AbstractOpenBook.with_default_config(Surface(g, n), parse_word(word_text))
+from helpers import book, field_paths, override_book, random_open_book
 
 
 # flexible page embeddings
@@ -325,17 +321,6 @@ def test_witness_page_certificate_must_belong_to_the_input():
     assert any(v.startswith("scene.page_certificate.input") for v in violations)
 
 
-def _paths(obj, prefix=()):
-    if prefix:
-        yield prefix
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            yield from _paths(value, prefix + (key,))
-    elif isinstance(obj, list):
-        for i, value in enumerate(obj):
-            yield from _paths(value, prefix + (i,))
-
-
 def test_validator_is_total_on_single_field_mutations():
     # Every field of one certificate per kind set to each JSON shape; the
     # validator must answer with violations, never raise.
@@ -347,7 +332,7 @@ def test_validator_is_total_on_single_field_mutations():
     raised = []
     cases = 0
     for cert in certs:
-        for path in list(_paths(cert)):
+        for path in list(field_paths(cert)):
             parent = cert
             for key in path[:-1]:
                 parent = parent[key]

@@ -6,6 +6,7 @@ column reduction before the library existed:
 invariant factors are 2 and 8/2 = 4.
 """
 
+import hashlib
 import random
 from math import gcd
 
@@ -81,6 +82,40 @@ def test_snf_random_properties():
         rows, cols = rng.randint(0, 6), rng.randint(0, 6)
         m = random_int_matrix(rng, rows, cols, -15, 15)
         snf_is_consistent(m)
+
+
+def snf_pin_cases():
+    """About 300 seeded matrices: empty and one-sided shapes, random, unimodular-mixed, huge."""
+    rng = random.Random(20261020)
+    cases = [zeros(r, c) for r, c in [(0, 0), (0, 1), (0, 4), (1, 0), (4, 0), (1, 1), (3, 2)]]
+    for n in range(1, 9):
+        cases.append(random_int_matrix(rng, 1, n, -12, 12))
+        cases.append(random_int_matrix(rng, n, 1, -12, 12))
+    for _ in range(117):
+        cases.append(random_int_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), -15, 15))
+    for n in range(1, 11):
+        cases.append(random_unimodular(rng, n))
+    for _ in range(50):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        left, right = random_unimodular(rng, rows), random_unimodular(rng, cols)
+        cases.append(mat_mul(left, random_int_matrix(rng, rows, cols, -6, 6), right))
+    for _ in range(100):
+        rows, cols, big = rng.randint(1, 8), rng.randint(1, 8), 10 ** rng.randint(1, 30)
+        density = rng.random()
+        cases.append(IntMatrix(rows, cols, [[rng.randint(-big, big) if rng.random() < density else 0
+                                             for _ in range(cols)] for _ in range(rows)]))
+    return cases
+
+
+def test_snf_outputs_are_pinned():
+    # (d, u, v) bit for bit, as computed before the one-grid rewrite of smith_normal_form
+    digest = hashlib.sha256()
+    cases = snf_pin_cases()
+    for m in cases:
+        digest.update(repr(tuple(x.data for x in smith_normal_form(m))).encode())
+    assert len(cases) == 300
+    assert digest.hexdigest() == (
+        "ab44d654cb0e5c521fcd21ccfadb74177b1eca962f2a30d081b869f3fbb99d00")
 
 
 def test_snf_matches_sympy_invariant_factors():

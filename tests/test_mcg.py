@@ -24,8 +24,8 @@ from obembed import (AbstractOpenBook, ConfiguredCurve, CurveConfig, IntMatrix,
 from obembed import mcg
 from obembed.mcg import RelationCheck
 
-from helpers import (apply, dense, det_bareiss, from_rows, is_identity, mat_mul, mat_rows,
-                     pairing_matrix, parse_word_by_tokens, random_word,
+from helpers import (apply, dense, det_bareiss, fixed_length_word, from_rows, is_identity,
+                     mat_mul, mat_rows, pairing_matrix, parse_word_by_tokens, random_word,
                      relation_report_by_matrices, relation_report_by_rows, sparse, transpose,
                      twist_matrix, unit, word_action_by_rows)
 
@@ -540,19 +540,13 @@ def test_entries_crossing_two_to_the_63_widen_the_lanes(word, monkeypatch):
 # package's word action or arc defect with a computation that goes
 # through twist_matrix, the pairing matrix and det_bareiss only.
 
-def fixed_length_word(rng, cfg, length):
-    names = cfg.names()
-    return TwistWord(tuple((rng.choice(names), rng.choice((-2, -1, 1, 2)))
-                           for _ in range(length)))
-
-
 @pytest.mark.parametrize("g, n", [(50, 1), (48, 9), (55, 11)])
 def test_word_action_is_symplectic_and_unimodular_at_rank_100_plus(g, n):
     cfg, page = setup_surface(g, n)
     assert 100 <= page.h1_rank <= 120
     rng = random.Random(1000 * g + n)
     j = pairing_matrix(page)
-    phi = word_action(fixed_length_word(rng, cfg, 200), cfg)
+    phi = word_action(fixed_length_word(rng, cfg.names(), 200), cfg)
     assert not is_identity(phi)
     assert mat_mul(transpose(phi), j, phi) == j
     assert det_bareiss(mat_rows(phi)) == 1
@@ -585,7 +579,7 @@ def test_arc_defect_cocycle_at_rank_60_plus():
     rng = random.Random(43)
     seen_nonzero = False
     for _ in range(2):
-        w1, w2 = fixed_length_word(rng, cfg, 25), fixed_length_word(rng, cfg, 25)
+        w1, w2 = fixed_length_word(rng, cfg.names(), 25), fixed_length_word(rng, cfg.names(), 25)
         for i in (1, 11):
             d1, d2 = arc_defect(w1, i, cfg), arc_defect(w2, i, cfg)
             assert d1 == _defect_by_twist_matrices(w1, i, cfg)
@@ -607,7 +601,7 @@ def test_arcs_action_on_letters_with_pairing_and_shift():
     # twist-matrix recursion, and its leading block Phi the matrix product.
     rng = random.Random(53)
     cfg, page = setup_surface(1, 4)
-    ob = stabilize_positive(AbstractOpenBook(page, fixed_length_word(rng, cfg, 30), cfg),
+    ob = stabilize_positive(AbstractOpenBook(page, fixed_length_word(rng, cfg.names(), 30), cfg),
                             JoinBoundaries(1, 3))
     page = ob.page
     extra = [("p2", (1, 0, 1, 0, 0, 0)), ("p2s", (1, 0, 1, 0, 1, 0)),
@@ -619,7 +613,8 @@ def test_arcs_action_on_letters_with_pairing_and_shift():
     assert arcs == 2
     both = {name for name in cfg.names() if cfg.twist(name)[1] and cfg.twist(name)[2]}
     assert {"e1", "e2", "e3"} <= both
-    words = (ob.word, fixed_length_word(rng, cfg, 40), fixed_length_word(rng, cfg, 40))
+    words = (ob.word, fixed_length_word(rng, cfg.names(), 40),
+             fixed_length_word(rng, cfg.names(), 40))
     # (pairing length, capped at 3, and whether there is an arc shift) of every letter
     shapes = {(min(len(cfg.twist(name)[1]), 3), bool(cfg.twist(name)[2]))
               for w in words for name, _ in w}
@@ -646,7 +641,7 @@ def test_word_action_matches_twist_matrix_product_at_rank_30():
     assert page.h1_rank == 30
     rng = random.Random(47)
     for _ in range(4):
-        w = fixed_length_word(rng, cfg, 12)
+        w = fixed_length_word(rng, cfg.names(), 12)
         product = IntMatrix.identity(page.h1_rank)
         for name, exp in w:
             product = mat_mul(product, twist_matrix(cfg.curve(name), exp, page))

@@ -28,15 +28,10 @@ from obembed import surface as surface_module
 from obembed.openbook import core_twist_total, read_text
 from obembed.surface import config_to_dict
 
-from helpers import (dense, override_book, random_open_book, random_word, reduce_by_joins,
-                     sparse, stabilize_by_system)
+from helpers import (book, dense, distinct_pair, fixed_length_book, override_book,
+                     random_open_book, random_word, reduce_by_joins, sparse, stabilize_by_system)
 
 trivial = AbelianGroup(0)
-
-
-def book(g, n, word_text="", label=None):
-    return AbstractOpenBook.with_default_config(Surface(g, n),
-                                                parse_word(word_text), label)
 
 
 def test_page_must_have_boundary():
@@ -181,16 +176,6 @@ def test_conjugation_invariance():
 # small primes, the determinant, and invariance under stabilization and
 # conjugation.  The words are long enough that Phi - I has full rank.
 
-def long_word_book(g, n, length):
-    page = Surface(g, n)
-    cfg = lickorish_system(page)
-    rng = random.Random(1000 * g + n)
-    names = cfg.names()
-    word = TwistWord(tuple((rng.choice(names), rng.choice((-2, -1, 1, 2)))
-                           for _ in range(length)))
-    return AbstractOpenBook(page, word, cfg)
-
-
 def relation_rows(ob):
     """Phi - I and one defect column per arc, built from the word action alone."""
     phi = word_action(ob.word, ob.config)
@@ -206,7 +191,7 @@ def test_closed_h1_local_ranks_mod_p_at_rank_100_plus(g, n):
     # Z^f + sum Z/d_i tensored with F_p has dimension f + #{d_i : p | d_i},
     # which is also rows - rank_Fp of the relation matrix.
     from helpers import rank_mod_p
-    ob = long_word_book(g, n, 2000)
+    ob = fixed_length_book(g, n, 2000, 1000 * g + n)
     rows = relation_rows(ob)
     assert 100 <= len(rows) <= 120
     h = closed_h1(ob)
@@ -220,7 +205,7 @@ def test_closed_h1_local_ranks_mod_p_at_rank_100_plus(g, n):
 def test_torsion_order_equals_det_at_rank_100_plus(g, length):
     from math import prod
     from helpers import det_bareiss
-    ob = long_word_book(g, 1, length)
+    ob = fixed_length_book(g, 1, length, 1000 * g + 1)
     det = det_bareiss(relation_rows(ob))
     assert det != 0
     h = closed_h1(ob)
@@ -229,7 +214,7 @@ def test_torsion_order_equals_det_at_rank_100_plus(g, length):
 
 
 def test_closed_h1_invariance_at_rank_100_plus():
-    ob = long_word_book(50, 3, 1500)
+    ob = fixed_length_book(50, 3, 1500, 50003)
     assert ob.page.h1_rank == 102
     h = closed_h1(ob)
     assert len(h.torsion) > 5
@@ -353,10 +338,7 @@ def test_stabilize_euler_characteristic_drops_by_one():
         st = stabilize_positive(ob, SameBoundary(rng.randint(1, n)))
         assert st.page.euler_characteristic == ob.page.euler_characteristic - 1
         if n >= 2:
-            j = rng.randint(1, n)
-            k = rng.randint(1, n)
-            while k == j:
-                k = rng.randint(1, n)
+            j, k = distinct_pair(rng, n)
             st = stabilize_positive(ob, JoinBoundaries(j, k))
             assert st.page.euler_characteristic == ob.page.euler_characteristic - 1
 
@@ -370,10 +352,7 @@ def test_stabilize_preserves_closed_h1_fuzz():
         st = stabilize_positive(ob, SameBoundary(rng.randint(1, n)))
         assert closed_h1(st) == h
         if n >= 2:
-            j = rng.randint(1, n)
-            k = rng.randint(1, n)
-            while k == j:
-                k = rng.randint(1, n)
+            j, k = distinct_pair(rng, n)
             st = stabilize_positive(ob, JoinBoundaries(j, k))
             assert closed_h1(st) == h
 
@@ -386,10 +365,7 @@ def test_stacked_stabilizations_preserve_h1():
         for _ in range(3):
             n = ob.page.boundary_count
             if n >= 2 and rng.random() < 0.5:
-                j = rng.randint(1, n)
-                k = rng.randint(1, n)
-                while k == j:
-                    k = rng.randint(1, n)
+                j, k = distinct_pair(rng, n)
                 ob = stabilize_positive(ob, JoinBoundaries(j, k))
             else:
                 ob = stabilize_positive(ob, SameBoundary(rng.randint(1, n)))
@@ -413,14 +389,6 @@ def test_reduce_to_one_boundary():
 
 
 # one-pass reduction against one stabilization per join
-
-def _random_book(g, n, length, seed):
-    rng = random.Random(seed)
-    cfg = lickorish_system(Surface(g, n))
-    names = cfg.names()
-    letters = tuple((rng.choice(names), rng.choice([-2, -1, 1, 2])) for _ in range(length))
-    return AbstractOpenBook(cfg.surface, TwistWord(letters), cfg)
-
 
 @st.composite
 def stabilized_books(draw):
@@ -482,7 +450,7 @@ def test_reduction_canonicalizes_at_some_joins_and_not_others():
     assert reduced.config.curve("d4").support == ((3, -1), (5, -1), (7, -1))
     assert reduced.page.h1_rank == 8
     # a base curve mixes handle and D coordinates at the first join, and never matches again
-    ob = _random_book(1, 4, 12, 3)
+    ob = fixed_length_book(1, 4, 12, 3)
     reduced, steps = reduce_by_joins(ob)
     assert not any(steps) and "t(d4)" in format_word(ob.word)
     assert reduce_to_one_boundary(ob) == reduced
@@ -500,7 +468,7 @@ def test_reduction_fresh_names_skip_override_names():
 
 
 def test_reduction_builds_at_most_the_final_system(monkeypatch):
-    ob = _random_book(2, 40, 200, 1)
+    ob = fixed_length_book(2, 40, 200, 1)
     table, calls = surface_module._default_table, []
     monkeypatch.setattr(surface_module, "_default_table",
                         lambda page: calls.append(page) or table(page))

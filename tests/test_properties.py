@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 
 from obembed import (AbelianGroup, AbstractOpenBook, JoinBoundaries, SameBoundary, Surface,
                      TwistWord, lickorish_system, load_config_override, parse_openbook,
-                     parse_word, serialize_openbook, stabilize_positive)
+                     serialize_openbook, stabilize_positive)
 from obembed.surface import CURVE_KINDS, config_from_dict
 from obembed.embedder import (build_annulus_s5, build_flexible_embedding,
                               build_openbook_embedding, build_s5_plan, validate_certificate)
 
-from helpers import override_book
+from helpers import book, field_paths, override_book
 
 
 @st.composite
@@ -56,28 +56,13 @@ def test_parse_serialize_round_trip(ob):
     assert AbstractOpenBook.from_dict(ob.to_dict()) == ob
 
 
-def _book(g, n, word):
-    return AbstractOpenBook.with_default_config(Surface(g, n), parse_word(word))
-
-
 CERTIFICATES = [build_flexible_embedding(Surface(1, 2), 1),
-                build_openbook_embedding(_book(1, 1, "t(a1) t(b1)^-2"), 3),
-                build_annulus_s5(_book(0, 2, "t(d1)^3 t(d2)")),
-                build_s5_plan(_book(0, 2, "t(d1)^2"))]
+                build_openbook_embedding(book(1, 1, "t(a1) t(b1)^-2"), 3),
+                build_annulus_s5(book(0, 2, "t(d1)^3 t(d2)")),
+                build_s5_plan(book(0, 2, "t(d1)^2"))]
 
 
-def _paths(obj, prefix=()):
-    if prefix:
-        yield prefix
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            yield from _paths(value, prefix + (key,))
-    elif isinstance(obj, list):
-        for i, value in enumerate(obj):
-            yield from _paths(value, prefix + (i,))
-
-
-FIELDS = [(i, path) for i, cert in enumerate(CERTIFICATES) for path in _paths(cert)]
+FIELDS = [(i, path) for i, cert in enumerate(CERTIFICATES) for path in field_paths(cert)]
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=8)

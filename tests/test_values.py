@@ -19,7 +19,7 @@ from obembed import (AbelianGroup, AbstractOpenBook, ConfiguredCurve, CurveConfi
                      parse_word, relation_report)
 from obembed.mcg import RelationCheck, RelationReport
 
-from helpers import from_rows, transpose
+from helpers import deep_list, from_rows, transpose
 
 ANNULUS = Surface(0, 2)
 ANNULUS_TEXT = "Surface(genus=0, boundary_count=2)"
@@ -201,13 +201,6 @@ def test_public_api_is_pinned():
         assert getattr(obembed, name) is not None
 
 
-def _deep_list():
-    x = []
-    for _ in range(100000):
-        x = [x]
-    return x
-
-
 @pytest.mark.parametrize("build, message", [
     (lambda deep: TwistWord([(deep, 1)]),
      "twist letter needs a string name and an integer exponent, got (list, 1)"),
@@ -222,5 +215,5 @@ def _deep_list():
 def test_constructors_name_a_deep_value_in_a_bounded_message(build, message):
     # the repr of a list nested 100 000 deep raises RecursionError
     with pytest.raises(ValueError) as info:
-        build(_deep_list())
+        build(deep_list())
     assert str(info.value) == message
