@@ -4,7 +4,9 @@ Subcommands: h1, mt-h1, identify, stabilize, reduce, embed, embed-s5,
 validate, relations.  Exit codes: 0 success, 1 validation failure,
 2 parse or usage error.  Read commands take --json for machine output
 and --manifest to run over many inputs (newline-delimited JSON, in
-manifest order).
+manifest order).  An argv whose first word names a subcommand is parsed
+by that subcommand's parser alone; any other goes to the top-level one,
+with the same help, usage errors and exit codes either way.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ class _MalformedCertificate(ValueError):
 
 @functools.cache
 def _build_parser():
-    """The argparse tree, built on first use and shared by every ``run``.
+    """(top-level parser, subcommand name -> its parser), built on first use and shared.
 
-    Parsing keeps no state in it: each call gets a fresh namespace.
+    Parsing keeps no state in them: each call gets a fresh namespace.
     """
     parser = _ArgumentParser(prog="obembed",
                              description="open book invariants and embedding certificates")
@@ -106,7 +108,7 @@ def _build_parser():
     p.add_argument("--json", action="store_true", dest="as_json")
     p.set_defaults(func=_run_relations)
 
-    return parser
+    return parser, sub.choices
 
 
 # Each batch command evaluates one input path to (record fields, a function
@@ -231,9 +233,12 @@ def run(argv, out=None, err=None):
     """Run the CLI on an argument list; returns the exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argv naming a subcommand first goes straight to its parser, where the top level sends it
+        sub = commands.get(argv[0]) if argv else None
+        args = (sub.parse_args(argv[1:], argparse.Namespace(command=argv[0])) if sub is not None
+                else parser.parse_args(argv))
         return args.func(args, out, err)
     except _HelpRequested as exc:
         out.write(str(exc))

@@ -19,6 +19,9 @@ delta_i = [phi(r_i) - r_i] of the arc r_i, so
 A book's text form and ``to_dict`` carry a ``config`` exactly when its
 configuration is not the page's default system (``surface.is_default``).
 Only ``surface.load_config_override`` applies the kind rule.
+``parse_openbook`` reads each ``config`` line once per process, through a
+table keyed by (page, line text) that is bounded as ``mcg``'s letter table
+is: a repeated line gives the same configuration, its twist tables built.
 
 Positive stabilization plumbs a band onto the page and prepends one
 positive twist along a curve crossing the band once.  The output open
@@ -125,6 +128,26 @@ def _field(lines, idx, key, least=None, what=None):
     raise OpenBookParseError(idx + 1, f"{key} must be a {what} integer, got {brief(value)}")
 
 
+# The config-line table keeps lines read well of at most _CONFIG_LINE_LIMIT characters (the
+# corpus' longest is 2.9 K), and is emptied when full (a benchmark sample has <= 8).  The
+# densest, two all-ones classes at rank 1000, holds 368 KB with its twist tables
+# (tracemalloc, Python 3.11), so the table stays within 4 MB.
+_CONFIG_TABLE_SIZE = 10
+_CONFIG_LINE_LIMIT = 4096
+
+
+class _Configs(dict):
+    def __missing__(self, key):  # read a config line; a bad one raises, and only good ones are kept
+        page, text = key
+        cfg = config_from_dict(read_json(text), page)
+        if len(self) >= _CONFIG_TABLE_SIZE:
+            self.clear()
+        return self.setdefault(key, cfg) if len(text) <= _CONFIG_LINE_LIMIT else cfg
+
+
+_configs = _Configs()  # the config-line table: (page, JSON text) -> CurveConfig
+
+
 def parse_openbook(text):
     """Parse the open-book text format.
 
@@ -150,7 +173,7 @@ def parse_openbook(text):
             if cfg is not None:
                 raise OpenBookParseError(lineno, "duplicate config line")
             try:
-                cfg = config_from_dict(read_json(line[len("config "):]), page)
+                cfg = _configs[page, line[len("config "):]]
             except ValueError as exc:
                 raise OpenBookParseError(lineno, f"bad config payload: {exc}")
         elif line.strip():

@@ -364,8 +364,10 @@ def lickorish_system(surface):
 
 
 def is_default(cfg):
-    """Whether cfg is its page's default system, ``lickorish_system(page)``."""
-    return cfg == lickorish_system(cfg.surface)
+    """Whether cfg is ``lickorish_system(page)``; another size answers before it is built."""
+    g, n = cfg.surface.genus, cfg.surface.boundary_count  # its size: the table less null rows
+    return (len(cfg) == max(3 * g - 1, 0) + 2 * n - 1 - (not g and n <= 2)
+            and cfg == lickorish_system(cfg.surface))
 
 
 def _dense(c, page):

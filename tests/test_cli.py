@@ -1,5 +1,6 @@
 """Command-line interface tests."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -431,6 +432,47 @@ def test_parser_is_built_once_per_process(monkeypatch, lens_file):
         assert go("h1")[0] == 2
     assert built.count("obembed") == 1
     assert len(built) == per_tree
+
+
+def _dispatch_cases(lens_file, tmp_path):
+    """Argument lists for every subcommand (valid, help, a required argument missing, an
+    unknown option, a bad int where one is read, ``--``) and for the top-level parser."""
+    cert, plan = str(tmp_path / "cert.json"), str(tmp_path / "plan.json")
+    valid = {"h1": [lens_file, "--json"], "mt-h1": [lens_file], "identify": [lens_file],
+             "stabilize": [lens_file, "--same", "1"], "reduce": [lens_file],
+             "embed": [lens_file, "--framing", "2", "--out", cert],
+             "embed-s5": [lens_file, "--out", plan], "validate": [cert],
+             "relations": ["--genus", "1", "--boundary", "1"]}
+    missing = {"stabilize": [lens_file], "embed": [lens_file, "--out", cert],
+               "embed-s5": [lens_file], "relations": ["--genus", "1"]}
+    bad_int = {"stabilize": [lens_file, "--same", "x"],
+               "embed": [lens_file, "--framing", "2.5", "--out", cert],
+               "relations": ["--genus", "1", "--boundary", "one"]}
+    cases = [[], ["--help"], ["nope", lens_file], ["--json", "h1", lens_file],
+             ["--", "h1", lens_file], ["stabilize", lens_file, "--same", "1", "--join", "1", "2"]]
+    for command, args in valid.items():
+        cases += [[command, *args], [command, "-h"], [command, *missing.get(command, [])],
+                  [command, *args, "--bogus"], [command, "--", *args]]
+        if command in bad_int:
+            cases.append([command, *bad_int[command]])
+    return cases
+
+
+def test_dispatch_gives_the_bytes_of_the_top_level_parser(monkeypatch, lens_file, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps help to the terminal width
+    parser, commands = cli._build_parser()
+    cases = _dispatch_cases(lens_file, tmp_path)
+    with monkeypatch.context() as m:  # an empty subcommand map sends every argv to the top
+        m.setattr(cli, "_build_parser", lambda: (parser, {}))
+        top = [go(*argv) for argv in cases]
+    top_level = []
+    with monkeypatch.context() as m:
+        m.setattr(parser, "parse_args", lambda argv: top_level.append(argv) or
+                  argparse.ArgumentParser.parse_args(parser, argv))
+        assert [go(*argv) for argv in cases] == top
+    assert top_level == [argv for argv in cases if not argv or argv[0] not in commands]
+    assert {code for code, _, _ in top} == {0, 2}
+    assert sum(out.startswith("usage: obembed ") for _, out, _ in top) == 10
 
 
 # Byte-exact output of the batch commands, pinned before their reads and

@@ -12,6 +12,7 @@ import json
 import os
 import random
 import tempfile
+import tracemalloc
 from operator import add
 
 import pytest
@@ -25,8 +26,9 @@ from obembed import (AbelianGroup, AbstractOpenBook, ConfiguredCurve, CurveConfi
                      reduce_to_one_boundary, serialize_openbook,
                      stabilize_positive, word_action)
 from obembed import surface as surface_module
+from obembed import openbook
 from obembed.openbook import core_twist_total, read_text
-from obembed.surface import config_to_dict
+from obembed.surface import canonical_json, config_to_dict, is_default
 
 from helpers import (book, dense, distinct_pair, fixed_length_book, override_book,
                      random_open_book, random_word, reduce_by_joins, sparse, stabilize_by_system)
@@ -497,6 +499,11 @@ def test_parse_serialize_round_trip():
         text = serialize_openbook(ob)
         assert text == "openbook v1\ngenus 1\nboundary 1\nword\n" + line
         assert parse_openbook(text) == ob == AbstractOpenBook.from_dict(ob.to_dict())
+    # a config line equal to the default system reads as the default: it is not written back
+    line = canonical_json(config_to_dict(lickorish_system(page)))
+    back = parse_openbook(f"openbook v1\ngenus 1\nboundary 1\nword t(b1)\nconfig {line}\n")
+    assert is_default(back.config) and back.config is not lickorish_system(page)
+    assert serialize_openbook(back) == "openbook v1\ngenus 1\nboundary 1\nword t(b1)\n"
 
 
 def test_serialize_empty_word():
@@ -581,12 +588,14 @@ def test_attached_config_rejects_duplicate_names():
 
 def test_attached_config_rejects_wrong_dimension():
     text = attached('{"name":"x","kind":"boundary_parallel","class":[1,0]}', "t(x)^3")
-    with pytest.raises(OpenBookParseError, match="dimension") as exc:
-        parse_openbook(text)
-    assert exc.value.line == 5
-    good = parse_openbook(attached('{"name":"x","kind":"boundary_parallel","class":[1]}',
-                                   "t(x)^3"))
+    for _ in range(2):  # a bad line is read again, and raises again
+        with pytest.raises(OpenBookParseError, match="dimension") as exc:
+            parse_openbook(text)
+        assert exc.value.line == 5
+    text = attached('{"name":"x","kind":"boundary_parallel","class":[1]}', "t(x)^3")
+    good = parse_openbook(text)
     assert closed_h1(good) == AbelianGroup(0, (3,))
+    assert parse_openbook(text).config is good.config  # a good line is read once
 
 
 def test_from_dict_requires_integer_fields():
@@ -647,6 +656,110 @@ def test_attached_config_classes_must_be_integers():
         with pytest.raises(ValueError, match="list of integers"):
             AbstractOpenBook.from_dict({"genus": 0, "boundary": 2, "word": "t(x)^3",
                                         "config": config})
+
+
+# parse_openbook reads every config line through one table per process (openbook._configs),
+# keyed by (page, line text), which keeps only lines read well and at most
+# openbook._CONFIG_LINE_LIMIT characters long, and is emptied when full.
+
+def _config_line(page, names):
+    """A config line of one curve per name, each class 1 at every index."""
+    return canonical_json({"curves": [{"name": name, "kind": "chain",
+                                       "class": [1] * page.h1_rank} for name in names]})
+
+
+def _config_book(page, line, word=""):
+    return (f"openbook v1\ngenus {page.genus}\nboundary {page.boundary_count}\nword {word}\n"
+            f"config {line}\n")
+
+
+def test_config_line_is_read_once_with_its_twist_tables():
+    page = Surface(1, 2)
+    line = _config_line(page, ["x", "y"])
+    text = _config_book(page, line, "t(x)^2 t(y)^-1")
+    openbook._configs.clear()
+    first = parse_openbook(text)
+    h1 = closed_h1(first)  # builds the twist tables of x and y
+    assert first.config._twists.keys() == {"x", "y"}
+    again = parse_openbook(text)
+    assert again.config is first.config and again == first
+    assert list(openbook._configs) == [(page, line)]
+    assert closed_h1(again) == h1 == closed_h1(AbstractOpenBook.from_dict(first.to_dict()))
+
+
+def test_bad_config_line_raises_every_time_and_is_never_kept():
+    page = Surface(1, 2)
+    good = _config_line(page, ["x"])
+    openbook._configs.clear()
+    for line, message in ((good[:-1], "Expecting ',' delimiter"),
+                          (good.replace("[1,", "[true,"), "curve x: class must be a list"),
+                          (_config_line(Surface(2, 1), ["x"]), "curve x: class has dimension 4")):
+        for _ in range(3):
+            with pytest.raises(OpenBookParseError,
+                               match=f"^line 5: bad config payload: {message}"):
+                parse_openbook(_config_book(page, line))
+            assert not openbook._configs
+
+
+def test_long_config_line_is_read_every_time_and_never_kept():
+    page = Surface(0, 2)
+    name = "x" * openbook._CONFIG_LINE_LIMIT
+    line = _config_line(page, [name])
+    assert len(line) > openbook._CONFIG_LINE_LIMIT
+    openbook._configs.clear()
+    books = [parse_openbook(_config_book(page, line)) for _ in range(2)]
+    assert books[0] == books[1] and books[0].config is not books[1].config
+    assert books[0].config.names() == (name,)
+    assert not openbook._configs
+
+
+def test_same_line_on_two_pages_of_one_rank_gives_each_page_its_own():
+    # index 15 is B8 on Sigma_{8,1} and D2 on Sigma_{7,3}: one class, two twists
+    line = canonical_json({"curves": [{"name": "x", "kind": "chain",
+                                       "class": [0] * 15 + [1]}]})
+    openbook._configs.clear()
+    handle, boundary = (parse_openbook(_config_book(page, line, "t(x)^3"))
+                        for page in (Surface(8, 1), Surface(7, 3)))
+    assert handle.config.surface == Surface(8, 1) and boundary.config.surface == Surface(7, 3)
+    assert handle.config.twist("x")[1:3] == (((14, 1),), None)
+    assert boundary.config.twist("x")[1:3] == ((), ((17, 1),))  # <r_2, x> at column 16 + 1
+    assert len(openbook._configs) == 2
+    for ob in (handle, boundary):
+        assert parse_openbook(serialize_openbook(ob)).config is ob.config
+
+
+def test_full_config_table_is_emptied():
+    page = Surface(0, 3)
+    lines = [_config_line(page, [f"x{i}"]) for i in range(openbook._CONFIG_TABLE_SIZE + 1)]
+    openbook._configs.clear()
+    kept = [parse_openbook(_config_book(page, line)).config for line in lines[:-1]]
+    assert len(openbook._configs) == openbook._CONFIG_TABLE_SIZE
+    assert parse_openbook(_config_book(page, lines[0])).config is kept[0]  # a hit adds nothing
+    last = parse_openbook(_config_book(page, lines[-1])).config
+    assert list(openbook._configs.values()) == [last]
+    assert parse_openbook(_config_book(page, lines[0])).config is not kept[0]
+
+
+def test_config_table_holds_at_most_4_mb():
+    # the densest lines within the limit: two all-ones classes at rank 1000, twists built
+    page = Surface(0, 1001)
+    lines = [_config_line(page, [f"x{i:02d}", f"y{i:02d}"])
+             for i in range(2 * openbook._CONFIG_TABLE_SIZE + 3)]
+    assert all(len(line) <= openbook._CONFIG_LINE_LIMIT for line in lines)
+    openbook._configs.clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for line in lines:
+            cfg = parse_openbook(_config_book(page, line)).config
+            for name in cfg.names():
+                cfg.twist(name)
+        del cfg
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(openbook._configs) <= openbook._CONFIG_TABLE_SIZE
+    assert held < 4_000_000
 
 
 # stabilization pins: the page conventions written out independently

@@ -116,6 +116,19 @@ def test_default_system_validates():
             assert is_default(CurveConfig(cfg.surface, cfg.curves))
             if len(cfg):
                 assert not is_default(CurveConfig(cfg.surface, cfg.curves[:-1]))
+                renamed = ConfiguredCurve("z", cfg.curves[0].kind, cfg.curves[0].support)
+                assert not is_default(CurveConfig(cfg.surface, (renamed,) + cfg.curves[1:]))
+            extra = ConfiguredCurve("z", "chain", ())
+            assert not is_default(CurveConfig(cfg.surface, cfg.curves + (extra,)))
+
+
+def test_is_default_of_another_size_builds_no_system():
+    page = Surface(40, 7)
+    surface_module._systems.pop(page, None)
+    before = dict(surface_module._systems)
+    attached = CurveConfig(page, [ConfiguredCurve("x", "chain", ((0, 1), (2, -1)))])
+    assert not is_default(attached)
+    assert surface_module._systems == before
 
 
 def test_duplicate_name_reported():
