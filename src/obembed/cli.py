@@ -3,13 +3,11 @@
 Subcommands: h1, mt-h1, identify, stabilize, reduce, embed, embed-s5,
 validate, relations.  Exit codes: 0 success, 1 validation failure,
 2 parse or usage error.  Read commands take --json for machine output
-and --manifest to run over many inputs (newline-delimited JSON, in
-manifest order).  An argv whose first word names a subcommand is parsed
-by that subcommand's parser alone; any other goes to the top-level one,
-with the same help, usage errors and exit codes either way.
+and one input path or one --manifest, not both; a manifest runs over
+many inputs (newline-delimited JSON, in manifest order).  An argv whose
+first word names a subcommand is parsed by its parser alone; any other
+goes to the top-level one, with the same help, errors and exit codes.
 """
-
-from __future__ import annotations
 
 import argparse
 import functools
@@ -64,9 +62,11 @@ def _build_parser():
 
     def batch(name, help_text, evaluate, path_help):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("path", nargs="?", help=path_help)
+        # one path or one --manifest; --manifest goes in after --json, so usage shows no group
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("path", nargs="?", help=path_help)
         p.add_argument("--json", action="store_true", dest="as_json")
-        p.add_argument("--manifest", help="file listing one input path per line")
+        source.add_argument("--manifest", help="file listing one input path per line")
         p.set_defaults(func=_run_batch, evaluate=evaluate)
 
     batch("h1", "first homology of the closed manifold", _eval_h1, "open-book file")
@@ -152,9 +152,7 @@ def _read_manifest(manifest_path):
 
 
 def _run_batch(args, out, err):
-    if not args.manifest:
-        if not args.path:
-            raise _UsageError(f"{args.command} requires an input file or --manifest")
+    if args.manifest is None:
         fields, text, code = args.evaluate(args.path)
         out.write((_encode(fields.get("result", fields)) if args.as_json else text()) + "\n")
         return code

@@ -29,8 +29,6 @@ Certificate wire format (JSON): top-level keys are exactly
 {kind, version, input, scene, schedule, checks}, version 1.
 """
 
-from __future__ import annotations
-
 from functools import reduce
 
 from .intlinalg import brief
@@ -267,10 +265,6 @@ def _get(obj, key):
     return obj.get(key) if isinstance(obj, dict) else None
 
 
-def _is_int(x):
-    return type(x) is int
-
-
 def _diff(path, want, got, out, source):
     """Record where ``got`` departs from the recomputed ``want``; the root's path is "".
 
@@ -284,7 +278,7 @@ def _diff(path, want, got, out, source):
             _diff(f"{dot}{key}", value, got.get(key, _MISSING), out, source)
         for key in got:
             if key not in want:
-                out.append(f"{dot}{key}: unexpected field")
+                out.append(f"{dot}{brief(key, bare=True)}: unexpected field")
     elif isinstance(want, list) and isinstance(got, list) and len(want) == len(got):
         for i, (w, g) in enumerate(zip(want, got)):
             _diff(f"{path}[{i}]", w, g, out, source)
@@ -301,7 +295,7 @@ def _framing_ok(inp, path, out):
     """Whether the framing is an int (not a bool) that converts to text; records why not."""
     framing = _get(inp, "framing")
     try:
-        if _is_int(framing) and str(framing):
+        if type(framing) is int and str(framing):
             return True
         out.append(f"{path}.framing: missing integer framing")
     except ValueError as exc:  # more digits than the interpreter writes, as DE(framing) needs
@@ -335,7 +329,7 @@ def _check_levels(path, entries, out):
     for i, entry in enumerate(entries if isinstance(entries, list) else []):
         level = _get(entry, "level")
         num, den = _get(level, "num"), _get(level, "den")
-        if not (_is_int(num) and _is_int(den)) or den == 0:
+        if not (type(num) is int and type(den) is int) or den == 0:
             out.append(f"{path}[{i}].level: malformed level")
         elif not 0 < 2 * num * den < den * den:
             out.append(f"{path}[{i}].level: level {brief(num)}/{brief(den)} outside (0, 1/2)")
@@ -348,7 +342,7 @@ def _check_page_types(cert, want, out):
     if isinstance(page_cert, dict):
         path = "scene.page_certificate"
         version = page_cert.get("version")
-        if version == VERSION and not _is_int(version):
+        if version == VERSION and type(version) is not int:
             out.append(f"{path}.version: unsupported version {brief(version)}")
         if (inp := page_cert.get("input")) == want["scene"]["page_certificate"]["input"]:
             _flexible_input(inp, f"{path}.input", out)
@@ -409,7 +403,7 @@ def validate_certificate(cert):
     if not isinstance(kind, str) or kind not in _READERS:
         return [f"kind: unknown certificate kind {brief(kind)}"]
     version = cert.get("version")
-    if not _is_int(version) or version != VERSION:
+    if type(version) is not int or version != VERSION:
         return [f"unsupported version {brief(version)}"]
     out = []
     inp = cert.get("input")

@@ -97,16 +97,14 @@ at the pivot row's keys.  On the benchmark's rank 16-24 books a sixth
 of the entries are nonzero mod D', and a matrix sees about 34 row updates.
 """
 
-from __future__ import annotations
-
 from itertools import chain
 from math import gcd
 
 
-def brief(x):
-    """repr(x) cut to 60 characters, for messages about values read from outside."""
+def brief(x, bare=False):
+    """repr(x), or str(x) with ``bare``, cut to 60 characters, for messages on outside values."""
     try:
-        text = repr(x)
+        text = str(x) if bare else repr(x)
     except (RecursionError, ValueError):  # too deep, or an int past the digit limit
         text = type(x).__name__
     return text if len(text) <= 60 else text[:57] + "..."
@@ -222,10 +220,12 @@ class AbelianGroup(Value):
             raise ValueError("free rank must be nonnegative")
         for d in torsion:
             if d < 2:
-                raise ValueError(f"torsion coefficient {d} < 2 (trivial factors are dropped)")
+                raise ValueError(f"torsion coefficient {brief(d)} < 2 "
+                                 "(trivial factors are dropped)")
         for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
-                raise ValueError(f"invariant factors must form a divisibility chain, got {a}, {b}")
+                raise ValueError("invariant factors must form a divisibility chain, "
+                                 f"got {brief(a)}, {brief(b)}")
 
     def describe(self):
         parts = []

@@ -56,8 +56,6 @@ and supp(d), so the pass runs on those rows alone, cut down to the
 columns U, which has at most four members on default curves.
 """
 
-from __future__ import annotations
-
 import re
 import struct
 from functools import lru_cache
@@ -112,7 +110,7 @@ class TwistWord(Value):
 
 
 _TABLE_SIZE = 8192  # room for every t(c)^e, |e| <= 2, of a default page (<= 2001 curves)
-_TOKEN_LIMIT = 64  # characters of a kept token, so an entry is <= 520 bytes, the table <= 4.3 MB
+_TOKEN_LIMIT = 64  # characters of a kept token, so an entry is <= 525 bytes, the table <= 4.3 MB
 
 
 class _Letters(dict):
@@ -125,7 +123,7 @@ class _Letters(dict):
         try:
             letter = name, int(exp or 1)
         except ValueError as exc:  # more digits than int() converts
-            raise WordSyntaxError(f"bad exponent of t({name}): {exc}") from None
+            raise WordSyntaxError(f"bad exponent of t({brief(name, bare=True)}): {exc}") from None
         if len(self) >= _TABLE_SIZE:
             self.clear()
         return self.setdefault(token, letter) if len(token) <= _TOKEN_LIMIT else letter

@@ -37,8 +37,6 @@ each a pure move of coordinates, that builds the word and one
 configuration at the end: the final page's system or the pushforward.
 """
 
-from __future__ import annotations
-
 from itertools import count
 
 from .intlinalg import AbelianGroup, IntMatrix, Value, brief, cokernel
@@ -289,7 +287,7 @@ def _stabilize(ob, attachments):
         elif isinstance(attachment, JoinBoundaries):
             step, kind = join_boundaries(page, attachment.j, attachment.k), "handle_a"
         else:
-            raise TypeError(f"unknown attachment {attachment!r}")
+            raise TypeError(f"unknown attachment {brief(attachment)}")
         page, push, fresh_class = step
         taken = {name for name, _, _ in curves}
         fresh = next(f"s{i}" for i in count(1) if f"s{i}" not in taken)
@@ -341,7 +339,7 @@ def core_twist_total(ob):
         raise ValueError("page must be the annulus")
     for name in ob.word.curve_names():
         if default_curve(ob.page, ob.config.curve(name).support) is None:
-            raise ValueError(f"letter {name!r} is not a core (boundary-parallel) twist")
+            raise ValueError(f"letter {brief(name)} is not a core (boundary-parallel) twist")
     return sum(exp for _, exp in ob.word)
 
 

@@ -75,8 +75,6 @@ and 0 for i = n-1; no other values are consistent with the classes
 above.
 """
 
-from __future__ import annotations
-
 import json
 from bisect import bisect_left
 from itertools import chain, compress
@@ -125,7 +123,7 @@ class Surface(Value):
             raise ValueError("page must have boundary")
         self._set(genus, boundary_count)
         if self.h1_rank > MAX_PAGE_RANK:
-            raise ValueError(f"page rank {self.h1_rank} exceeds the limit {MAX_PAGE_RANK}")
+            raise ValueError(f"page rank {brief(self.h1_rank)} exceeds the limit {MAX_PAGE_RANK}")
 
     @property
     def euler_characteristic(self):
@@ -141,7 +139,7 @@ class Surface(Value):
     def crossing(self, i, c):
         """Crossing number <r_i, c> of arc r_i (1-based) with a curve whose class has support c."""
         if not 0 < i < self.boundary_count:
-            raise IndexError(f"arc index {i} out of range 1..{self.boundary_count - 1}")
+            raise IndexError(f"arc index {brief(i)} out of range 1..{self.boundary_count - 1}")
         return _entry(c, 2 * self.genus + i - 1)
 
 
@@ -162,7 +160,7 @@ def split_boundary(surface, j):
     """
     g, n = surface.genus, surface.boundary_count
     if not 1 <= j <= n:
-        raise ValueError(f"attachment index {j} out of range 1..{n}")
+        raise ValueError(f"attachment index {brief(j)} out of range 1..{n}")
     at, new = 2 * g + j - 1, 2 * g + n - 1  # at = new, past the rank, for the base j = n
 
     def push(c):
@@ -183,7 +181,7 @@ def join_boundaries(surface, j, k):
     if j == k:
         raise ValueError("join requires two distinct boundary components")
     if not (1 <= j <= n and 1 <= k <= n):
-        raise ValueError(f"attachment indices ({j},{k}) out of range 1..{n}")
+        raise ValueError(f"attachment indices ({brief(j)},{brief(k)}) out of range 1..{n}")
     j, k = min(j, k), max(j, k)
     h, at, kt = 2 * g, 2 * g + j - 1, 2 * g + k - 1  # kt past the rank for k = n: x_n = 0
 
@@ -219,8 +217,8 @@ class ConfiguredCurve(Value):
         # bool is a subclass of int, so it is rejected by the exact type test
         if not (pairs and {int}.issuperset(map(type, chain.from_iterable(support)))
                 and all(a for _, a in support) and all(map(lt, [-1] + index, index))):
-            raise ValueError(f"curve {name}: class must be (index, entry) pairs of integers, "
-                             "with nonzero entries at increasing nonnegative indices")
+            raise ValueError(f"curve {brief(name, bare=True)}: class must be (index, entry) pairs "
+                             "of integers, with nonzero entries at increasing nonnegative indices")
         self._set(name, kind, support)
 
 
@@ -245,10 +243,11 @@ class CurveConfig(Value):
         index, out = {}, []
         for c in curves:
             if c.name in index:
-                out.append(f"duplicate curve name {c.name!r}")
+                out.append(f"duplicate curve name {brief(c.name)}")
             index[c.name] = c
             if c.support and (last := c.support[-1][0]) >= rank:
-                out.append(f"curve {c.name}: class index {last} is past the rank {rank}")
+                out.append(f"curve {brief(c.name, bare=True)}: class index {brief(last)} "
+                           f"is past the rank {rank}")
         if out:
             raise ValueError("; ".join(out))
         self._set(surface, curves, index, {})
@@ -257,7 +256,7 @@ class CurveConfig(Value):
         try:
             return self._index[name]
         except KeyError:
-            raise KeyError(f"unknown curve name {name!r}") from None
+            raise KeyError(f"unknown curve name {brief(name)}") from None
 
     def twist(self, name):
         """(support of c, support of Jc, arc shift, growth, shift growth) of ``name``, built once.
@@ -396,9 +395,10 @@ def config_from_dict(data, surface):
         _check_name(name, kind)
         # bool is a subclass of int, so it is rejected by the exact type test
         if not isinstance(c, (list, tuple)) or not {int}.issuperset(map(type, c)):
-            raise ValueError(f"curve {name}: class must be a list of integers")
+            raise ValueError(f"curve {brief(name, bare=True)}: class must be a list of integers")
         if len(c) != rank:
-            out.append(f"curve {name}: class has dimension {len(c)}, expected {rank}")
+            out.append(f"curve {brief(name, bare=True)}: class has dimension {len(c)}, "
+                       f"expected {rank}")
         built.append(ConfiguredCurve._of(name, kind, tuple(compress(enumerate(c), c))))
     if out:
         raise ValueError("; ".join(out))
@@ -421,7 +421,7 @@ def load_config_override(text, surface):
     if not isinstance(arcs, list) or not all(isinstance(rec, dict) for rec in arcs):
         raise ValueError("arcs must be a list of objects")
     allowed = {(kind, c) for _, kind, c in _default_table(surface)}
-    out = [f"{c.kind} curve {c.name}: class {_dense(c.support, surface)} "
+    out = [f"{c.kind} curve {brief(c.name, bare=True)}: class {brief(_dense(c.support, surface))} "
            f"is not a default {c.kind} class" for c in cfg
            if (c.kind, c.support) not in allowed]
     for rec in arcs:
@@ -431,7 +431,7 @@ def load_config_override(text, surface):
             raise ValueError("arc entries need an integer index and integer intersections")
         for name, value in sorted(values.items()):
             if not cfg.has_curve(name):
-                out.append(f"arc table references unknown curve {name!r}")
+                out.append(f"arc table references unknown curve {brief(name)}")
                 continue
             try:
                 want = surface.crossing(index, cfg.curve(name).support)
@@ -439,8 +439,8 @@ def load_config_override(text, surface):
                 out.append(str(exc))
                 continue
             if value != want:
-                out.append(f"arc table entry <r{index},{name}> = {value} is inconsistent "
-                           f"with the curve class (forced value {want})")
+                out.append(f"arc table entry <r{index},{brief(name, bare=True)}> = {brief(value)} "
+                           f"is inconsistent with the curve class (forced value {want})")
     if out:
         raise ValueError("invalid configuration override: " + "; ".join(out))
     return cfg

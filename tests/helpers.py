@@ -44,7 +44,8 @@ def parse_word_by_tokens(text):
         try:
             exp = int(m.group(2) or 1)
         except ValueError as exc:  # more digits than int() converts
-            raise WordSyntaxError(f"bad exponent of t({m.group(1)}): {exc}") from None
+            name = brief(m.group(1), bare=True)
+            raise WordSyntaxError(f"bad exponent of t({name}): {exc}") from None
         word.append((m.group(1), exp))
     return TwistWord(tuple(word))
 

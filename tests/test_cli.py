@@ -121,6 +121,16 @@ def test_overlong_exponent_exits_2(tmp_path):
     assert err.startswith("parse error: line 4: bad exponent of t(b1)")
 
 
+def test_overlong_exponent_of_a_long_name_shows_the_name_cut(tmp_path):
+    # the interpreter's own text on the exponent is 140 characters; the name is cut by brief
+    p = tmp_path / "f.ob"
+    p.write_text(GENUS1 + f"word t({LONG})^{'9' * 5000}\n")
+    with pytest.raises(ValueError) as info:
+        int("9" * 5000)
+    want = f"parse error: line 4: bad exponent of t({'x' * 57}...): {info.value}\n"
+    assert go("h1", str(p)) == (2, "", want)
+
+
 def test_missing_file_exits_2():
     code, _, err = go("h1", "/nonexistent/x.ob")
     assert code == 2
@@ -257,6 +267,26 @@ def _tampered_long_witness():
     return embedder.certificate_to_json(cert)
 
 
+def _config_of(*curves):
+    """A config line of curves given as (name, kind, class)."""
+    return "config " + json.dumps(
+        {"curves": [{"name": n, "kind": k, "class": c} for n, k, c in curves]}) + "\n"
+
+
+def _witness_with_a_long_field():
+    """A witness with one more top-level field, of a long name."""
+    cert = embedder.build_openbook_embedding(obembed.AbstractOpenBook.with_default_config(
+        obembed.Surface(1, 1), obembed.parse_word("t(a1)")), 1)
+    return embedder.certificate_to_json({**cert, LONG: 1})
+
+
+def _annulus_with_a_null_letter():
+    """An annulus certificate whose one letter, of a long name, has the null class."""
+    book = {"genus": 0, "boundary": 2, "word": f"t({LONG})",
+            "config": {"curves": [{"name": LONG, "kind": "boundary_parallel", "class": [0]}]}}
+    return json.dumps({"kind": embedder.KIND_ANNULUS, "version": 1, "input": {"openbook": book}})
+
+
 @pytest.mark.parametrize("command, text, where", [
     ("h1", GENUS1 + f"word t(a1) {LONG}\n", "line 4: bad twist letter"),
     ("h1", GENUS1 + f"word t(a1) t({LONG})\n", "line 4: monodromy letter"),
@@ -264,8 +294,16 @@ def _tampered_long_witness():
     ("h1", f"openbook v1\ngenus {LONG}\nboundary 1\nword\n", "line 2: genus must be"),
     ("h1", GENUS1 + f"word t(a1)\n{LONG}\n", "line 5: unexpected line"),
     ("validate", _tampered_long_witness(), "scene.target: expected"),
+    ("h1", f"openbook v1\ngenus {'1' * 3000}\nboundary 1\nword\n", "line 3: page rank 2222"),
+    ("h1", GENUS1 + "word\n" + _config_of(*[(LONG, "handle_a", [1, 0])] * 2),
+     "line 5: bad config payload: duplicate curve name 'xxx"),
+    ("h1", GENUS1 + "word\n" + _config_of((LONG, "handle_a", [1])),
+     "line 5: bad config payload: curve xxx"),
+    ("validate", _annulus_with_a_null_letter(), "input.openbook: letter 'xxx"),
+    ("validate", _witness_with_a_long_field(), f"{'x' * 57}...: unexpected field"),
 ], ids=["twist_letter", "monodromy_letter", "field_line", "field_value", "unexpected_line",
-        "witness_framing"])
+        "witness_framing", "genus", "duplicate_name", "config_dimension", "annulus_letter",
+        "unexpected_field"])
 def test_messages_about_long_input_stay_short(command, text, where, tmp_path):
     """Each message shows an outside value cut by brief: in-process, alone and in a manifest."""
     if command == "h1":
@@ -434,6 +472,9 @@ def test_parser_is_built_once_per_process(monkeypatch, lens_file):
     assert len(built) == per_tree
 
 
+BATCH_COMMANDS = ("h1", "mt-h1", "identify", "validate")
+
+
 def _dispatch_cases(lens_file, tmp_path):
     """Argument lists for every subcommand (valid, help, a required argument missing, an
     unknown option, a bad int where one is read, ``--``) and for the top-level parser."""
@@ -455,7 +496,29 @@ def _dispatch_cases(lens_file, tmp_path):
                   [command, *args, "--bogus"], [command, "--", *args]]
         if command in bad_int:
             cases.append([command, *bad_int[command]])
+        if command in BATCH_COMMANDS:  # a path with a manifest, and a manifest of no name
+            cases += [[command, *args, "--manifest", str(tmp_path / "m.txt")],
+                      [command, "--manifest", ""]]
     return cases
+
+
+
+@pytest.mark.parametrize("command", BATCH_COMMANDS)
+def test_a_batch_command_reads_one_path_or_one_manifest(command, lens_file, tmp_path):
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"{lens_file}\n")
+    no_file = "error: [Errno 2] No such file or directory: ''\n"
+    cases = {(lens_file, "--manifest", str(manifest)):
+             "usage error: argument --manifest: not allowed with argument path\n",
+             ("--manifest", ""): no_file,
+             ("--manifest", str(manifest), "--", "missing.ob"):
+             "usage error: argument path: not allowed with argument --manifest\n",
+             (): "usage error: one of the arguments path --manifest is required\n",
+             ("",): no_file}
+    for argv, err in cases.items():
+        assert go(command, *argv) == (2, "", err)
+    for argv in list(cases)[:2]:  # in a new process too, with no traceback
+        assert fresh_process(command, *argv) == (2, "", cases[argv])
 
 
 def test_dispatch_gives_the_bytes_of_the_top_level_parser(monkeypatch, lens_file, tmp_path):

@@ -443,6 +443,13 @@ def test_validator_reports_unexpected_top_level_fields():
     assert validate_certificate(cert) == ["extra: unexpected field"]
 
 
+def test_validator_shows_an_unexpected_key_of_any_type_cut():
+    # a certificate passed as a dict may have keys of any type: each is shown by str, cut
+    cert = {**build_annulus_s5(book(0, 2, "t(d1)")), 5: 1, 10 ** 100: 1}
+    assert validate_certificate(cert) == ["5: unexpected field",
+                                          f"{'1' + '0' * 56}...: unexpected field"]
+
+
 def _set(path, value):
     def tamper(page_cert):
         *keys, last = path

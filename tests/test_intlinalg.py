@@ -514,6 +514,15 @@ def test_abelian_group_validation():
         AbelianGroup(-1)
 
 
+def test_abelian_group_messages_show_huge_factors_cut():
+    huge = 10 ** 4000  # a message shows each factor cut to 60 characters
+    for torsion, message in (((-huge,), "torsion coefficient -1000"),
+                             ((huge + 1, huge), "invariant factors must form a divisibility")):
+        with pytest.raises(ValueError, match=f"^{message}") as info:
+            AbelianGroup(0, torsion)
+        assert len(str(info.value)) < 200
+
+
 @pytest.mark.parametrize("free_rank, torsion", [
     (1.5, ()), (True, ()), ("1", ()), (None, ()), (2.0, ()),
     (1, ("12",)), (True, ("12",)), (0, (2.0,)), (0, (True,)), (0, (2, 4.0)), (0, 12), (0, "12"),

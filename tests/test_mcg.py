@@ -192,6 +192,29 @@ def test_table_holds_little_after_a_word_of_huge_exponents():
     assert not mcg._letters
 
 
+def test_table_of_the_longest_tokens_holds_under_4_3_mb():
+    # the stated worst case: a full table of distinct tokens of the length limit, whose
+    # exponents are written in 4-byte digits (U+1D7CE..U+1D7D7), so that every token is
+    # stored at 4 bytes a character; 4.30 MB on Python 3.10, 4.21 MB on 3.11, 4.01 MB on
+    # 3.12 and 3.13 (less when the tuples come from the interpreter's free list)
+    bold = str.maketrans("0123456789", "".join(map(chr, range(0x1D7CE, 0x1D7D8))))
+    width = mcg._TOKEN_LIMIT - len("t(a1)^9")
+    tokens = ["t(a1)^" + f"9{i:0{width}d}".translate(bold) for i in range(mcg._TABLE_SIZE)]
+    assert {len(token) for token in tokens} == {mcg._TOKEN_LIMIT}
+    text = " ".join(tokens)
+    mcg._letters.clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(parse_word(text)) == mcg._TABLE_SIZE
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(mcg._letters) == mcg._TABLE_SIZE
+    mcg._letters.clear()
+    assert held < 4_300_000
+
+
 def test_zero_exponents_dropped():
     w = TwistWord((("a1", 0), ("b1", 2)))
     assert w.letters == (("b1", 2),)

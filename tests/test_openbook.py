@@ -30,7 +30,7 @@ from obembed import openbook
 from obembed.openbook import core_twist_total, read_text
 from obembed.surface import canonical_json, config_to_dict, is_default
 
-from helpers import (book, dense, distinct_pair, fixed_length_book, override_book,
+from helpers import (book, deep_list, dense, distinct_pair, fixed_length_book, override_book,
                      random_open_book, random_word, reduce_by_joins, sparse, stabilize_by_system)
 
 trivial = AbelianGroup(0)
@@ -552,6 +552,24 @@ def test_config_of_another_surface_is_rejected():
 def test_stabilize_rejects_an_unknown_attachment():
     with pytest.raises(TypeError, match="^unknown attachment"):
         stabilize_positive(book(0, 2, "t(d1)"), (1, 2))
+
+
+def test_stabilize_names_a_deep_attachment_by_its_type():
+    with pytest.raises(TypeError, match="^unknown attachment list$"):  # past the recursion limit
+        stabilize_positive(book(0, 2, "t(d1)"), deep_list())
+
+
+HUGE = 10 ** 4000
+
+
+@pytest.mark.parametrize("attachment, message", [
+    (SameBoundary(HUGE), "attachment index 1000"),
+    (JoinBoundaries(1, HUGE), "attachment indices (1,1000"),
+])
+def test_messages_about_huge_attachment_indices_stay_short(attachment, message):
+    with pytest.raises(ValueError) as info:
+        stabilize_positive(book(0, 2, "t(d1)"), attachment)
+    assert str(info.value).startswith(message) and len(str(info.value)) < 200
 
 
 def test_attached_config_round_trips_through_text():

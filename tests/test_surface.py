@@ -178,6 +178,51 @@ def test_kind_class_rules_for_standard_configs():
     assert cfg2.names() == ("x",)
 
 
+LONG = "x" * 10 ** 5
+HUGE = 10 ** 4000
+
+
+def _override_text(name, kind, cls, arcs):
+    return json.dumps({"curves": [{"name": name, "kind": kind, "class": cls}],
+                       "arcs": [{"index": i, "intersections": {n: v}} for i, n, v in arcs]})
+
+
+def _raised(call):
+    with pytest.raises((KeyError, ValueError)) as info:
+        call()
+    return info.value.args[0]
+
+
+@pytest.mark.parametrize("call, start", [
+    (lambda s: load_config_override(_override_text(LONG, "chain", [1, 1, 0], []), s),
+     "invalid configuration override: chain curve xxx"),
+    (lambda s: load_config_override(_override_text("x", "chain", [1] * 198 + [0], []),
+                                    Surface(0, 200)),
+     "invalid configuration override: chain curve x: class [1, 1, 1"),
+    (lambda s: load_config_override(_override_text("d1", "boundary_parallel", [0, 0, 1],
+                                                   [(1, LONG, 0)]), s),
+     "invalid configuration override: arc table references unknown curve 'xxx"),
+    (lambda s: load_config_override(_override_text("d1", "boundary_parallel", [0, 0, 1],
+                                                   [(HUGE, "d1", 1)]), s),
+     "invalid configuration override: arc index 1000"),
+    (lambda s: load_config_override(_override_text(LONG, "boundary_parallel", [0, 0, 1],
+                                                   [(1, LONG, 10 ** 100)]), s),
+     "invalid configuration override: arc table entry <r1,xxx"),
+    (lambda s: lickorish_system(s).curve(LONG), "unknown curve name 'xxx"),
+    (lambda s: CurveConfig(s, [ConfiguredCurve(LONG, "handle_a", ((HUGE, 1),))]),
+     "curve xxx"),
+    (lambda s: ConfiguredCurve(LONG, "handle_a", ((0, 0),)), "curve xxx"),
+    (lambda s: config_from_dict({"curves": [{"name": LONG, "kind": "handle_a", "class": "1"}]},
+                                s), "curve xxx"),
+], ids=["kind_rule_name", "kind_rule_class", "arc_unknown_curve", "arc_index", "arc_entry",
+        "unknown_curve", "class_index", "curve_class", "class_type"])
+def test_messages_about_long_names_and_values_stay_short(call, start):
+    """Each outside name or value is shown as brief shows it, cut to 60 characters."""
+    message = _raised(lambda: call(Surface(1, 2)))
+    assert message.startswith(start), message
+    assert len(message) < 300  # at most two values of 60 characters each, and the text
+
+
 def test_pairing_rank_is_twice_genus():
     for g in range(4):
         for n in range(1, 4):

@@ -170,9 +170,10 @@ def test_surface_keys_the_system_cache():
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
+    # nor __future__: no module has an annotation for `from __future__ import annotations`
     src = Path(__file__).resolve().parent.parent / "src"
-    code = ("import sys, obembed, obembed.cli; "
-            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    code = ("import sys, obembed, obembed.cli; print(sorted(m for m in "
+            "('dataclasses', 'inspect', '__future__') if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
