@@ -4,9 +4,17 @@ Subcommands: h1, mt-h1, identify, stabilize, reduce, embed, embed-s5,
 validate, relations.  Exit codes: 0 success, 1 validation failure,
 2 parse or usage error.  Read commands take --json for machine output
 and one input path or one --manifest, not both; a manifest runs over
-many inputs (newline-delimited JSON, in manifest order).  An argv whose
-first word names a subcommand is parsed by its parser alone; any other
-goes to the top-level one, with the same help, errors and exit codes.
+many inputs (newline-delimited JSON, in manifest order).
+
+How a call's argv is parsed: the parsers are built on the first call and
+shared.  An argv of one path, ``[CMD, PATH]`` or ``[CMD, PATH, "--json"]``
+with every word a ``str`` and PATH non-empty and not starting with ``-``,
+takes a copy of the namespace argparse gave for that shape with a
+placeholder path, once per process, and PATH in place of the placeholder.
+Any other argv whose first word names a subcommand is parsed by that
+subcommand's parser alone, and any other still by the top-level one, with
+the same help, errors and exit codes.  A usage error shows an argv value
+of more than 60 characters cut as ``intlinalg.brief`` cuts it.
 """
 
 import argparse
@@ -15,7 +23,7 @@ import json
 import sys
 
 from . import embedder
-from .intlinalg import AbelianGroup
+from .intlinalg import AbelianGroup, brief
 from .mcg import relation_report
 from .openbook import (JoinBoundaries, OpenBookParseError, SameBoundary, closed_h1,
                        identify_known, mapping_torus_h1, read_openbook, read_text,
@@ -50,11 +58,18 @@ class _MalformedCertificate(ValueError):
     """Valid JSON that is no certificate object, or an integer too long to read."""
 
 
+_PLACEHOLDER = "PATH"
+
+
 @functools.cache
 def _build_parser():
-    """(top-level parser, subcommand name -> its parser), built on first use and shared.
+    """(top-level parser, subcommand name -> its parser, one-path templates), built on
+    first use and shared.
 
-    Parsing keeps no state in them: each call gets a fresh namespace.
+    The templates map ``(CMD,)`` and ``(CMD, "--json")`` to the attributes
+    argparse gives ``[CMD, PATH]`` and ``[CMD, PATH, "--json"]``, for each
+    shape it accepts with the placeholder as ``path``.  Parsing keeps no
+    state in any of them: each call gets a fresh namespace.
     """
     parser = _ArgumentParser(prog="obembed",
                              description="open book invariants and embedding certificates")
@@ -108,7 +123,38 @@ def _build_parser():
     p.add_argument("--json", action="store_true", dest="as_json")
     p.set_defaults(func=_run_relations)
 
-    return parser, sub.choices
+    templates = {}
+    for name, p in sub.choices.items():
+        for tail in ((), ("--json",)):
+            try:
+                args = p.parse_args([_PLACEHOLDER, *tail], argparse.Namespace(command=name))
+            except _UsageError:  # a shape the subcommand refuses, such as reduce --json
+                continue
+            if getattr(args, "path", None) == _PLACEHOLDER:
+                templates[(name, *tail)] = vars(args)
+    return parser, sub.choices, templates
+
+
+def _one_path(argv, templates):
+    """The namespace argparse gives a one-path argv (module docstring), or None for any other."""
+    if 2 <= len(argv) <= 3 and all(type(word) is str for word in argv):
+        template = templates.get((argv[0], *argv[2:]))
+        path = argv[1]
+        if template is not None and path and path[0] != "-":
+            args = argparse.Namespace()
+            vars(args).update(template, path=path)
+            return args
+    return None
+
+
+def _cut_long_values(message, argv):
+    """message with each argv value of more than 60 characters cut as ``brief`` cuts it."""
+    words = [word for word in argv if type(word) is str]
+    values = words + [word.partition("=")[2] for word in words if word[:1] == "-"]
+    for value in sorted({v for v in values if len(v) > 60}, key=len, reverse=True):
+        message = message.replace(repr(value), brief(value)).replace(
+            value, brief(value, bare=True))
+    return message
 
 
 # Each batch command evaluates one input path to (record fields, a function
@@ -231,18 +277,20 @@ def run(argv, out=None, err=None):
     """Run the CLI on an argument list; returns the exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser, commands = _build_parser()
+    parser, commands, templates = _build_parser()
     try:
-        # argv naming a subcommand first goes straight to its parser, where the top level sends it
-        sub = commands.get(argv[0]) if argv else None
-        args = (sub.parse_args(argv[1:], argparse.Namespace(command=argv[0])) if sub is not None
-                else parser.parse_args(argv))
+        args = _one_path(argv, templates)
+        if args is None:
+            # naming a subcommand first, it goes straight to the parser the top level would pick
+            sub = commands.get(argv[0]) if argv else None
+            args = (sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+                    if sub is not None else parser.parse_args(argv))
         return args.func(args, out, err)
     except _HelpRequested as exc:
         out.write(str(exc))
         return EXIT_OK
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=err)
+        print(f"usage error: {_cut_long_values(str(exc), argv)}", file=err)
         return EXIT_USAGE
     except (OpenBookParseError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=err)

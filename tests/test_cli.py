@@ -253,6 +253,7 @@ def test_validate_tampered_exits_1(lens_file, tmp_path):
 
 
 LONG = "x" * 10 ** 6
+ARG = "x" * 10 ** 5  # a shell caps one argument at 128 KiB
 GENUS1 = "openbook v1\ngenus 1\nboundary 1\n"
 
 
@@ -301,11 +302,26 @@ def _annulus_with_a_null_letter():
      "line 5: bad config payload: curve xxx"),
     ("validate", _annulus_with_a_null_letter(), "input.openbook: letter 'xxx"),
     ("validate", _witness_with_a_long_field(), f"{'x' * 57}...: unexpected field"),
+    # argparse's own usage errors, on argv values as long as one argument of a shell command
+    (("relations", "--genus", ARG, "--boundary", "1"), None,
+     f"argument --genus: invalid int value: '{'x' * 56}...\n"),
+    (("relations", f"--genus={ARG}", "--boundary", "1"), None,
+     f"argument --genus: invalid int value: '{'x' * 56}...\n"),
+    (("stabilize", "x.ob", "--same", ARG), None,
+     f"argument --same: invalid int value: '{'x' * 56}...\n"),
+    (("embed", "x.ob", "--framing", ARG, "--out", "c.json"), None,
+     f"argument --framing: invalid int value: '{'x' * 56}...\n"),
 ], ids=["twist_letter", "monodromy_letter", "field_line", "field_value", "unexpected_line",
         "witness_framing", "genus", "duplicate_name", "config_dimension", "annulus_letter",
-        "unexpected_field"])
+        "unexpected_field", "relations_genus", "relations_genus_equals", "stabilize_same",
+        "embed_framing"])
 def test_messages_about_long_input_stay_short(command, text, where, tmp_path):
     """Each message shows an outside value cut by brief: in-process, alone and in a manifest."""
+    if text is None:  # an argv, in-process and in a new process, with no traceback
+        err = f"usage error: {where}"
+        assert go(*command) == fresh_process(*command) == (2, "", err)
+        assert len(err) < 200
+        return
     if command == "h1":
         with pytest.raises(obembed.OpenBookParseError) as info:
             obembed.parse_openbook(text)
@@ -523,10 +539,10 @@ def test_a_batch_command_reads_one_path_or_one_manifest(command, lens_file, tmp_
 
 def test_dispatch_gives_the_bytes_of_the_top_level_parser(monkeypatch, lens_file, tmp_path):
     monkeypatch.setenv("COLUMNS", "80")   # argparse wraps help to the terminal width
-    parser, commands = cli._build_parser()
+    parser, commands, _ = cli._build_parser()
     cases = _dispatch_cases(lens_file, tmp_path)
-    with monkeypatch.context() as m:  # an empty subcommand map sends every argv to the top
-        m.setattr(cli, "_build_parser", lambda: (parser, {}))
+    with monkeypatch.context() as m:  # empty command and template maps send all to the top
+        m.setattr(cli, "_build_parser", lambda: (parser, {}, {}))
         top = [go(*argv) for argv in cases]
     top_level = []
     with monkeypatch.context() as m:
@@ -536,6 +552,71 @@ def test_dispatch_gives_the_bytes_of_the_top_level_parser(monkeypatch, lens_file
     assert top_level == [argv for argv in cases if not argv or argv[0] not in commands]
     assert {code for code, _, _ in top} == {0, 2}
     assert sum(out.startswith("usage: obembed ") for _, out, _ in top) == 10
+
+
+ONE_PATH_SHAPES = {("h1",), ("h1", "--json"), ("mt-h1",), ("mt-h1", "--json"), ("identify",),
+                   ("identify", "--json"), ("reduce",), ("validate",), ("validate", "--json")}
+
+
+def test_a_one_path_call_gets_the_namespace_argparse_gives():
+    _, commands, templates = cli._build_parser()
+    assert set(templates) == ONE_PATH_SHAPES
+    paths = ["x.ob", "a b/c d.ob", "книга ∑ é.ob", "k=v.ob", "x=--json", "p" * 4096, "h1", "PATH"]
+    for command, *tail in templates:
+        for path in paths:
+            args = cli._one_path([command, path, *tail], templates)
+            parsed = commands[command].parse_args([path, *tail],
+                                                  argparse.Namespace(command=command))
+            assert vars(args) == vars(parsed)
+            assert args is not cli._one_path([command, path, *tail], templates)
+            assert templates[(command, *tail)]["path"] == "PATH"
+
+
+class _Parsed(Exception):
+    """Raised by a spy standing in for a parser's parse_args."""
+
+
+class _Word(str):
+    pass
+
+
+def test_any_other_argv_goes_to_argparse(monkeypatch, lens_file, tmp_path):
+    parser, commands, _ = cli._build_parser()
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        raise _Parsed
+
+    for p in (parser, *commands.values()):
+        monkeypatch.setattr(p, "parse_args", spy)
+
+    def parsed_by_argparse(argv):
+        calls.clear()
+        try:
+            run(argv, io.StringIO(), io.StringIO())
+        except _Parsed:
+            pass
+        return len(calls) == 1
+
+    cert = str(tmp_path / "cert.json")
+    one_path = [["h1", lens_file, "--json"], ["mt-h1", lens_file], ["identify", lens_file],
+                ["reduce", lens_file], ["validate", cert]]
+    cases = _dispatch_cases(lens_file, tmp_path)
+    assert [argv for argv in cases if not parsed_by_argparse(argv)] == one_path
+    others = [["h1", "-x"], ["h1", "-"], ["h1", "--"], ["h1", ""], ["h1", "-x", "--json"],
+              ["h1", Path(lens_file)], ["h1", b"x.ob"], ["h1", 5], [5, lens_file],
+              [_Word("h1"), lens_file], ["h1", _Word(lens_file)], ["h1", lens_file, 1],
+              ["h1", lens_file, "--js"], ["h1", lens_file, "--json", "--json"],
+              ["h1", "--json", lens_file], ["h1", "--manifest", lens_file],
+              ["h1", lens_file, "--manifest", cert], ["h1", lens_file, lens_file],
+              ["h1", lens_file, "-h"], ["h1", lens_file, "--JSON"], ["reduce", lens_file, "--json"],
+              ["reduce", lens_file, "--out", cert], ["stabilize", lens_file],
+              ["embed-s5", lens_file], ["relations", lens_file], ["nope", lens_file], ["h1"],
+              ["--json", "h1", lens_file], []]
+    assert [argv for argv in others if not parsed_by_argparse(argv)] == []
+    for argv in one_path[:4]:
+        assert not parsed_by_argparse(tuple(argv))
 
 
 # Byte-exact output of the batch commands, pinned before their reads and
