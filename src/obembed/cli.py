@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: h1, mt-h1, identify, stabilize, reduce, embed, embed-s5,
-validate, relations.  Exit codes: 0 success, 1 validation failure,
-2 parse or usage error.  Read commands take --json for machine output
-and one input path or one --manifest, not both; a manifest runs over
-many inputs (newline-delimited JSON, in manifest order).
+validate, relations.  Read commands take --json for machine output and
+one input path or one --manifest, not both; a manifest, one path a line
+(``openbook.text_lines``), runs over many inputs (newline-delimited JSON,
+in manifest order).  ``_FAILURES`` gives each failure its message prefix
+and exit code (0 success, 1 validation failure, 2 parse or usage error);
+each message, a manifest record's ``error`` included, shows an argv value
+or record path of more than 60 characters cut by ``intlinalg.brief``.
 
 How a call's argv is parsed: the parsers are built on the first call and
 shared.  An argv of one path, ``[CMD, PATH]`` or ``[CMD, PATH, "--json"]``
@@ -13,8 +16,7 @@ takes a copy of the namespace argparse gave for that shape with a
 placeholder path, once per process, and PATH in place of the placeholder.
 Any other argv whose first word names a subcommand is parsed by that
 subcommand's parser alone, and any other still by the top-level one, with
-the same help, errors and exit codes.  A usage error shows an argv value
-of more than 60 characters cut as ``intlinalg.brief`` cuts it.
+the same help, errors and exit codes.
 """
 
 import argparse
@@ -27,8 +29,8 @@ from .intlinalg import AbelianGroup, brief
 from .mcg import relation_report
 from .openbook import (JoinBoundaries, OpenBookParseError, SameBoundary, closed_h1,
                        identify_known, mapping_torus_h1, read_openbook, read_text,
-                       reduce_to_one_boundary, serialize_openbook,
-                       stabilize_positive)
+                       reduce_to_one_boundary, serialize_openbook, stabilize_positive,
+                       text_lines)
 from .surface import Surface, lickorish_system
 
 EXIT_OK = 0
@@ -41,8 +43,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
     def print_help(self, file=None):
-        # argparse would write to sys.stdout and exit; run() writes the
-        # text to its own out stream and returns instead.
+        # where argparse would print to sys.stdout and exit, run() writes to out and returns
         raise _HelpRequested(self.format_help())
 
 
@@ -58,18 +59,18 @@ class _MalformedCertificate(ValueError):
     """Valid JSON that is no certificate object, or an integer too long to read."""
 
 
+_PARSE_ERRORS = (OpenBookParseError, json.JSONDecodeError, UnicodeDecodeError)
+
+
 _PLACEHOLDER = "PATH"
 
 
 @functools.cache
 def _build_parser():
-    """(top-level parser, subcommand name -> its parser, one-path templates), built on
-    first use and shared.
+    """(top-level parser, subcommand name -> its parser, one-path templates), built once.
 
-    The templates map ``(CMD,)`` and ``(CMD, "--json")`` to the attributes
-    argparse gives ``[CMD, PATH]`` and ``[CMD, PATH, "--json"]``, for each
-    shape it accepts with the placeholder as ``path``.  Parsing keeps no
-    state in any of them: each call gets a fresh namespace.
+    A template maps ``(CMD,)`` or ``(CMD, "--json")`` to the attributes argparse gives
+    that shape with the placeholder as ``path``; each call copies it to a fresh namespace.
     """
     parser = _ArgumentParser(prog="obembed",
                              description="open book invariants and embedding certificates")
@@ -89,31 +90,29 @@ def _build_parser():
     batch("identify", "catalog name of the manifold, if known", _eval_identify,
           "open-book file")
 
-    p = sub.add_parser("stabilize", help="positively stabilize an open book")
-    p.add_argument("path")
+    def command(name, help_text, func):  # a command of one open-book path
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("path")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("stabilize", "positively stabilize an open book", _run_stabilize)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--same", type=int, metavar="J",
                        help="attach both band feet to boundary component J")
     group.add_argument("--join", type=int, nargs=2, metavar=("J", "K"),
                        help="join distinct boundary components J and K")
     p.add_argument("--out", help="output open-book file (stdout if omitted)")
-    p.set_defaults(func=_run_stabilize)
 
-    p = sub.add_parser("reduce", help="stabilize down to one boundary component")
-    p.add_argument("path")
+    p = command("reduce", "stabilize down to one boundary component", _run_reduce)
     p.add_argument("--out", help="output open-book file (stdout if omitted)")
-    p.set_defaults(func=_run_reduce)
 
-    p = sub.add_parser("embed", help="build an open-book embedding witness")
-    p.add_argument("path")
+    p = command("embed", "build an open-book embedding witness", _run_embed)
     p.add_argument("--framing", type=int, required=True, metavar="M")
     p.add_argument("--out", required=True, help="certificate JSON file")
-    p.set_defaults(func=_run_embed)
 
-    p = sub.add_parser("embed-s5", help="build an embedding plan into S5")
-    p.add_argument("path")
+    p = command("embed-s5", "build an embedding plan into S5", _run_embed_s5)
     p.add_argument("--out", required=True, help="plan JSON file")
-    p.set_defaults(func=_run_embed_s5)
 
     batch("validate", "re-check a certificate file", _eval_validate, "certificate file")
 
@@ -184,7 +183,7 @@ def _eval_identify(path):
 def _eval_validate(path):
     try:
         violations = embedder.validate_certificate(read_text(path))
-    except (json.JSONDecodeError, UnicodeDecodeError):  # parse errors
+    except _PARSE_ERRORS:
         raise
     except ValueError as exc:
         raise _MalformedCertificate(str(exc)) from exc
@@ -193,22 +192,18 @@ def _eval_validate(path):
             EXIT_INVALID if violations else EXIT_OK)
 
 
-def _read_manifest(manifest_path):
-    return [path for line in read_text(manifest_path).split("\n") if (path := line.strip())]
-
-
-def _run_batch(args, out, err):
+def _run_batch(args, out):
     if args.manifest is None:
         fields, text, code = args.evaluate(args.path)
         out.write((_encode(fields.get("result", fields)) if args.as_json else text()) + "\n")
         return code
     worst = EXIT_OK
-    for path in _read_manifest(args.manifest):
+    for path in filter(None, map(str.strip, text_lines(read_text(args.manifest)))):
         try:
             fields, _, code = args.evaluate(path)
         except Exception as exc:  # one bad record never aborts the batch
-            known = isinstance(exc, (OSError, ValueError))
-            fields, code = {"error": str(exc) if known else repr(exc)}, EXIT_USAGE
+            message = str(exc) if isinstance(exc, _REPORTED) else repr(exc)
+            fields, code = {"error": _cut_long_values(message, [path])}, EXIT_USAGE
         worst = max(worst, code)
         out.write(_encode({"input": path, **fields}) + "\n")
     return worst
@@ -223,30 +218,27 @@ def _emit(text, path, out):
         out.write(text)
 
 
-def _run_stabilize(args, out, err):
-    ob = read_openbook(args.path)
-    if args.same is not None:
-        attachment = SameBoundary(args.same)
-    else:
-        attachment = JoinBoundaries(args.join[0], args.join[1])
-    _emit(serialize_openbook(stabilize_positive(ob, attachment)), args.out, out)
+def _run_stabilize(args, out):
+    attachment = SameBoundary(args.same) if args.same is not None else JoinBoundaries(*args.join)
+    _emit(serialize_openbook(stabilize_positive(read_openbook(args.path), attachment)),
+          args.out, out)
     return EXIT_OK
 
 
-def _run_reduce(args, out, err):
+def _run_reduce(args, out):
     _emit(serialize_openbook(reduce_to_one_boundary(read_openbook(args.path))),
           args.out, out)
     return EXIT_OK
 
 
-def _run_embed(args, out, err):
+def _run_embed(args, out):
     cert = embedder.build_openbook_embedding(read_openbook(args.path), args.framing)
     _emit(embedder.certificate_to_json(cert), args.out, out)
     print(f"witness written to {args.out} (target {cert['scene']['target']})", file=out)
     return EXIT_OK
 
 
-def _run_embed_s5(args, out, err):
+def _run_embed_s5(args, out):
     plan = embedder.build_s5_plan(read_openbook(args.path))
     _emit(embedder.certificate_to_json(plan), args.out, out)
     h1 = AbelianGroup.from_dict(plan["checks"]["h1_after"])
@@ -254,7 +246,7 @@ def _run_embed_s5(args, out, err):
     return EXIT_OK
 
 
-def _run_relations(args, out, err):
+def _run_relations(args, out):
     try:
         cfg = lickorish_system(Surface(args.genus, args.boundary))
     except ValueError as exc:
@@ -273,6 +265,16 @@ def _run_relations(args, out, err):
     return EXIT_OK if report.all_pass else EXIT_INVALID
 
 
+# How run reports each failure: (exception kinds, message prefix, exit code), first match wins
+_FAILURES = (
+    ((_UsageError,), "usage error", EXIT_USAGE),
+    (_PARSE_ERRORS, "parse error", EXIT_USAGE),
+    ((OSError, _MalformedCertificate), "error", EXIT_USAGE),  # unreadable, or no certificate
+    ((ValueError,), "error", EXIT_INVALID),
+)
+_REPORTED = tuple(kind for kinds, _, _ in _FAILURES for kind in kinds)
+
+
 def run(argv, out=None, err=None):
     """Run the CLI on an argument list; returns the exit code."""
     out = out if out is not None else sys.stdout
@@ -285,22 +287,14 @@ def run(argv, out=None, err=None):
             sub = commands.get(argv[0]) if argv else None
             args = (sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
                     if sub is not None else parser.parse_args(argv))
-        return args.func(args, out, err)
+        return args.func(args, out)
     except _HelpRequested as exc:
         out.write(str(exc))
         return EXIT_OK
-    except _UsageError as exc:
-        print(f"usage error: {_cut_long_values(str(exc), argv)}", file=err)
-        return EXIT_USAGE
-    except (OpenBookParseError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"parse error: {exc}", file=err)
-        return EXIT_USAGE
-    except (OSError, _MalformedCertificate) as exc:  # unreadable, or read but no certificate
-        print(f"error: {exc}", file=err)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_INVALID
+    except _REPORTED as exc:
+        prefix, code = next(row[1:] for row in _FAILURES if isinstance(exc, row[0]))
+        print(f"{prefix}: {_cut_long_values(str(exc), argv)}", file=err)
+        return code
 
 
 def main():

@@ -367,7 +367,7 @@ def _read_witness(inp, ob, out):
 
 def _read_annulus(inp, ob, out):
     cert = _annulus(ob)
-    return cert, f"the word's total exponent {cert['checks']['realized_power']}", None
+    return cert, f"the word's total exponent {brief(cert['checks']['realized_power'])}", None
 
 
 def _read_s5_plan(inp, ob, out):

@@ -18,7 +18,8 @@ delta_i = [phi(r_i) - r_i] of the arc r_i, so
 
 A book's text form and ``to_dict`` carry a ``config`` exactly when its
 configuration is not the page's default system (``surface.is_default``).
-Only ``surface.load_config_override`` applies the kind rule.
+Only ``surface.load_config_override`` applies the kind rule.  Lines of
+the text form, and of a manifest, end as ``text_lines`` ends them.
 ``parse_openbook`` reads each ``config`` line once per process, through a
 table keyed by (page, line text) that is bounded as ``mcg``'s letter table
 is: a repeated line gives the same configuration, its twist tables built.
@@ -152,7 +153,7 @@ def parse_openbook(text):
     Four fixed lines (header, genus, boundary, word) and one optional
     ``config <json>`` line carrying a configuration other than the default.
     """
-    lines = text.splitlines()
+    lines = text_lines(text)
     if not lines or lines[0].strip() != FORMAT_HEADER:
         raise OpenBookParseError(1, f"expected header {FORMAT_HEADER!r}")
     genus = _field(lines, 1, "genus", 0, "nonnegative")
@@ -190,11 +191,21 @@ def serialize_openbook(ob):
     return "\n".join(lines) + "\n"
 
 
+def _newlines(text):  # each "\r\n" and lone "\r" as "\n", as a text-mode read gives them
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def text_lines(text):
+    r"""Lines as a text-mode read splits them (a last line end starts none): at "\n", "\r\n"
+    and a lone "\r", not at ``str.splitlines``' ``\v \f \x1c \x1d \x1e \x85 \u2028 \u2029``."""
+    lines = _newlines(text).split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 def read_text(path):
     """The file at path decoded as UTF-8, with a text-mode read's universal newlines."""
     with open(path, "rb", buffering=0) as fh:
-        text = fh.read().decode("utf-8")
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+        return _newlines(fh.read().decode("utf-8"))
 
 
 def read_openbook(path):

@@ -1,4 +1,4 @@
-"""Shared test utilities: independent oracles and random generators.
+"""Shared test utilities: independent oracles, random generators and shared cases.
 
 The determinant here is deliberately not part of the package; it is
 the independent check that the SNF transforms are unimodular.  So is
@@ -11,8 +11,6 @@ of the package's dict rows.  Dense classes (``dense``, ``unit``,
 ``boundary_class`` and the table ``default_table_dense``) live here
 only: the package writes a class as its support.
 """
-
-from __future__ import annotations
 
 import json
 import math
@@ -549,3 +547,14 @@ def reduce_by_joins(ob):
         ob = stabilize_by_system(ob, JoinBoundaries(n - 1, n))
         steps.append(ob.config == lickorish_system(ob.page))
     return ob, steps
+
+
+# structural errors of the text format, each at its own line
+STRUCTURE_ERRORS = [
+    ("openbook v1\ngenus 0\nboundary 1\n", 4, "missing 'word' line"),
+    ("openbook v1\ngenera 0\nboundary 1\nword\n", 2, "expected 'genus' line, got 'genera 0'"),
+    ("openbook v1\ngenus 0\nboundary 1\nword t(x)\n"
+     'config {"curves":[{"name":"x","kind":"handle_a","class":[]}]}\n'
+     'config {"curves":[{"name":"x","kind":"handle_a","class":[]}]}\n', 6,
+     "duplicate config line"),
+]

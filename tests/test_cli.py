@@ -14,9 +14,9 @@ import pytest
 import obembed
 from obembed import cli, embedder
 from obembed.cli import run
+from obembed.intlinalg import brief
 
-from helpers import deep_list
-import test_openbook
+from helpers import STRUCTURE_ERRORS, deep_list
 
 LENS5 = "openbook v1\ngenus 0\nboundary 2\nword t(d1)^5\n"
 TREFOIL = "openbook v1\ngenus 1\nboundary 1\nword t(a1) t(b1)\n"
@@ -151,7 +151,7 @@ def test_usage_error_exits_2():
     assert code == 2
 
 
-@pytest.mark.parametrize("text, line, message", test_openbook.STRUCTURE_ERRORS)
+@pytest.mark.parametrize("text, line, message", STRUCTURE_ERRORS)
 def test_structure_errors_exit_2_with_line_number(text, line, message, tmp_path):
     p = tmp_path / "bad.ob"
     p.write_text(text)
@@ -288,6 +288,16 @@ def _annulus_with_a_null_letter():
     return json.dumps({"kind": embedder.KIND_ANNULUS, "version": 1, "input": {"openbook": book}})
 
 
+def _tampered_long_annulus():
+    """An annulus certificate of a 4000-digit total exponent with two tampered fields, as
+    JSON text."""
+    cert = embedder.build_annulus_s5(obembed.AbstractOpenBook.with_default_config(
+        obembed.Surface(0, 2), obembed.parse_word("t(d1)^" + "9" * 4000)))
+    cert["scene"]["hopf_band"]["ambient"] = "x"
+    cert["scene"]["collar_pushing"]["target"] = "x"
+    return embedder.certificate_to_json(cert)
+
+
 @pytest.mark.parametrize("command, text, where", [
     ("h1", GENUS1 + f"word t(a1) {LONG}\n", "line 4: bad twist letter"),
     ("h1", GENUS1 + f"word t(a1) t({LONG})\n", "line 4: monodromy letter"),
@@ -302,6 +312,7 @@ def _annulus_with_a_null_letter():
      "line 5: bad config payload: curve xxx"),
     ("validate", _annulus_with_a_null_letter(), "input.openbook: letter 'xxx"),
     ("validate", _witness_with_a_long_field(), f"{'x' * 57}...: unexpected field"),
+    ("validate", _tampered_long_annulus(), "scene.hopf_band.ambient: expected 'S3', got 'x'"),
     # argparse's own usage errors, on argv values as long as one argument of a shell command
     (("relations", "--genus", ARG, "--boundary", "1"), None,
      f"argument --genus: invalid int value: '{'x' * 56}...\n"),
@@ -313,8 +324,8 @@ def _annulus_with_a_null_letter():
      f"argument --framing: invalid int value: '{'x' * 56}...\n"),
 ], ids=["twist_letter", "monodromy_letter", "field_line", "field_value", "unexpected_line",
         "witness_framing", "genus", "duplicate_name", "config_dimension", "annulus_letter",
-        "unexpected_field", "relations_genus", "relations_genus_equals", "stabilize_same",
-        "embed_framing"])
+        "unexpected_field", "annulus_total", "relations_genus", "relations_genus_equals",
+        "stabilize_same", "embed_framing"])
 def test_messages_about_long_input_stay_short(command, text, where, tmp_path):
     """Each message shows an outside value cut by brief: in-process, alone and in a manifest."""
     if text is None:  # an argv, in-process and in a new process, with no traceback
@@ -329,6 +340,7 @@ def test_messages_about_long_input_stay_short(command, text, where, tmp_path):
         code, shown, record = 2, ("", f"parse error: {messages[0]}\n"), {"error": messages[0]}
     else:
         messages = embedder.validate_certificate(text)
+        assert embedder.validate_certificate(json.loads(text)) == messages
         code, record = 1, {"violations": messages}
         shown = ("".join(f"VIOLATION: {m}\n" for m in messages), "")
     assert messages[0].startswith(where)
@@ -340,6 +352,34 @@ def test_messages_about_long_input_stay_short(command, text, where, tmp_path):
     manifest.write_text(f"{p}\n")
     code_m, out, _ = go(command, "--manifest", str(manifest))
     assert (code_m, json.loads(out)) == (code, {"input": str(p), **record})
+
+
+MISSING = "q" * (10 ** 5 - 3) + ".ob"  # a path of 100 000 characters, too long to open
+
+
+@pytest.mark.parametrize("argv", [
+    ("h1", MISSING), ("h1", MISSING, "--json"), ("validate", MISSING), ("reduce", MISSING),
+    ("mt-h1", "--manifest", MISSING), ("embed", None, "--framing", "1", "--out", MISSING),
+], ids=["h1", "h1_json", "validate", "reduce", "manifest", "embed_out"])
+def test_a_long_missing_path_gives_a_short_error(argv, lens_file):
+    """The OS error shows the path cut by brief: in-process and in a new process, with no
+    traceback."""
+    argv = [lens_file if word is None else word for word in argv]
+    code, out, err = go(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno ") and err.endswith(f": {brief(MISSING)}\n")
+    assert len(err) < 200
+    assert fresh_process(*argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("command", ["h1", "mt-h1", "identify", "validate"])
+def test_a_long_missing_path_in_a_manifest_gives_a_short_record(command, lens_file, tmp_path):
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"{MISSING}\n{lens_file}\n")
+    code, out, err = go(command, "--manifest", str(manifest))
+    record = json.loads(out.splitlines()[0])
+    assert (code, err, set(record), record["input"]) == (2, "", {"input", "error"}, MISSING)
+    assert record["error"].endswith(f": {brief(MISSING)}") and len(record["error"]) < 200
 
 
 def test_embed_s5(lens_file, tmp_path):
@@ -648,9 +688,15 @@ def batch_files(tmp_path):
     return {name: str(p) for name, p in paths.items()}
 
 
+def in_message(path):
+    """path as a message shows it: whole up to 60 characters, which a temporary path may pass,
+    and past that cut by brief."""
+    return repr(path) if len(path) <= 60 else brief(path)
+
+
 def missing_errors(p):
-    return {"missing": f"[Errno 2] No such file or directory: '{p['missing']}'",
-            "dir": f"[Errno 21] Is a directory: '{p['dir']}'", "bad": DECODE_ERROR}
+    return {"missing": f"[Errno 2] No such file or directory: {in_message(p['missing'])}",
+            "dir": f"[Errno 21] Is a directory: {in_message(p['dir'])}", "bad": DECODE_ERROR}
 
 
 @pytest.mark.parametrize("command, outputs", [
@@ -833,3 +879,15 @@ def test_manifest_lines_end_as_in_a_text_mode_read(batch_files, tmp_path):
     assert code == 0
     assert [json.loads(line)["input"] for line in out.splitlines()] == [
         p["lens"], p["crlf"], p["config"]]
+
+
+def test_manifest_lines_end_where_open_book_lines_end(tmp_path):
+    # the breaks str.splitlines adds to a text-mode read's are characters of a path, as of a book
+    paths = [str(tmp_path / f"lens{sep}5.ob") for sep in ("\f", "\x85", "\u2028")]
+    for path in paths:
+        Path(path).write_text(LENS5)
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("".join(path + "\n" for path in paths))
+    code, out, _ = go("h1", "--manifest", str(manifest))
+    assert (code, [json.loads(line) for line in out.splitlines()]) == (
+        0, [{"input": path, "result": {"free_rank": 0, "torsion": [5]}} for path in paths])

@@ -450,7 +450,7 @@ def test_validator_shows_an_unexpected_key_of_any_type_cut():
                                           f"{'1' + '0' * 56}...: unexpected field"]
 
 
-def _set(path, value):
+def _set_page(path, value):
     def tamper(page_cert):
         *keys, last = path
         for key in keys:
@@ -460,10 +460,10 @@ def _set(path, value):
 
 
 @pytest.mark.parametrize("tamper, where", [
-    (_set(["version"], True), "scene.page_certificate.version"),
-    (_set(["input", "page", "genus"], True), "scene.page_certificate.input.page"),
-    (_set(["input", "framing"], 2.0), "scene.page_certificate.input.framing"),
-    (_set(["note"], 1), "scene.page_certificate.note"),
+    (_set_page(["version"], True), "scene.page_certificate.version"),
+    (_set_page(["input", "page", "genus"], True), "scene.page_certificate.input.page"),
+    (_set_page(["input", "framing"], 2.0), "scene.page_certificate.input.framing"),
+    (_set_page(["note"], 1), "scene.page_certificate.note"),
 ], ids=["version", "genus", "framing", "top_level_field"])
 def test_witness_page_certificate_is_checked_type_exact(tamper, where):
     # 1, 1.0 and true compare equal in the diff; the page certificate's own
@@ -476,9 +476,9 @@ def test_witness_page_certificate_is_checked_type_exact(tamper, where):
 
 
 @pytest.mark.parametrize("tamper, where", [
-    (_set(["input"], 1.0), "scene.page_certificate.input: expected an object, got 1.0"),
-    (_set(["input", "page"], 1.0), "scene.page_certificate.input.page: expected an object"),
-    (_set(["input", "page", "boundary"], 0), "scene.page_certificate.input.page.boundary: "),
+    (_set_page(["input"], 1.0), "scene.page_certificate.input: expected an object, got 1.0"),
+    (_set_page(["input", "page"], 1.0), "scene.page_certificate.input.page: expected an object"),
+    (_set_page(["input", "page", "boundary"], 0), "scene.page_certificate.input.page.boundary: "),
 ], ids=["input", "page", "boundary"])
 def test_witness_page_certificate_input_departures_are_one_violation(tamper, where):
     # an input the diff already reports is not parsed a second time

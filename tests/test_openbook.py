@@ -23,15 +23,16 @@ from obembed import (AbelianGroup, AbstractOpenBook, ConfiguredCurve, CurveConfi
                      JoinBoundaries, OpenBookParseError, SameBoundary, Surface, TwistWord,
                      arc_defect, closed_h1, format_word, identify_known, lickorish_system,
                      load_config_override, mapping_torus_h1, parse_openbook, parse_word,
-                     reduce_to_one_boundary, serialize_openbook,
+                     read_openbook, reduce_to_one_boundary, serialize_openbook,
                      stabilize_positive, word_action)
 from obembed import surface as surface_module
 from obembed import openbook
 from obembed.openbook import core_twist_total, read_text
 from obembed.surface import canonical_json, config_to_dict, is_default
 
-from helpers import (book, deep_list, dense, distinct_pair, fixed_length_book, override_book,
-                     random_open_book, random_word, reduce_by_joins, sparse, stabilize_by_system)
+from helpers import (STRUCTURE_ERRORS, book, deep_list, dense, distinct_pair, fixed_length_book,
+                     override_book, random_open_book, random_word, reduce_by_joins, sparse,
+                     stabilize_by_system)
 
 trivial = AbelianGroup(0)
 
@@ -525,23 +526,34 @@ def test_parse_errors_carry_line_numbers():
         assert f"line {line}" in str(exc.value)
 
 
-# structural errors of the text format, each at its own line
-STRUCTURE_ERRORS = [
-    ("openbook v1\ngenus 0\nboundary 1\n", 4, "missing 'word' line"),
-    ("openbook v1\ngenera 0\nboundary 1\nword\n", 2, "expected 'genus' line, got 'genera 0'"),
-    ("openbook v1\ngenus 0\nboundary 1\nword t(x)\n"
-     'config {"curves":[{"name":"x","kind":"handle_a","class":[]}]}\n'
-     'config {"curves":[{"name":"x","kind":"handle_a","class":[]}]}\n', 6,
-     "duplicate config line"),
-]
-
-
 @pytest.mark.parametrize("text, line, message", STRUCTURE_ERRORS)
 def test_parse_reports_structure_errors(text, line, message):
     with pytest.raises(OpenBookParseError) as exc:
         parse_openbook(text)
     assert exc.value.line == line
     assert str(exc.value) == f"line {line}: {message}"
+
+
+def test_only_a_text_mode_line_end_ends_a_line():
+    # str.splitlines ends a line at U+2028, a form feed and U+0085 as well
+    curves = [{"name": "d1", "kind": "boundary_parallel", "class": [1]},
+              {"name": "x\u2028y", "kind": "boundary_parallel", "class": [1]}]
+    line = json.dumps({"curves": curves}, ensure_ascii=False)
+    ob = parse_openbook(f"openbook v1\ngenus 0\nboundary 2\nword t(d1)^2\nconfig {line}\n")
+    assert ob.config.names() == ("d1", "x\u2028y") and ob.word == parse_word("t(d1)^2")
+    assert parse_openbook("openbook v1\ngenus 1\nboundary 1\nword t(a1)\ft(b1)\n") == book(
+        1, 1, "t(a1) t(b1)")
+    with pytest.raises(OpenBookParseError) as info:
+        parse_openbook("openbook v1\x85genus 0\x85boundary 1\x85word\x85")
+    assert (info.value.line, str(info.value)) == (1, "line 1: expected header 'openbook v1'")
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_a_last_line_end_starts_no_line(end):
+    with pytest.raises(OpenBookParseError, match="^line 3: missing 'boundary' line$"):
+        parse_openbook(f"openbook v1{end}genus 0{end}")
+    with pytest.raises(OpenBookParseError, match="^line 3: expected 'boundary' line, got ''$"):
+        parse_openbook(f"openbook v1{end}genus 0{end}{end}")
 
 
 def test_config_of_another_surface_is_rejected():
@@ -928,5 +940,49 @@ def test_read_text_matches_a_text_mode_read(data):
         except UnicodeDecodeError as exc:
             got = str(exc)
         assert got == want
+    finally:
+        os.unlink(path)
+
+
+# where str.splitlines ends a line and a text-mode read does not; JSON lets the last three
+# stand raw in a string
+SPLITLINES_ONLY = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@st.composite
+def books_with_odd_breaks(draw):
+    """(book, its text lines): word tokens apart by spaces and ``SPLITLINES_ONLY`` breaks, and
+    config curves, which the word does not use, named with the breaks JSON lets stand raw."""
+    page = Surface(draw(st.integers(0, 2)), draw(st.integers(1, 3)))
+    system = lickorish_system(page)
+    row = st.lists(st.integers(-1, 1), min_size=page.h1_rank, max_size=page.h1_rank)
+    names = draw(st.lists(st.text(st.sampled_from("x\x85\u2028\u2029"), min_size=1, max_size=3),
+                          min_size=1, max_size=3, unique=True))
+    extra = [ConfiguredCurve("n" + name, "chain", sparse(draw(row))) for name in names]
+    cfg = CurveConfig(page, [system.curve(name) for name in system.names()] + extra)
+    letter = st.tuples(st.sampled_from(system.names()), st.sampled_from([-2, -1, 1, 2]))
+    letters = draw(st.lists(letter, max_size=6)) if len(system) else []
+    gaps = st.text(st.sampled_from(" " + SPLITLINES_ONLY), min_size=1, max_size=3)
+    word = "".join(f"t({name})^{e}" + draw(gaps) for name, e in letters)
+    lines = ["openbook v1", f"genus {page.genus}", f"boundary {page.boundary_count}",
+             f"word {word}", "config " + json.dumps(config_to_dict(cfg), ensure_ascii=False)]
+    return AbstractOpenBook(page, TwistWord(letters), cfg), lines
+
+
+@settings(max_examples=200)
+@given(books_with_odd_breaks(), st.data())
+def test_lines_end_at_text_mode_line_ends_alone(drawn, data):
+    ob, lines = drawn
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                              max_size=len(lines)))
+    if data.draw(st.booleans()):  # the last line with no line end
+        ends[-1] = ""
+    text = "".join(map(add, lines, ends))
+    assert parse_openbook(text) == ob
+    fd, path = tempfile.mkstemp()
+    try:
+        os.write(fd, text.encode())
+        os.close(fd)
+        assert read_openbook(path) == ob
     finally:
         os.unlink(path)
