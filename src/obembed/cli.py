@@ -30,7 +30,7 @@ from .mcg import relation_report
 from .openbook import (JoinBoundaries, OpenBookParseError, SameBoundary, closed_h1,
                        identify_known, mapping_torus_h1, read_openbook, read_text,
                        reduce_to_one_boundary, serialize_openbook, stabilize_positive,
-                       text_lines)
+                       text_lines, write_text)
 from .surface import Surface, lickorish_system
 
 EXIT_OK = 0
@@ -210,12 +210,11 @@ def _run_batch(args, out):
 
 
 def _emit(text, path, out):
-    """Write text to the file at path, or to out when path is None."""
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    """Write text to the file at path, or to out when path is None (an empty path is missing)."""
+    if path is None:
         out.write(text)
+    else:
+        write_text(path, text)
 
 
 def _run_stabilize(args, out):

@@ -20,6 +20,8 @@ A book's text form and ``to_dict`` carry a ``config`` exactly when its
 configuration is not the page's default system (``surface.is_default``).
 Only ``surface.load_config_override`` applies the kind rule.  Lines of
 the text form, and of a manifest, end as ``text_lines`` ends them.
+``read_text`` and ``write_text`` are the package's file I/O, on bare
+``os`` calls with the messages and file modes of built-in ``open``.
 ``parse_openbook`` reads each ``config`` line once per process, through a
 table keyed by (page, line text) that is bounded as ``mcg``'s letter table
 is: a repeated line gives the same configuration, its twist tables built.
@@ -38,7 +40,10 @@ each a pure move of coordinates, that builds the word and one
 configuration at the end: the final page's system or the pushforward.
 """
 
+import errno
+import os
 from itertools import count
+from stat import S_ISDIR, S_ISREG
 
 from .intlinalg import AbelianGroup, IntMatrix, Value, brief, cokernel
 # arc_defect is unused here; bench/tracer.py wraps it under this module's name
@@ -202,10 +207,59 @@ def text_lines(text):
     return lines[:-1] if lines[-1] == "" else lines
 
 
+class PathError(OSError):
+    """A path holding a NUL byte, which no file can have: an OSError, where os.open raises
+    ValueError, with built-in open's message on every Python version."""
+
+
+_O_BINARY = getattr(os, "O_BINARY", 0)  # Windows only
+
+
+def _open(path, flags):
+    """os.open of path, a created file with mode 0o666 less the umask, and no newline mapping."""
+    try:
+        return os.open(path, flags | _O_BINARY, 0o666)
+    except ValueError:
+        if "\0" in os.fsdecode(path):
+            raise PathError("embedded null byte") from None
+        raise  # such as a UnicodeEncodeError of a lone surrogate
+
+
 def read_text(path):
-    """The file at path decoded as UTF-8, with a text-mode read's universal newlines."""
-    with open(path, "rb", buffering=0) as fh:
-        return _newlines(fh.read().decode("utf-8"))
+    """The file at path decoded as UTF-8, with a text-mode read's universal newlines.
+
+    A regular file takes four system calls: open, fstat, one read of a byte more than its size
+    and close.  A file whose read gave other than its size, and any file that is not regular (a
+    pipe, a FIFO, /dev/stdin; some systems give a pipe's st_size as the bytes it holds now), is
+    read on to end of file.
+    """
+    fd = _open(path, os.O_RDONLY)
+    try:
+        info = os.fstat(fd)
+        if S_ISDIR(info.st_mode):  # os.read's own EISDIR would carry no file name
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+        data = os.read(fd, info.st_size + 1)
+        if len(data) != info.st_size or not S_ISREG(info.st_mode):
+            chunks = [data]
+            while chunks[-1]:
+                chunks.append(os.read(fd, 1 << 16))
+            data = b"".join(chunks)
+    finally:
+        os.close(fd)
+    return _newlines(data.decode("utf-8"))
+
+
+def write_text(path, text):
+    """Write text to the file at path as UTF-8, with "\\n" line ends on every platform: a new
+    file gets mode 0o666 less the umask, an old one is truncated, and every byte goes out."""
+    data = text.encode("utf-8")
+    fd = _open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        os.close(fd)
 
 
 def read_openbook(path):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -476,14 +477,15 @@ def test_identical_invocations_identical_bytes(lens_file, tmp_path):
     assert a == b
 
 
-def fresh_process(*argv):
-    """Exit code, stdout and stderr of ``python -m obembed.cli`` in a new process."""
+def fresh_process(*argv, stdin=None):
+    """Exit code, stdout and stderr of ``python -m obembed.cli`` in a new process, given the
+    text stdin, if any, through a pipe."""
     # the child imports the same package as this process, installed or not
     src = os.path.dirname(os.path.dirname(obembed.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "obembed.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          input=stdin, capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -891,3 +893,89 @@ def test_manifest_lines_end_where_open_book_lines_end(tmp_path):
     code, out, _ = go("h1", "--manifest", str(manifest))
     assert (code, [json.loads(line) for line in out.splitlines()]) == (
         0, [{"input": path, "result": {"free_rank": 0, "torsion": [5]}} for path in paths])
+
+
+# Files are read and written on bare os calls (openbook.read_text and write_text): what the
+# io stack of built-in open did, these do too.
+
+NO_NAME = "error: [Errno 2] No such file or directory: ''\n"
+# each command that writes --out, its open book to come in place of None
+OUT_COMMANDS = [("stabilize", None, "--same", "1"), ("reduce", None),
+                ("embed", None, "--framing", "1"), ("embed-s5", None)]
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS)
+def test_an_empty_out_is_a_missing_file(argv, lens_file):
+    argv = [lens_file if word is None else word for word in argv] + ["--out", ""]
+    assert go(*argv) == (2, "", NO_NAME)
+
+
+NUL = "lens\x005.ob"
+
+
+@pytest.mark.parametrize("argv", [
+    ("h1", NUL), ("h1", NUL, "--json"), ("mt-h1", NUL), ("identify", NUL, "--json"),
+    ("validate", NUL), ("stabilize", NUL, "--same", "1"), ("reduce", NUL),
+    ("embed", NUL, "--framing", "1", "--out", "cert.json"), ("embed-s5", NUL, "--out", "p.json"),
+    ("h1", "--manifest", NUL), ("validate", "--manifest", NUL),
+    ("stabilize", None, "--join", "1", "2", "--out", NUL), ("reduce", None, "--out", NUL),
+    ("embed", None, "--framing", "1", "--out", NUL), ("embed-s5", None, "--out", NUL),
+])
+def test_a_path_holding_a_nul_byte_cannot_be_read_or_written(argv, lens_file):
+    # no shell passes NUL in argv, but a library call and a manifest line can
+    argv = [lens_file if word is None else word for word in argv]
+    assert go(*argv) == (2, "", "error: embedded null byte\n")
+
+
+@pytest.mark.parametrize("command", BATCH_COMMANDS)
+def test_a_manifest_line_holding_a_nul_byte_gives_an_error_record(command, tmp_path):
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(NUL + "\n")
+    assert go(command, "--manifest", str(manifest)) == (
+        2, json.dumps({"error": "embedded null byte", "input": NUL}) + "\n", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_a_book_is_read_through_a_fifo(tmp_path):
+    fifo = tmp_path / "lens.fifo"
+    os.mkfifo(fifo)
+
+    def write():  # two writes, so the reader sees the book in pieces
+        with open(fifo, "wb", buffering=0) as fh:
+            fh.write(LENS5[:20].encode())
+            fh.write(LENS5[20:].encode())
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    assert go("h1", str(fifo)) == (0, "H1 = Z/5\n", "")
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin on this platform")
+def test_a_book_longer_than_a_pipe_is_read_from_dev_stdin():
+    book = "openbook v1\ngenus 0\nboundary 2\nword " + "t(d1) " * 12000 + "\n"
+    assert len(book) > 64 * 1024  # more than a Linux pipe holds, so it takes many reads
+    assert fresh_process("h1", "/dev/stdin", "--json", stdin=book) == (
+        0, '{"free_rank": 0, "torsion": [12000]}\n', "")
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS)
+def test_out_over_a_longer_file_leaves_exactly_the_new_bytes(argv, lens_file, tmp_path):
+    argv = [lens_file if word is None else word for word in argv]
+    fresh, old = tmp_path / "fresh.out", tmp_path / "old.out"
+    old.write_bytes(b"x" * 100_000)
+    assert go(*argv, "--out", str(fresh))[0] == go(*argv, "--out", str(old))[0] == 0
+    assert old.read_bytes() == fresh.read_bytes()
+    assert fresh.read_bytes().endswith(b"\n") and b"\r" not in fresh.read_bytes()
+
+
+@pytest.mark.parametrize("umask", [0o000, 0o002, 0o027])
+def test_a_written_file_has_mode_0o666_less_the_umask(umask, lens_file, tmp_path):
+    out = tmp_path / "red.ob"
+    old = os.umask(umask)
+    try:
+        assert go("reduce", lens_file, "--out", str(out))[0] == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
