@@ -1,6 +1,7 @@
 """Command-line interface tests."""
 
 import argparse
+import errno
 import hashlib
 import io
 import json
@@ -11,6 +12,11 @@ import threading
 from pathlib import Path
 
 import pytest
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 import obembed
 from obembed import cli, embedder
@@ -138,11 +144,20 @@ def test_missing_file_exits_2():
 
 
 @pytest.mark.parametrize("command", ["h1", "validate"])
-def test_directory_input_exits_2(command, tmp_path):
-    code, out, err = go(command, str(tmp_path))
+def test_directory_input_exits_2(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a short relative name, which no message cuts
+    os.mkdir("d")
+    Path("m.txt").write_text("d\n")
+    code, out, err = go(command, "d")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    code, out, _ = go(command, "--manifest", "m.txt")
+    record = json.loads(out)
+    assert (code, record["input"]) == (2, "d")
+    if sys.platform.startswith("linux"):  # the errno and its text are the system's
+        assert err == "error: [Errno 21] Is a directory: 'd'\n"
+        assert record["error"] == "[Errno 21] Is a directory: 'd'"
 
 
 def test_usage_error_exits_2():
@@ -477,15 +492,15 @@ def test_identical_invocations_identical_bytes(lens_file, tmp_path):
     assert a == b
 
 
-def fresh_process(*argv, stdin=None):
+def fresh_process(*argv, stdin=None, **run_args):
     """Exit code, stdout and stderr of ``python -m obembed.cli`` in a new process, given the
-    text stdin, if any, through a pipe."""
+    text stdin, if any, through a pipe; run_args go on to ``subprocess.run``."""
     # the child imports the same package as this process, installed or not
     src = os.path.dirname(os.path.dirname(obembed.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "obembed.cli", *argv],
-                          input=stdin, capture_output=True, text=True, env=env)
+                          input=stdin, capture_output=True, text=True, env=env, **run_args)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -958,6 +973,26 @@ def test_a_book_longer_than_a_pipe_is_read_from_dev_stdin():
     assert len(book) > 64 * 1024  # more than a Linux pipe holds, so it takes many reads
     assert fresh_process("h1", "/dev/stdin", "--json", stdin=book) == (
         0, '{"free_rank": 0, "torsion": [12000]}\n', "")
+
+
+def _limit_memory():  # 1 GiB of address space, so a read that never stops fails in seconds
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.skipif(resource is None or not os.path.exists("/dev/zero"),
+                    reason="no resource module or no /dev/zero on this platform")
+def test_an_endless_input_is_a_file_too_large(lens_file, tmp_path):
+    # in a fresh process under a memory limit: a read without the bound runs until it is spent
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"/dev/zero\n{lens_file}\n")
+    limits = {"preexec_fn": _limit_memory, "timeout": 60}
+    too_large = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: '/dev/zero'"
+    assert fresh_process("h1", "/dev/zero", **limits) == (2, "", f"error: {too_large}\n")
+    code, out, err = fresh_process("h1", "--manifest", str(manifest), **limits)
+    assert (code, err) == (2, "")
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"error": too_large, "input": "/dev/zero"},
+        {"input": lens_file, "result": {"free_rank": 0, "torsion": [5]}}]
 
 
 @pytest.mark.parametrize("argv", OUT_COMMANDS)

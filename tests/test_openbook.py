@@ -16,7 +16,7 @@ import tracemalloc
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obembed import (AbelianGroup, AbstractOpenBook, ConfiguredCurve, CurveConfig,
@@ -923,6 +923,12 @@ def test_oversized_pages_are_rejected_before_anything_is_built():
 @settings(max_examples=300)
 @given(st.one_of(st.binary(max_size=40),
                  st.text(alphabet="\r\n\x0b\x85  abé", max_size=40).map(str.encode)))
+# lengths about the 64 KiB read: a "\r\n" and a two-byte character split between two reads
+@example(b"")
+@example("é".encode() * 32767 + b"\n")  # 65 535 bytes
+@example(b"x" * 65535 + b"\r")  # 65 536
+@example(b"x" * 65535 + b"\r\n")  # 65 537
+@example((b"x" * 65535 + "é".encode()).ljust(200_000, b"\n"))
 def test_read_text_matches_a_text_mode_read(data):
     # the bytes read, decoded once, gives what open(..., encoding="utf-8").read() gives,
     # universal newlines and decode errors included
