@@ -129,8 +129,7 @@ def _build_parser():
                 args = p.parse_args([_PLACEHOLDER, *tail], argparse.Namespace(command=name))
             except _UsageError:  # a shape the subcommand refuses, such as reduce --json
                 continue
-            if getattr(args, "path", None) == _PLACEHOLDER:
-                templates[(name, *tail)] = vars(args)
+            templates[(name, *tail)] = vars(args)
     return parser, sub.choices, templates
 
 

@@ -206,11 +206,6 @@ def text_lines(text):
     return lines[:-1] if lines[-1] == "" else lines
 
 
-class PathError(OSError):
-    """A path holding a NUL byte, which no file can have: an OSError, where os.open raises
-    ValueError, with built-in open's message on every Python version."""
-
-
 _O_BINARY = getattr(os, "O_BINARY", 0)  # Windows only
 
 
@@ -220,7 +215,7 @@ def _open(path, flags):
         return os.open(path, flags | _O_BINARY, 0o666)
     except ValueError:
         if "\0" in os.fsdecode(path):
-            raise PathError("embedded null byte") from None
+            raise OSError("embedded null byte") from None  # built-in open's error and message
         raise  # such as a UnicodeEncodeError of a lone surrogate
 
 
